@@ -17,9 +17,6 @@ from geosent.cli import main
 
 OUT = Path(__file__).resolve().parent / "out"
 
-# keep stdout in step with the log lines on stderr when piped
-sys.stdout.reconfigure(line_buffering=True)
-
 
 def run(*argv: str) -> None:
     print(f"$ geosent {' '.join(argv)}")
@@ -29,26 +26,28 @@ def run(*argv: str) -> None:
     print()
 
 
+def pipeline_config(out: Path) -> str:
+    """The demo's pipeline config, writing every output under out."""
+    return "\n".join([
+        f"raw={bundled.corpus_path()}",
+        f"regions={bundled.regions_path()}",
+        f"parsed={out / 'pipe.t2.tsv'}",
+        f"scores={out / 'pipe.t3.tsv'}",
+        "start=2013-07-22T00:00:00Z",
+        "end=2013-07-23T00:00:00Z",
+        "# render settings",
+        f"kml_out={out / 'pipe.kml'}",
+        f"tilemap_out={out / 'pipe-tiles.svg'}",
+        f"line_out={out / 'pipe-series'}",
+        "line_region=mycountry",
+        "line_level=Country",
+    ]) + "\n"
+
+
 def main_demo() -> None:
     OUT.mkdir(exist_ok=True)
     config = OUT / "pipeline.cfg"
-    config.write_text(
-        "\n".join([
-            f"raw={bundled.corpus_path()}",
-            f"regions={bundled.regions_path()}",
-            f"parsed={OUT / 'pipe.t2.tsv'}",
-            f"scores={OUT / 'pipe.t3.tsv'}",
-            "start=2013-07-22T00:00:00Z",
-            "end=2013-07-23T00:00:00Z",
-            "# render settings",
-            f"kml_out={OUT / 'pipe.kml'}",
-            f"tilemap_out={OUT / 'pipe-tiles.svg'}",
-            f"line_out={OUT / 'pipe-series'}",
-            "line_region=mycountry",
-            "line_level=Country",
-        ]) + "\n",
-        encoding="utf-8",
-    )
+    config.write_text(pipeline_config(OUT), encoding="utf-8")
     print(f"config written to {config}")
     print(config.read_text(encoding="utf-8"))
 
@@ -64,4 +63,6 @@ def main_demo() -> None:
 
 
 if __name__ == "__main__":
+    # keep stdout in step with the log lines on stderr when piped
+    sys.stdout.reconfigure(line_buffering=True)
     main_demo()

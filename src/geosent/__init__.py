@@ -23,9 +23,9 @@ from .estimator import (
     AggregationSpec,
     ScoreSeries,
     aggregate,
+    aggregate_many,
     compute_pss,
     correlate,
-    normalize,
     series_from_rows,
 )
 from .georesolve import RegionIndex, load_regions, resolve
@@ -63,6 +63,7 @@ __all__ = [
     "ScoreSeries",
     "Token",
     "aggregate",
+    "aggregate_many",
     "classify",
     "collect",
     "color_for",
@@ -77,7 +78,6 @@ __all__ = [
     "load_model",
     "load_regions",
     "match_token",
-    "normalize",
     "parse_corpus",
     "parse_record",
     "read_scores",

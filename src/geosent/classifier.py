@@ -30,9 +30,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import emoticons
-from .lexicon import TWEETS, SentimentCounts
-from .store import ParsedTweet
-from .tokenizer import HASHTAG, WORD, tokenize
+from .lexicon import TWEETS
+from .tokenizer import HASHTAG, WORD, Token, tokenize
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -76,8 +75,13 @@ class NBModel:
 
 def features(text: str) -> list[str]:
     """Lowercased unigram features: words and hashtag bodies, in order."""
+    return _token_features(tokenize(text))
+
+
+def _token_features(tokens: Iterable[Token]) -> list[str]:
+    """The features of an already tokenized text."""
     out = []
-    for token in tokenize(text):
+    for token in tokens:
         if token.kind == WORD:
             out.append(token.text.lower())
         elif token.kind == HASHTAG:
@@ -144,9 +148,15 @@ def classify(model: NBModel, text: str) -> tuple[str, float]:
     The margin is log score(Positive) minus log score(Negative); zero or
     better means Positive.
     """
+    margin = _margin(model, features(text))
+    return (POSITIVE if margin >= 0.0 else NEGATIVE), margin
+
+
+def _margin(model: NBModel, feats: list[str]) -> float:
+    """log score(Positive) - log score(Negative) of one feature list."""
     total_docs = sum(model.doc_counts.values())
     vocab_size = len(model.vocabulary)
-    toks = [t for t in features(text) if t in model.vocabulary]
+    toks = [t for t in feats if t in model.vocabulary]
     scores = {}
     for label in LABELS:
         score = math.log(model.doc_counts[label]) - math.log(total_docs)
@@ -155,8 +165,7 @@ def classify(model: NBModel, text: str) -> tuple[str, float]:
         for tok in toks:
             score += math.log((counts.get(tok, 0) + 1) / denom)
         scores[label] = score
-    margin = scores[POSITIVE] - scores[NEGATIVE]
-    return (POSITIVE if margin >= 0.0 else NEGATIVE), margin
+    return scores[POSITIVE] - scores[NEGATIVE]
 
 
 @dataclass
@@ -191,20 +200,9 @@ class ModelAnalyser:
     def __init__(self, model: NBModel):
         self.model = model
 
-    def tweet_counts(self, text: str) -> tuple[int, int]:
-        label, _ = classify(self.model, text)
-        return (1, 0) if label == POSITIVE else (0, 1)
-
-
-def count_tweets(model: NBModel, tweets: Iterable[ParsedTweet]) -> SentimentCounts:
-    """Count how many tweets classify positive versus negative."""
-    analyser = ModelAnalyser(model)
-    pos = neg = 0
-    for tweet in tweets:
-        p, n = analyser.tweet_counts(tweet.text)
-        pos += p
-        neg += n
-    return SentimentCounts(pos=pos, neg=neg, unit=TWEETS)
+    def counts(self, tokens: Iterable[Token]) -> tuple[int, int]:
+        """(1, 0) when the tweet classifies Positive, else (0, 1)."""
+        return (1, 0) if _margin(self.model, _token_features(tokens)) >= 0.0 else (0, 1)
 
 
 def save_model(model: NBModel, path: str | Path) -> None:

@@ -33,7 +33,7 @@ from .estimator import (
     NORM_SCOPES,
     AggregationSpec,
     EstimatorError,
-    aggregate,
+    aggregate_many,
     correlate,
     series_from_rows,
 )
@@ -244,20 +244,14 @@ def _cmd_score(args, cfg):
     norm_scope = _opt(args, cfg, "norm_scope", str, default="level")
     if norm_scope not in NORM_SCOPES:
         raise UsageError(f"unknown norm scope {norm_scope!r}; use one of {NORM_SCOPES}")
-    tz_offset = _opt(args, cfg, "tz_offset", int, default=0)
     threads = _opt(args, cfg, "threads", _positive_int, default=1)
     append = _opt(args, cfg, "append", _bool_arg, default=False)
 
-    spec = AggregationSpec(
-        level=level,
-        window=(start, end),
-        bucket_seconds=bucket,
-        norm_scope=norm_scope,
-        display_tz_offset_minutes=tz_offset,
-    )
+    spec = AggregationSpec(level=level, window=(start, end), bucket_seconds=bucket,
+                           norm_scope=norm_scope)
     analyser = _score_analyser(args, cfg, approach)
     log.info("scoring %s at %s level", parsed, level)
-    rows = aggregate(spec, parsed, analyser, threads=threads)
+    [rows] = aggregate_many([(spec, analyser)], parsed, threads=threads)
     write_scores(scores, rows, append=append)
     print(f"rows={len(rows)}")
     return 0
@@ -387,39 +381,28 @@ def _cmd_pipeline(args, cfg):
     print(f"parsed={parsed}")
 
     analysers = {approach: _score_analyser(args, cfg, approach) for approach in approaches}
-    first_write = True
-    for approach in approaches:
-        for level in levels:
-            spec = AggregationSpec(
-                level=level,
-                window=(start, end),
-                bucket_seconds=bucket,
-                norm_scope=norm_scope,
-                display_tz_offset_minutes=tz_offset,
-            )
-            log.info("pipeline: scoring %s at %s level", approach, level)
-            rows = aggregate(spec, parsed, analysers[approach], threads=threads)
-            write_scores(scores, rows, append=not first_write)
-            first_write = False
-    print(f"scores={scores}")
-
+    jobs = [
+        (AggregationSpec(level, (start, end), bucket, norm_scope), analysers[approach])
+        for approach in approaches for level in levels
+    ]
     if line_out:
-        first_write = True
-        for approach in approaches:
-            spec = AggregationSpec(
-                level=line_level,
-                window=(start, end),
-                bucket_seconds=line_bucket,
-                norm_scope=norm_scope,
-                display_tz_offset_minutes=tz_offset,
-            )
-            log.info("pipeline: hourly scoring %s for the line graph", approach)
-            rows = aggregate(spec, parsed, analysers[approach], threads=threads)
-            write_scores(line_scores, rows, append=not first_write)
-            first_write = False
+        jobs += [
+            (AggregationSpec(line_level, (start, end), line_bucket, norm_scope), analysers[approach])
+            for approach in approaches
+        ]
+    log.info("pipeline: scoring %d jobs in one scan", len(jobs))
+    results = aggregate_many(jobs, parsed, threads=threads)
+    split = len(approaches) * len(levels)
+    for k, rows in enumerate(results[:split]):
+        write_scores(scores, rows, append=k > 0)
+    print(f"scores={scores}")
+    for k, rows in enumerate(results[split:]):
+        write_scores(line_scores, rows, append=k > 0)
+    if line_out:
         print(f"line_scores={line_scores}")
 
-    table = read_scores(scores)
+    table = [row for rows in results[:split] for row in rows]
+
     if kml_out:
         chosen = [
             row for row in table
@@ -435,9 +418,8 @@ def _cmd_pipeline(args, cfg):
         emit_tilemap(_rows_for_bucket(chosen, args, cfg, "tilemap"), tilemap_out)
         print(f"tilemap={tilemap_out}")
     if line_out:
-        line_table = read_scores(line_scores)
         chosen = [
-            row for row in line_table
+            row for rows in results[split:] for row in rows
             if row.region == line_region and row.level == line_level
         ]
         svg_path, csv_path = emit_linegraph(chosen, line_out, display_tz_offset_minutes=tz_offset)
@@ -504,8 +486,6 @@ def build_parser() -> _Parser:
                    help="relative-score group: level or siblings")
     p.add_argument("--no-hashtag-match", dest="hashtag_match", action="store_false",
                    default=None, help="do not match lexicon entries inside hashtags")
-    p.add_argument("--tz-offset", dest="tz_offset", type=int,
-                   help="display offset in minutes, labels only")
     p.add_argument("--threads", type=_positive_int, help="worker processes")
     p.add_argument("--append", action="store_true", default=None,
                    help="append to an existing score table")

@@ -7,31 +7,40 @@ all regions of the same level and bucket by default, or only siblings
 under one parent with norm_scope="siblings".  Scores keep full float
 precision here; rounding happens at render time.
 
-aggregate() makes one pass over a parsed table, bucketing timestamps
-from the window start (the final bucket may be truncated) and delegating
-per-tweet counting to an analyser (lexicon counter or classifier).  With
-threads > 1 the pass fans out over row blocks through a process pool;
-block results merge by addition, so the output is identical whatever the
-thread count.  Window endpoints are UTC instants; display_tz_offset only
-shifts rendered labels, never bucket boundaries.
+aggregate_many() makes one scan of a parsed table for every requested
+(spec, analyser) job.  Each row is parsed and tokenized once, each
+distinct analyser (lexicon counter or classifier) scores the tokens
+once, and the counts fold into the cells of every job whose window
+holds the row.  Buckets count from the window start (the final bucket
+may be truncated).  aggregate() is the single-job case.  With
+threads > 1 the scan fans out over row blocks through a process pool;
+block results merge by addition in file order, so the output is
+identical whatever the thread count.  Window endpoints are
+timezone-aware instants.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .store import LEVELS, ScoreRow, _parse_parsed_line
 from .lexicon import SentimentCounts
+from .tokenizer import Token, tokenize
 
 log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("level", "siblings")
+
+# T2 lines per block: folded in turn in-process, or handed to a pool worker
+SERIAL_BLOCK_LINES = 50_000
+POOL_BLOCK_LINES = 20_000
 
 
 class EstimatorError(Exception):
@@ -44,9 +53,8 @@ class CorrelationError(EstimatorError):
 
 class Analyser(Protocol):
     approach: str
-    unit: str
 
-    def tweet_counts(self, text: str) -> tuple[int, int]: ...
+    def counts(self, tokens: list[Token]) -> tuple[int, int]: ...
 
 
 def compute_pss(counts: SentimentCounts) -> float | None:
@@ -54,18 +62,6 @@ def compute_pss(counts: SentimentCounts) -> float | None:
     if counts.pos == 0 and counts.neg == 0:
         return None
     return counts.pos / max(counts.neg, 1)
-
-
-def normalize(group: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Scale a (region, pss) group by its maximum; order is preserved."""
-    if not group:
-        raise EstimatorError("empty normalisation group")
-    if any(pss is None for _, pss in group):
-        raise EstimatorError("normalisation group contains undefined scores")
-    top = max(pss for _, pss in group)
-    if top <= 0.0:
-        raise EstimatorError("normalisation group has no positive score")
-    return [(region, pss / top) for region, pss in group]
 
 
 @dataclass
@@ -76,7 +72,6 @@ class AggregationSpec:
     window: tuple[datetime, datetime]
     bucket_seconds: int
     norm_scope: str = "level"
-    display_tz_offset_minutes: int = 0
 
     def validate(self) -> None:
         if self.level not in LEVELS:
@@ -86,28 +81,20 @@ class AggregationSpec:
         if self.bucket_seconds <= 0:
             raise EstimatorError("bucket_seconds must be positive")
         start, end = self.window
+        if start.utcoffset() is None or end.utcoffset() is None:
+            raise EstimatorError("window endpoints must be timezone-aware instants")
         if not start < end:
             raise EstimatorError("window start must precede window end")
 
 
-# worker-side state for aggregate(); populated once per pool worker
-_agg_state: dict = {}
+def _fold_block(analysers: list, plan: list[tuple], lines: list[str]) -> tuple[list[dict], int]:
+    """Fold one block of T2 lines into partial cell counts for every job.
 
-
-def _agg_init(analyser, level, start, end, bucket_seconds):
-    _agg_state.update(analyser=analyser, level=level, start=start, end=end,
-                      bucket_seconds=bucket_seconds)
-
-
-def _agg_block(lines: list[str]) -> tuple[dict, int]:
-    """Fold one block of T2 lines into partial cell counts."""
-    analyser = _agg_state["analyser"]
-    level = _agg_state["level"]
-    start = _agg_state["start"]
-    end = _agg_state["end"]
-    bucket_seconds = _agg_state["bucket_seconds"]
-    country_level = level == "Country"
-    cells: dict = {}
+    plan holds one (start, end, bucket_seconds, country_level, analyser
+    slot) entry per job.  A row is tokenized only when some job's window
+    holds it, and each analyser scores it at most once.
+    """
+    cells: list[dict] = [{} for _ in plan]
     skipped = 0
     for line in lines:
         if not line:
@@ -118,33 +105,47 @@ def _agg_block(lines: list[str]) -> tuple[dict, int]:
             skipped += 1
             continue
         ts = row.timestamp
-        if not start <= ts < end:
-            continue
-        bucket = int((ts - start).total_seconds()) // bucket_seconds
-        if country_level:
-            key = (bucket, row.country, "")
-        else:
-            key = (bucket, row.county, row.country)
-        pos, neg = analyser.tweet_counts(row.text)
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = [pos, neg, 1]
-        else:
-            cell[0] += pos
-            cell[1] += neg
-            cell[2] += 1
+        tokens = None
+        scored: list = [None] * len(analysers)
+        for part, (start, end, bucket_seconds, country_level, slot) in zip(cells, plan):
+            if not start <= ts < end:
+                continue
+            if tokens is None:
+                tokens = tokenize(row.text)
+            counts = scored[slot]
+            if counts is None:
+                counts = scored[slot] = analysers[slot].counts(tokens)
+            bucket = int((ts - start).total_seconds()) // bucket_seconds
+            if country_level:
+                key = (bucket, row.country, "")
+            else:
+                key = (bucket, row.county, row.country)
+            pos, neg = counts
+            cell = part.get(key)
+            if cell is None:
+                part[key] = [pos, neg, 1]
+            else:
+                cell[0] += pos
+                cell[1] += neg
+                cell[2] += 1
     return cells, skipped
 
 
-def _merge_cells(target: dict, part: dict) -> None:
-    for key, (pos, neg, tweets) in part.items():
-        cell = target.get(key)
-        if cell is None:
-            target[key] = [pos, neg, tweets]
-        else:
-            cell[0] += pos
-            cell[1] += neg
-            cell[2] += tweets
+def _merge_blocks(cells: list[dict], parts: Iterable[tuple[list[dict], int]]) -> int:
+    """Add block results into cells, in file order; returns rows skipped."""
+    skipped = 0
+    for part, bad in parts:
+        skipped += bad
+        for target, got in zip(cells, part):
+            for key, (pos, neg, tweets) in got.items():
+                cell = target.get(key)
+                if cell is None:
+                    target[key] = [pos, neg, tweets]
+                else:
+                    cell[0] += pos
+                    cell[1] += neg
+                    cell[2] += tweets
+    return skipped
 
 
 def _blocks(path: Path, size: int):
@@ -159,55 +160,16 @@ def _blocks(path: Path, size: int):
         yield block
 
 
-def aggregate(
-    spec: AggregationSpec,
-    parsed_path: str | Path,
-    analyser: Analyser,
-    threads: int = 1,
-) -> list[ScoreRow]:
-    """One scored row per (bucket, region) cell, normalised per group.
-
-    Cells with undefined pss are emitted with pss=NA and stay out of
-    their normalisation group; a group whose best defined score is 0
-    gets npss=NA throughout.  Rows come back sorted by bucket then
-    region, so equal inputs give byte-equal tables downstream.
-    """
-    spec.validate()
+def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[ScoreRow]:
+    """Scored, normalised and sorted rows of one job's cells."""
     start, end = spec.window
-    cells: dict = {}
-    skipped = 0
-    done = 0
-    if threads <= 1:
-        _agg_init(analyser, spec.level, start, end, spec.bucket_seconds)
-        for block in _blocks(Path(parsed_path), 50_000):
-            part, bad = _agg_block(block)
-            _merge_cells(cells, part)
-            skipped += bad
-            done += len(block)
-            if done % 500_000 == 0:
-                log.info("aggregate: %d rows in", done)
-        _agg_state.clear()
-    else:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=threads,
-            initializer=_agg_init,
-            initargs=(analyser, spec.level, start, end, spec.bucket_seconds),
-        ) as pool:
-            for part, bad in pool.imap(_agg_block, _blocks(Path(parsed_path), 20_000)):
-                _merge_cells(cells, part)
-                skipped += bad
-    if skipped:
-        log.warning("aggregate: skipped %d malformed parsed rows", skipped)
-
     delta = timedelta(seconds=spec.bucket_seconds)
     rows: list[ScoreRow] = []
     for (bucket, region, parent), (pos, neg, tweets) in cells.items():
         bucket_start = start + bucket * delta
         bucket_end = min(bucket_start + delta, end)
-        counts = SentimentCounts(pos=pos, neg=neg, unit=analyser.unit)
         rows.append(ScoreRow(
-            approach=analyser.approach,
+            approach=approach,
             level=spec.level,
             region=region,
             parent=parent,
@@ -216,7 +178,7 @@ def aggregate(
             pos_count=pos,
             neg_count=neg,
             tweet_count=tweets,
-            pss=compute_pss(counts),
+            pss=compute_pss(SentimentCounts(pos=pos, neg=neg)),
             npss=None,
         ))
 
@@ -235,6 +197,58 @@ def aggregate(
 
     rows.sort(key=lambda r: (r.bucket_start, r.region))
     return rows
+
+
+def aggregate_many(
+    jobs: Sequence[tuple[AggregationSpec, Analyser]],
+    parsed_path: str | Path,
+    threads: int = 1,
+) -> list[list[ScoreRow]]:
+    """Score every (spec, analyser) job in one scan of a parsed table.
+
+    Returns one row list per job, in job order, each equal to what
+    aggregate(spec, parsed_path, analyser) gives.  Every spec is
+    validated before the scan starts.  Jobs that share an analyser
+    object share its per-tweet scoring.
+    """
+    analysers: list = []
+    slots: dict[int, int] = {}
+    plan = []
+    for spec, analyser in jobs:
+        spec.validate()
+        if id(analyser) not in slots:
+            slots[id(analyser)] = len(analysers)
+            analysers.append(analyser)
+        start, end = spec.window
+        plan.append((start, end, spec.bucket_seconds, spec.level == "Country", slots[id(analyser)]))
+    fold = functools.partial(_fold_block, analysers, plan)
+    cells: list[dict] = [{} for _ in plan]
+    path = Path(parsed_path)
+    if threads <= 1:
+        skipped = _merge_blocks(cells, map(fold, _blocks(path, SERIAL_BLOCK_LINES)))
+    else:
+        with multiprocessing.get_context().Pool(processes=threads) as pool:
+            skipped = _merge_blocks(cells, pool.imap(fold, _blocks(path, POOL_BLOCK_LINES)))
+    if skipped:
+        log.warning("aggregate: skipped %d malformed parsed rows", skipped)
+    return [_score_rows(spec, analyser.approach, part)
+            for (spec, analyser), part in zip(jobs, cells)]
+
+
+def aggregate(
+    spec: AggregationSpec,
+    parsed_path: str | Path,
+    analyser: Analyser,
+    threads: int = 1,
+) -> list[ScoreRow]:
+    """One scored row per (bucket, region) cell, normalised per group.
+
+    Cells with undefined pss are emitted with pss=NA and stay out of
+    their normalisation group; a group whose best defined score is 0
+    gets npss=NA throughout.  Rows come back sorted by bucket then
+    region, so equal inputs give byte-equal tables downstream.
+    """
+    return aggregate_many([(spec, analyser)], parsed_path, threads)[0]
 
 
 @dataclass

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .store import ParsedTweet
-from .tokenizer import HASHTAG, WORD, Token, tokenize
+from .tokenizer import HASHTAG, WORD, Token
 
 log = logging.getLogger(__name__)
 
@@ -29,11 +28,10 @@ class LexiconError(Exception):
 
 @dataclass
 class SentimentCounts:
-    """Positive/negative tallies in a stated unit (Words or Tweets)."""
+    """Positive/negative tallies of one cell."""
 
     pos: int
     neg: int
-    unit: str
 
 
 @dataclass
@@ -107,9 +105,10 @@ class DictionaryAnalyser:
         self.lexicon = lexicon
         self.hashtag_match = hashtag_match
 
-    def tweet_counts(self, text: str) -> tuple[int, int]:
+    def counts(self, tokens: Iterable[Token]) -> tuple[int, int]:
+        """Positive and negative lexicon matches among one tweet's tokens."""
         pos = neg = 0
-        for token in tokenize(text):
+        for token in tokens:
             strength = match_token(self.lexicon, token, self.hashtag_match)
             if strength is None:
                 continue
@@ -119,13 +118,3 @@ class DictionaryAnalyser:
                 neg += 1
         return pos, neg
 
-
-def count_words(lexicon: Lexicon, tweets: Iterable[ParsedTweet], hashtag_match: bool = True) -> SentimentCounts:
-    """Tally positive and negative lexicon matches over a tweet stream."""
-    analyser = DictionaryAnalyser(lexicon, hashtag_match)
-    pos = neg = 0
-    for tweet in tweets:
-        p, n = analyser.tweet_counts(tweet.text)
-        pos += p
-        neg += n
-    return SentimentCounts(pos=pos, neg=neg, unit=WORDS)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -139,26 +140,35 @@ class ScoreRow:
 
 
 class RawTable:
-    """Append handle for a T1 file; keeps the running 1-based line count."""
+    """Append handle for a T1 file.
+
+    A table whose last line has no newline (a write torn by a crash) gets
+    one on open, so the torn record stays one malformed line and the next
+    append starts a line of its own.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._count = 0
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                self._count = sum(1 for _ in fh)
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "a+b")
+        if self._fh.seek(0, os.SEEK_END) > 0:
+            self._fh.seek(-1, os.SEEK_END)
+            if self._fh.read(1) != b"\n":
+                self._fh.write(b"\n")
 
-    def append(self, payload: str) -> int:
+    def append(self, payload: str) -> None:
         if "\n" in payload or "\r" in payload:
             raise StoreError("raw payload must be a single line")
-        return self.append_bytes(payload.encode("utf-8"))
+        self.append_bytes(payload.encode("utf-8"))
 
-    def append_bytes(self, payload: bytes) -> int:
+    def append_bytes(self, payload: bytes) -> None:
         """Append one verbatim line (no trailing newline in payload)."""
         self._fh.write(payload + b"\n")
-        self._count += 1
-        return self._count
+
+    def line_count(self) -> int:
+        """Lines in the table so far; reads the whole file."""
+        self._fh.flush()
+        with open(self.path, "rb") as fh:
+            return sum(1 for _ in fh)
 
     def flush(self) -> None:
         self._fh.flush()
@@ -176,8 +186,8 @@ class RawTable:
 def append_raw(table_path: str | Path, payload: str) -> int:
     """Append one line to a T1 table, returning its 1-based line number."""
     with RawTable(table_path) as table:
-        n = table.append(payload)
-    return n
+        table.append(payload)
+        return table.line_count()
 
 
 def iter_raw(table_path: str | Path) -> Iterator[tuple[int, bytes]]:

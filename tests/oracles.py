@@ -1,15 +1,25 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is written from first principles with exact arithmetic
+Most of this is written from first principles with exact arithmetic
 (fractions, or high-precision decimals where a square root is needed),
 deliberately sharing no code with the package, so agreement between the
-two is meaningful.
+two is meaningful.  The scoring section instead keeps earlier package
+code that a faster rewrite replaced: one T2 scan per aggregation spec
+and the stand-alone normalisation helper.  Those are references for
+differential tests; they reuse the package's row parser, tokenizer and
+row type, because what they pin is the scan and fold, not those layers.
 """
 
 from __future__ import annotations
 
+from datetime import timedelta
 from decimal import Decimal, getcontext
 from fractions import Fraction
+
+from geosent.estimator import EstimatorError, compute_pss
+from geosent.lexicon import SentimentCounts
+from geosent.store import ScoreRow, _parse_parsed_line
+from geosent.tokenizer import tokenize
 
 getcontext().prec = 50
 
@@ -60,6 +70,77 @@ def npss_fractions(cells: dict) -> dict:
     defined = [s for s in scores.values() if s is not None]
     top = max(defined)
     return {name: (None if s is None else s / top) for name, s in scores.items()}
+
+
+def normalize(group: list[tuple[str, float]]) -> list[tuple[str, float]]:
+    """Scale a (region, pss) group by its maximum; order is preserved."""
+    if not group:
+        raise EstimatorError("empty normalisation group")
+    if any(pss is None for _, pss in group):
+        raise EstimatorError("normalisation group contains undefined scores")
+    top = max(pss for _, pss in group)
+    if top <= 0.0:
+        raise EstimatorError("normalisation group has no positive score")
+    return [(region, pss / top) for region, pss in group]
+
+
+def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
+    """One scan of a parsed table for one spec: the pre-fusion aggregate."""
+    spec.validate()
+    start, end = spec.window
+    cells: dict = {}
+    with open(parsed_path, encoding="utf-8", newline="") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                row = _parse_parsed_line(line)
+            except ValueError:
+                continue
+            ts = row.timestamp
+            if not start <= ts < end:
+                continue
+            bucket = int((ts - start).total_seconds()) // spec.bucket_seconds
+            if spec.level == "Country":
+                key = (bucket, row.country, "")
+            else:
+                key = (bucket, row.county, row.country)
+            pos, neg = analyser.counts(tokenize(row.text))
+            cell = cells.setdefault(key, [0, 0, 0])
+            cell[0] += pos
+            cell[1] += neg
+            cell[2] += 1
+
+    delta = timedelta(seconds=spec.bucket_seconds)
+    rows = []
+    for (bucket, region, parent), (pos, neg, tweets) in cells.items():
+        bucket_start = start + bucket * delta
+        rows.append(ScoreRow(
+            approach=analyser.approach,
+            level=spec.level,
+            region=region,
+            parent=parent,
+            bucket_start=bucket_start,
+            bucket_end=min(bucket_start + delta, end),
+            pos_count=pos,
+            neg_count=neg,
+            tweet_count=tweets,
+            pss=compute_pss(SentimentCounts(pos, neg)),
+            npss=None,
+        ))
+    groups: dict = {}
+    for row in rows:
+        if row.pss is not None:
+            key = (row.bucket_start, row.parent if spec.norm_scope == "siblings" else None)
+            groups.setdefault(key, []).append(row)
+    for members in groups.values():
+        top = max(row.pss for row in members)
+        if top > 0.0:
+            for row in members:
+                row.npss = row.pss / top
+    rows.sort(key=lambda r: (r.bucket_start, r.region))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from geosent.estimator import (
     aggregate,
     compute_pss,
     correlate,
-    normalize,
 )
 from geosent.gencorpus import (
     FILLER_WORDS,
@@ -51,7 +50,7 @@ from geosent.store import ScoreRow, read_scores
 from geosent.visualize import emit_kml, emit_linegraph, emit_tilemap, fmt4
 
 from conftest import grid_regions, square, utc
-from oracles import nb_label, wn_contains
+from oracles import nb_label, normalize, wn_contains
 
 # ---------------------------------------------------------------------------
 # criterion 1: daily reference table arithmetic
@@ -120,11 +119,10 @@ WIDE = 0.0005 + 1e-12
 
 def _group_scores(day, approach):
     """Recompute the absolute and relative scores of one day and approach."""
-    unit = "Words" if approach == "Dictionary" else "Tweets"
     pss = {}
     for country in COUNTRIES:
         pos, neg, _, _ = DAILY_REFERENCE[(day, country)][approach]
-        pss[country] = compute_pss(SentimentCounts(pos, neg, unit))
+        pss[country] = compute_pss(SentimentCounts(pos, neg))
     npss = dict(normalize(sorted(pss.items())))
     return pss, npss
 

@@ -12,7 +12,6 @@ from geosent.classifier import (
     NBModel,
     TrainingError,
     classify,
-    count_tweets,
     distant_label,
     evaluate,
     features,
@@ -23,6 +22,7 @@ from geosent.classifier import (
     train,
 )
 from geosent.store import ParsedTweet
+from geosent.tokenizer import tokenize
 
 from conftest import utc
 from oracles import nb_label, nb_posteriors
@@ -273,8 +273,8 @@ class TestAnalyser:
 
     def test_tweet_counts_one_hot(self):
         analyser = ModelAnalyser(train(TWO_DOCS))
-        assert analyser.tweet_counts("happy day") == (1, 0)
-        assert analyser.tweet_counts("sad cry day") == (0, 1)
+        assert analyser.counts(tokenize("happy day")) == (1, 0)
+        assert analyser.counts(tokenize("sad cry day")) == (0, 1)
 
     def test_count_tweets_totals(self):
         model = train(TWO_DOCS)
@@ -286,5 +286,6 @@ class TestAnalyser:
             ParsedTweet("3", utc(2013, 7, 22, 14), 2.0, 2.0,
                         "mycountry", "happycounty", "joy joy"),
         ]
-        counts = count_tweets(model, tweets)
-        assert (counts.pos, counts.neg, counts.unit) == (2, 1, "Tweets")
+        analyser = ModelAnalyser(model)
+        pos, neg = map(sum, zip(*(analyser.counts(tokenize(t.text)) for t in tweets)))
+        assert (pos, neg, analyser.unit) == (2, 1, "Tweets")

@@ -1,25 +1,32 @@
 import math
+import multiprocessing
+import tempfile
 from datetime import timedelta
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from geosent import estimator
+from geosent.classifier import LabeledTweet, ModelAnalyser, train
 from geosent.estimator import (
+    NORM_SCOPES,
     AggregationSpec,
     CorrelationError,
     EstimatorError,
     ScoreSeries,
     aggregate,
+    aggregate_many,
     compute_pss,
     correlate,
-    normalize,
     series_from_rows,
 )
 from geosent.lexicon import DictionaryAnalyser, Lexicon, SentimentCounts
-from geosent.store import write_parsed, ParsedTweet
+from geosent.store import LEVELS, format_parsed_line, write_parsed, ParsedTweet
 
 from conftest import utc
-from oracles import pearson_decimal
+from oracles import aggregate_per_pass, normalize, pearson_decimal
 
 LEX = Lexicon(
     exact={"good": 2, "fine": 1, "bad": -2, "grim": -1},
@@ -59,16 +66,16 @@ def spec(level="County", bucket=3600, scope="level"):
 
 class TestPss:
     def test_ratio(self):
-        assert compute_pss(SentimentCounts(6, 3, "Words")) == 2.0
+        assert compute_pss(SentimentCounts(6, 3)) == 2.0
 
     def test_zero_negative_floor(self):
-        assert compute_pss(SentimentCounts(5, 0, "Words")) == 5.0
+        assert compute_pss(SentimentCounts(5, 0)) == 5.0
 
     def test_zero_positive(self):
-        assert compute_pss(SentimentCounts(0, 4, "Words")) == 0.0
+        assert compute_pss(SentimentCounts(0, 4)) == 0.0
 
     def test_no_signal_undefined(self):
-        assert compute_pss(SentimentCounts(0, 0, "Words")) is None
+        assert compute_pss(SentimentCounts(0, 0)) is None
 
 
 class TestNormalize:
@@ -105,6 +112,17 @@ class TestSpecValidation:
     def test_bad_scope(self):
         with pytest.raises(EstimatorError):
             AggregationSpec("County", WINDOW, 3600, norm_scope="global").validate()
+
+    @pytest.mark.parametrize("naive_end", [False, True])
+    def test_naive_window_rejected_before_the_scan(self, tmp_path, naive_end):
+        start, end = WINDOW
+        if naive_end:
+            end = end.replace(tzinfo=None)
+        else:
+            start = start.replace(tzinfo=None)
+        missing = tmp_path / "never-opened.tsv"
+        with pytest.raises(EstimatorError, match="timezone-aware"):
+            aggregate(AggregationSpec("County", (start, end), 3600), missing, analyser())
 
 
 class TestAggregate:
@@ -230,6 +248,101 @@ class TestAggregate:
         rows = aggregate(spec(bucket=86400), path, analyser())
         assert len(rows) == 1
         assert any("skipped" in r.message for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# the fused scan against the one-scan-per-spec oracle
+
+ANALYSERS = (
+    DictionaryAnalyser(LEX),
+    DictionaryAnalyser(Lexicon(exact={"good": 1}, wildcards=[("ba", -3)]), hashtag_match=False),
+    ModelAnalyser(train([
+        LabeledTweet("good fine day", "Positive"),
+        LabeledTweet("fine #sun good", "Positive"),
+        LabeledTweet("bad grim day", "Negative"),
+        LabeledTweet("grim rain", "Negative"),
+    ])),
+)
+
+_VALID_ROWS = st.builds(
+    lambda seconds, country, county, words: format_parsed_line(ParsedTweet(
+        tweet_id="t", timestamp=WINDOW[0] + timedelta(seconds=seconds), lat=1.0, lon=2.0,
+        country=country, county=county, text=" ".join(words),
+    )),
+    st.one_of(st.integers(-3 * 3600, 27 * 3600),
+              st.sampled_from([-1, 0, 6 * 3600, 12 * 3600 - 1, 12 * 3600, 24 * 3600])),
+    st.sampled_from(["volcania", "dustland"]),
+    # county names repeat across countries, so sort ties depend on fold order
+    st.sampled_from(["ashmoor", "basalt", "crater"]),
+    st.lists(st.sampled_from(["good", "fine", "bad", "grim", "bath", "#good", "#bad",
+                              "@bad", "http://x.co/good", "day", "sun!", "don't"]),
+             max_size=6),
+)
+_MALFORMED_ROWS = st.sampled_from([
+    "",
+    "garbage line",
+    "1\tnot-a-time\t1.0\t2.0\tvolcania\tashmoor\tgood",
+    "1\t2013-07-22T10:00:00Z\t99.0\t2.0\tvolcania\tashmoor\tgood",
+    "1\t2013-07-22T10:00:00Z\t1.0\t2.0\tvolcania\tashmoor",
+])
+TABLES = st.lists(st.one_of(_VALID_ROWS, _VALID_ROWS, _MALFORMED_ROWS), max_size=40)
+JOBS = st.lists(
+    st.tuples(
+        st.sampled_from(LEVELS),
+        st.sampled_from([0, 6 * 3600]),
+        st.sampled_from([12 * 3600, 24 * 3600]),
+        st.sampled_from([600, 3600, 7 * 3600, 86400]),
+        st.sampled_from(NORM_SCOPES),
+        st.sampled_from(range(len(ANALYSERS))),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _check_against_oracle(lines, job_args, threads):
+    jobs = [
+        (AggregationSpec(level, (WINDOW[0] + timedelta(seconds=lo), WINDOW[0] + timedelta(seconds=hi)),
+                         bucket, scope), ANALYSERS[k])
+        for level, lo, hi, bucket, scope, k in job_args
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t2.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        expected = [aggregate_per_pass(spec, path, analyser) for spec, analyser in jobs]
+        # small blocks, so the fold merges many partial cell maps
+        with mock.patch.object(estimator, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(estimator, "POOL_BLOCK_LINES", 7):
+            assert aggregate_many(jobs, path, threads=threads) == expected
+
+
+class TestFusedScan:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=TABLES, job_args=JOBS)
+    def test_one_worker_matches_per_pass_oracle(self, lines, job_args):
+        _check_against_oracle(lines, job_args, threads=1)
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_two_workers_match_per_pass_oracle(self, method):
+        @settings(max_examples=10, deadline=None)
+        @given(lines=TABLES, job_args=JOBS)
+        def check(lines, job_args):
+            _check_against_oracle(lines, job_args, threads=2)
+
+        with mock.patch.object(estimator, "multiprocessing", multiprocessing.get_context(method)):
+            check()
+
+    def test_shared_analyser_scores_each_tweet_once(self, tmp_path):
+        path = parsed(tmp_path, [
+            (utc(2013, 7, 22, 10), "volcania", "ashmoor", "good bad"),
+            (utc(2013, 7, 22, 11), "volcania", "basalt", "fine"),
+        ])
+        shared = analyser()
+        with mock.patch.object(shared, "counts", wraps=shared.counts) as counts, \
+                mock.patch.object(estimator, "tokenize", wraps=estimator.tokenize) as tokenize:
+            aggregate_many([(spec(level, bucket), shared)
+                            for level in LEVELS for bucket in (3600, 86400)], path)
+        assert counts.call_count == 2
+        assert tokenize.call_count == 2
 
 
 class TestSeries:

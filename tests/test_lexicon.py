@@ -3,7 +3,6 @@ import pytest
 from geosent.lexicon import (
     DictionaryAnalyser,
     LexiconError,
-    count_words,
     load_lexicon,
     match_token,
 )
@@ -101,23 +100,24 @@ class TestMatching:
 
 class TestCounting:
     def test_word_unit_counts(self, lex):
-        pos, neg = DictionaryAnalyser(lex).tweet_counts("happy happy sad day")
+        pos, neg = DictionaryAnalyser(lex).counts(tokenize("happy happy sad day"))
         assert (pos, neg) == (2, 1)
 
     def test_only_sign_matters(self, tmp_path):
         lex = make_lexicon(tmp_path, ["great\t5", "nice\t1", "bad\t-5"])
         analyser = DictionaryAnalyser(lex)
-        assert analyser.tweet_counts("great nice bad") == (2, 1)
+        assert analyser.counts(tokenize("great nice bad")) == (2, 1)
 
     def test_corpus_totals(self, lex):
         rows = [
             ParsedTweet("1", utc(2013, 7, 22), 2.0, 2.0, "mycountry", "happycounty", text)
             for text in ["happy joy", "sad awful day", "nothing here"]
         ]
-        counts = count_words(lex, rows)
-        assert counts.pos == 2
-        assert counts.neg == 2
-        assert counts.unit == "Words"
+        analyser = DictionaryAnalyser(lex)
+        pos, neg = map(sum, zip(*(analyser.counts(tokenize(row.text)) for row in rows)))
+        assert pos == 2
+        assert neg == 2
+        assert analyser.unit == "Words"
 
     def test_analyser_metadata(self, lex):
         analyser = DictionaryAnalyser(lex)

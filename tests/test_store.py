@@ -1,8 +1,11 @@
+import io
 import math
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 
+from geosent.ingest import collect
 from geosent.store import (
     ParsedTweet,
     RawTable,
@@ -97,6 +100,20 @@ class TestRawTable:
         append_raw(path, "one")
         append_raw(path, "two")
         assert path.read_bytes() == b"one\ntwo\n"
+
+    def test_torn_tail_is_terminated_before_appending(self, tmp_path):
+        path = tmp_path / "t1.jsonl"
+        path.write_bytes(b'{"a":1}\n{"b":2')
+        assert append_raw(path, '{"c":3}') == 3
+        assert list(iter_raw(path)) == [(1, b'{"a":1}'), (2, b'{"b":2'), (3, b'{"c":3}')]
+
+    def test_collect_never_counts_the_table(self, tmp_path):
+        path = tmp_path / "t1.jsonl"
+        path.write_bytes(b"old\n" * 1000)
+        with mock.patch.object(RawTable, "line_count", side_effect=AssertionError("counted")):
+            stats, fragment = collect(io.BytesIO(b"new\ntorn"), path)
+        assert (stats.lines_read, fragment) == (1, b"torn")
+        assert path.read_bytes() == b"old\n" * 1000 + b"new\n"
 
 
 class TestParsedTable:
