@@ -37,7 +37,6 @@ from .store import (
     ParsedTweet,
     ScoreRow,
     read_scores,
-    scan_parsed,
     write_parsed,
     write_scores,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "read_scores",
     "resolve",
     "save_model",
-    "scan_parsed",
     "series_from_rows",
     "tokenize",
     "train",

@@ -12,17 +12,16 @@ aggregate_many() makes one scan of a parsed table for every requested
 distinct analyser (lexicon counter or classifier) scores the tokens
 once, and the counts fold into the cells of every job whose window
 holds the row.  Buckets count from the window start (the final bucket
-may be truncated).  aggregate() is the single-job case.  With
-threads > 1 the scan fans out over row blocks through a process pool;
-block results merge by addition in file order, so the output is
-identical whatever the thread count.  Window endpoints are
-timezone-aware instants.
+may be truncated).  aggregate() is the single-job case.  The scan runs
+on store.map_blocks, in-process or over a process pool; block results
+merge by addition in file order, so the output is identical whatever
+the thread count.  A line that is not valid UTF-8 or not a valid row is
+skipped and counted.  Window endpoints are timezone-aware instants.
 """
 from __future__ import annotations
 
 import functools
 import logging
-import multiprocessing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -30,17 +29,13 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .store import LEVELS, ScoreRow, _parse_parsed_line
+from .store import LEVELS, ScoreRow, _parse_parsed_line, map_blocks
 from .lexicon import SentimentCounts
 from .tokenizer import Token, tokenize
 
 log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("level", "siblings")
-
-# T2 lines per block: folded in turn in-process, or handed to a pool worker
-SERIAL_BLOCK_LINES = 50_000
-POOL_BLOCK_LINES = 20_000
 
 
 class EstimatorError(Exception):
@@ -87,7 +82,7 @@ class AggregationSpec:
             raise EstimatorError("window start must precede window end")
 
 
-def _fold_block(analysers: list, plan: list[tuple], lines: list[str]) -> tuple[list[dict], int]:
+def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple[list[dict], int]:
     """Fold one block of T2 lines into partial cell counts for every job.
 
     plan holds one (start, end, bucket_seconds, country_level, analyser
@@ -100,8 +95,8 @@ def _fold_block(analysers: list, plan: list[tuple], lines: list[str]) -> tuple[l
         if not line:
             continue
         try:
-            row = _parse_parsed_line(line)
-        except ValueError:
+            row = _parse_parsed_line(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
             skipped += 1
             continue
         ts = row.timestamp
@@ -146,18 +141,6 @@ def _merge_blocks(cells: list[dict], parts: Iterable[tuple[list[dict], int]]) ->
                     cell[1] += neg
                     cell[2] += tweets
     return skipped
-
-
-def _blocks(path: Path, size: int):
-    block: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            block.append(line.rstrip("\n"))
-            if len(block) >= size:
-                yield block
-                block = []
-    if block:
-        yield block
 
 
 def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[ScoreRow]:
@@ -207,10 +190,12 @@ def aggregate_many(
     """Score every (spec, analyser) job in one scan of a parsed table.
 
     Returns one row list per job, in job order, each equal to what
-    aggregate(spec, parsed_path, analyser) gives.  Every spec is
-    validated before the scan starts.  Jobs that share an analyser
-    object share its per-tweet scoring.
+    aggregate(spec, parsed_path, analyser) gives.  Every spec and the
+    thread count are validated before the scan starts.  Jobs that share
+    an analyser object share its per-tweet scoring.
     """
+    if threads < 1:
+        raise EstimatorError("threads must be at least 1")
     analysers: list = []
     slots: dict[int, int] = {}
     plan = []
@@ -223,12 +208,7 @@ def aggregate_many(
         plan.append((start, end, spec.bucket_seconds, spec.level == "Country", slots[id(analyser)]))
     fold = functools.partial(_fold_block, analysers, plan)
     cells: list[dict] = [{} for _ in plan]
-    path = Path(parsed_path)
-    if threads <= 1:
-        skipped = _merge_blocks(cells, map(fold, _blocks(path, SERIAL_BLOCK_LINES)))
-    else:
-        with multiprocessing.get_context().Pool(processes=threads) as pool:
-            skipped = _merge_blocks(cells, pool.imap(fold, _blocks(path, POOL_BLOCK_LINES)))
+    skipped = _merge_blocks(cells, map_blocks(fold, parsed_path, threads))
     if skipped:
         log.warning("aggregate: skipped %d malformed parsed rows", skipped)
     return [_score_rows(spec, analyser.approach, part)

@@ -6,21 +6,26 @@ be re-processed later.  Parsing is where judgement happens.  A record
 survives only if it carries an id, a creation time we can read, a geo
 point, and a text; the point must then land inside a known region.
 Everything else is counted and dropped, never silently.
+
+parse_corpus() runs on store.map_blocks: each block of raw lines comes
+back as T2 lines plus its CollectorStats, in file order, whatever the
+thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from multiprocessing import Pool
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from .georesolve import RegionIndex, resolve
-from .store import ParsedTweet, RawTable, format_parsed_line, iter_raw, parse_instant
+from .store import ParsedTweet, RawTable, format_parsed_line, map_blocks, parse_instant
 
 log = logging.getLogger(__name__)
 
@@ -196,31 +201,22 @@ def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     return ParsedCandidate(tweet_id, stamp, lat, lon, sanitize_text(text))
 
 
-_parse_index: RegionIndex | None = None
-
-
-def _parse_init(index: RegionIndex) -> None:
-    global _parse_index
-    _parse_index = index
-
-
-def _parse_block(lines: list[bytes]) -> tuple[list[str], tuple[int, int, int, int]]:
-    """Worker: parse and resolve a block, returning T2 lines and counts."""
-    assert _parse_index is not None
+def _parse_block(index: RegionIndex, lines: list[bytes]) -> tuple[list[str], CollectorStats]:
+    """Parse and resolve one block of raw lines into T2 lines and counts."""
     out: list[str] = []
-    accepted = no_geo = malformed = unresolved = 0
+    stats = CollectorStats(lines_read=len(lines))
     for payload in lines:
         got = parse_record(payload)
         if got == NO_GEO:
-            no_geo += 1
+            stats.rejected_no_geo += 1
             continue
         if got == MALFORMED:
-            malformed += 1
+            stats.rejected_malformed += 1
             continue
         assert isinstance(got, ParsedCandidate)
-        where = resolve(_parse_index, got.lat, got.lon)
+        where = resolve(index, got.lat, got.lon)
         if where is None:
-            unresolved += 1
+            stats.rejected_unresolved += 1
             continue
         country, county = where
         row = ParsedTweet(
@@ -235,22 +231,11 @@ def _parse_block(lines: list[bytes]) -> tuple[list[str], tuple[int, int, int, in
         try:
             row.validate()
         except ValueError:
-            malformed += 1
+            stats.rejected_malformed += 1
             continue
         out.append(format_parsed_line(row))
-        accepted += 1
-    return out, (accepted, no_geo, malformed, unresolved)
-
-
-def _raw_blocks(raw_path: str | Path, size: int) -> Iterator[list[bytes]]:
-    block: list[bytes] = []
-    for _, payload in iter_raw(raw_path):
-        block.append(payload)
-        if len(block) >= size:
-            yield block
-            block = []
-    if block:
-        yield block
+        stats.accepted += 1
+    return out, stats
 
 
 def parse_corpus(
@@ -262,40 +247,27 @@ def parse_corpus(
     """Parse the whole raw table into the parsed table.
 
     Output order follows input order whatever the thread count, so runs
-    are byte for byte reproducible.  `imap` keeps block order for the
-    multi-process path; each block's counts sum to its line count, which
-    is how `lines_read` is recovered without extra bookkeeping.
+    are byte for byte reproducible.  The table is written to a temporary
+    sibling that replaces parsed_path only once the whole raw table has
+    been read, so a failed run leaves any earlier parsed table as it was.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     stats = CollectorStats()
     out = Path(parsed_path)
-    with out.open("w", encoding="utf-8", newline="") as sink:
-        if threads == 1:
-            global _parse_index
-            _parse_init(index)
-            try:
-                for block in _raw_blocks(raw_path, 50_000):
-                    _drain(stats, sink, _parse_block(block))
-                    if stats.lines_read % 500_000 == 0:
-                        log.info("parse: %d lines in", stats.lines_read)
-            finally:
-                _parse_index = None
-        else:
-            with Pool(threads, initializer=_parse_init, initargs=(index,)) as pool:
-                for result in pool.imap(_parse_block, _raw_blocks(raw_path, 20_000)):
-                    _drain(stats, sink, result)
+    staging = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        with staging.open("w", encoding="utf-8", newline="") as sink:
+            for lines, counts in map_blocks(functools.partial(_parse_block, index), raw_path, threads):
+                stats.merge(counts)
+                if lines:
+                    sink.write("\n".join(lines) + "\n")
+                if stats.lines_read % 500_000 == 0:
+                    log.info("parse: %d lines in", stats.lines_read)
+        os.replace(staging, out)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
     if stats.rejected_malformed:
         log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
     return stats
-
-
-def _drain(stats: CollectorStats, sink, result: tuple[list[str], tuple[int, int, int, int]]) -> None:
-    lines, (accepted, no_geo, malformed, unresolved) = result
-    stats.lines_read += accepted + no_geo + malformed + unresolved
-    stats.accepted += accepted
-    stats.rejected_no_geo += no_geo
-    stats.rejected_malformed += malformed
-    stats.rejected_unresolved += unresolved
-    if lines:
-        sink.write("\n".join(lines) + "\n")

@@ -13,19 +13,22 @@ Three on-disk formats, all line-oriented and append-only:
 
 Appends never rewrite earlier bytes; writers validate before touching the
 file so a rejected batch leaves the table unchanged.
+
+map_blocks() is the one table scan: it reads a table's lines as bytes in
+blocks and maps a function over them, in-process or through a process
+pool, yielding results in file order.  Parsing T1 and scoring T2 both
+run on it.
 """
 from __future__ import annotations
 
 import csv
-import logging
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
-
-log = logging.getLogger(__name__)
 
 APPROACHES = ("Dictionary", "MachineLearning")
 LEVELS = ("Country", "County")
@@ -37,6 +40,10 @@ SCORE_COLUMNS = (
     "approach", "level", "region", "parent", "bucket_start", "bucket_end",
     "pos_count", "neg_count", "tweet_count", "pss", "npss",
 )
+
+# table lines per block: mapped in turn in-process, or handed to a pool worker
+SERIAL_BLOCK_LINES = 50_000
+POOL_BLOCK_LINES = 20_000
 
 
 class StoreError(Exception):
@@ -94,7 +101,7 @@ class ParsedTweet:
             raise ValueError(f"tweet {self.tweet_id}: empty country")
         if not self.county:
             raise ValueError(f"tweet {self.tweet_id}: empty county")
-        for field in (self.country, self.county, self.text):
+        for field in (self.tweet_id, self.country, self.county, self.text):
             if "\t" in field or "\n" in field or "\r" in field:
                 raise ValueError(f"tweet {self.tweet_id}: raw tab or newline in field")
 
@@ -190,11 +197,32 @@ def append_raw(table_path: str | Path, payload: str) -> int:
         return table.line_count()
 
 
-def iter_raw(table_path: str | Path) -> Iterator[tuple[int, bytes]]:
-    """Yield (line_number, payload_bytes) for every line of a T1 table."""
+def _line_blocks(table_path: str | Path, size: int) -> Iterator[list[bytes]]:
+    block: list[bytes] = []
     with open(table_path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            yield number, line.rstrip(b"\n")
+        for line in fh:
+            block.append(line.rstrip(b"\n"))
+            if len(block) >= size:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int) -> Iterator:
+    """Yield fn(block) for every block of a table's lines, in file order.
+
+    A block is a list of lines as bytes, split on LF only and without
+    it.  One thread maps the blocks in-process; more hand them to a pool
+    of that many worker processes, so fn and everything bound to it
+    must pickle.
+    """
+    if threads == 1:
+        for block in _line_blocks(table_path, SERIAL_BLOCK_LINES):
+            yield fn(block)
+        return
+    with multiprocessing.get_context().Pool(threads) as pool:
+        yield from pool.imap(fn, _line_blocks(table_path, POOL_BLOCK_LINES))
 
 
 def format_parsed_line(row: ParsedTweet) -> str:
@@ -233,47 +261,6 @@ def _parse_parsed_line(line: str) -> ParsedTweet:
     )
     row.validate()
     return row
-
-
-def scan_parsed(
-    table_path: str | Path,
-    window: tuple[datetime, datetime],
-    region_filter: tuple[str, str] | None = None,
-    on_skip: Callable[[int, str], None] | None = None,
-) -> Iterator[ParsedTweet]:
-    """Yield T2 rows with window[0] <= timestamp < window[1], in file order.
-
-    region_filter is an optional (level, name) pair matched against the
-    row's country or county column.  Malformed rows are skipped: each one
-    is reported through on_skip(line_number, reason) when given, otherwise
-    logged as a warning.
-    """
-    start, end = window
-    if not start < end:
-        raise ValueError("window start must precede window end")
-    if region_filter is not None and region_filter[0] not in LEVELS:
-        raise ValueError(f"unknown region filter level {region_filter[0]!r}")
-    with open(table_path, encoding="utf-8", newline="") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                row = _parse_parsed_line(line)
-            except ValueError as exc:
-                if on_skip is not None:
-                    on_skip(number, str(exc))
-                else:
-                    log.warning("skipping malformed parsed row %d: %s", number, exc)
-                continue
-            if not start <= row.timestamp < end:
-                continue
-            if region_filter is not None:
-                level, name = region_filter
-                field = row.country if level == "Country" else row.county
-                if field != name:
-                    continue
-            yield row
 
 
 def _format_score(value: float | None) -> str:

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosent import estimator
+from geosent import estimator, store
 from geosent.classifier import LabeledTweet, ModelAnalyser, train
 from geosent.estimator import (
     NORM_SCOPES,
@@ -123,6 +123,11 @@ class TestSpecValidation:
         missing = tmp_path / "never-opened.tsv"
         with pytest.raises(EstimatorError, match="timezone-aware"):
             aggregate(AggregationSpec("County", (start, end), 3600), missing, analyser())
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_thread_count_rejected_before_the_scan(self, tmp_path, threads):
+        with pytest.raises(EstimatorError):
+            aggregate(spec(), tmp_path / "never-opened.tsv", analyser(), threads=threads)
 
 
 class TestAggregate:
@@ -249,6 +254,18 @@ class TestAggregate:
         assert len(rows) == 1
         assert any("skipped" in r.message for r in caplog.records)
 
+    def test_line_that_is_not_utf8_skipped(self, tmp_path, caplog):
+        path = parsed(tmp_path, [
+            (utc(2013, 7, 22, 10), "volcania", "ashmoor", "good"),
+            (utc(2013, 7, 22, 11), "volcania", "ashmoor", "caf\xe9"),
+            (utc(2013, 7, 22, 12), "volcania", "ashmoor", "bad"),
+        ])
+        good, bad, good_again = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(good + bad.replace("caf\xe9".encode("utf-8"), b"caf\xe9") + good_again)
+        [row] = aggregate(spec(bucket=86400), path, analyser())
+        assert (row.pos_count, row.neg_count, row.tweet_count) == (1, 1, 2)
+        assert any("skipped 1 " in r.message for r in caplog.records)
+
 
 # ---------------------------------------------------------------------------
 # the fused scan against the one-scan-per-spec oracle
@@ -310,8 +327,8 @@ def _check_against_oracle(lines, job_args, threads):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         expected = [aggregate_per_pass(spec, path, analyser) for spec, analyser in jobs]
         # small blocks, so the fold merges many partial cell maps
-        with mock.patch.object(estimator, "SERIAL_BLOCK_LINES", 7), \
-                mock.patch.object(estimator, "POOL_BLOCK_LINES", 7):
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(store, "POOL_BLOCK_LINES", 7):
             assert aggregate_many(jobs, path, threads=threads) == expected
 
 
@@ -328,7 +345,7 @@ class TestFusedScan:
         def check(lines, job_args):
             _check_against_oracle(lines, job_args, threads=2)
 
-        with mock.patch.object(estimator, "multiprocessing", multiprocessing.get_context(method)):
+        with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
             check()
 
     def test_shared_analyser_scores_each_tweet_once(self, tmp_path):

@@ -1,8 +1,11 @@
 import io
 import json
+import multiprocessing
+from unittest import mock
 
 import pytest
 
+from geosent import store
 from geosent.georesolve import load_regions
 from geosent.ingest import (
     MALFORMED,
@@ -13,7 +16,6 @@ from geosent.ingest import (
     parse_record,
     sanitize_text,
 )
-from geosent.store import iter_raw
 
 from conftest import utc
 
@@ -35,7 +37,7 @@ class TestCollect:
         stats, fragment = collect(stream, tmp_path / "t1.jsonl")
         assert stats.lines_read == 2
         assert fragment == b"tail-without-newline"
-        assert [p for _, p in iter_raw(tmp_path / "t1.jsonl")] == [b'{"a":1}', b'{"b":2}']
+        assert (tmp_path / "t1.jsonl").read_bytes() == b'{"a":1}\n{"b":2}\n'
 
     def test_bytes_kept_verbatim(self, tmp_path):
         # not valid UTF-8, and not valid JSON either; collection country does
@@ -179,6 +181,48 @@ class TestParseCorpus:
         stats_two = parse_corpus(raw, index, two, threads=2)
         assert one.read_bytes() == two.read_bytes()
         assert stats_one == stats_two
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_pool_start_methods_match_one_worker(self, tmp_path, regions_file, method):
+        raw = self.write_raw(tmp_path, [
+            record(id_str=str(i), coordinates=[2.0 + (i % 7) * 0.9, 1.2 + (i % 5) * 0.6])
+            if i % 6 else "{broken"
+            for i in range(60)
+        ])
+        index = load_regions(regions_file)
+        one = tmp_path / "one.tsv"
+        two = tmp_path / "two.tsv"
+        # small blocks, so many tasks each carry the bound region index
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(store, "POOL_BLOCK_LINES", 7):
+            stats_one = parse_corpus(raw, index, one, threads=1)
+            with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+                stats_two = parse_corpus(raw, index, two, threads=2)
+        assert one.read_bytes() == two.read_bytes()
+        assert stats_one == stats_two
+        assert stats_one.rejected_malformed == 10
+
+    def test_tab_or_newline_in_tweet_id_is_malformed(self, tmp_path, regions_file):
+        raw = self.write_raw(tmp_path, [
+            record(id_str="tab\tid", coordinates=[2.0, 2.0]),
+            record(id_str="nl\nid", coordinates=[2.0, 2.0]),
+            record(id_str="cr\rid", coordinates=[2.0, 2.0]),
+            record(id_str="good", coordinates=[2.0, 2.0]),
+        ])
+        parsed = tmp_path / "t2.tsv"
+        stats = parse_corpus(raw, load_regions(regions_file), parsed)
+        assert (stats.accepted, stats.rejected_malformed) == (1, 3)
+        assert parsed.read_bytes().count(b"\n") == 1
+        assert parsed.read_bytes().startswith(b"good\t")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.jsonl", "t2.tsv"]
+
+    def test_failed_run_keeps_the_old_table(self, tmp_path, regions_file):
+        parsed = tmp_path / "t2.tsv"
+        parsed.write_bytes(b"earlier\ttable\n")
+        with pytest.raises(FileNotFoundError):
+            parse_corpus(tmp_path / "missing.jsonl", load_regions(regions_file), parsed)
+        assert parsed.read_bytes() == b"earlier\ttable\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t2.tsv"]
 
     def test_bad_thread_count(self, tmp_path, regions_file):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 
+from geosent import store
 from geosent.ingest import collect
 from geosent.store import (
     ParsedTweet,
@@ -12,12 +13,12 @@ from geosent.store import (
     ScoreRow,
     ScoreRowError,
     StoreError,
+    _parse_parsed_line,
     append_raw,
     format_instant,
-    iter_raw,
+    map_blocks,
     parse_instant,
     read_scores,
-    scan_parsed,
     write_parsed,
     write_scores,
 )
@@ -79,9 +80,7 @@ class TestRawTable:
         path = tmp_path / "t1.jsonl"
         assert append_raw(path, '{"a":1}') == 1
         assert append_raw(path, '{"b":2}') == 2
-        lines = list(iter_raw(path))
-        assert lines[0] == (1, b'{"a":1}')
-        assert lines[1] == (2, b'{"b":2}')
+        assert path.read_bytes() == b'{"a":1}\n{"b":2}\n'
 
     def test_payload_with_newline_is_rejected(self, tmp_path):
         with RawTable(tmp_path / "t1.jsonl") as table:
@@ -105,7 +104,7 @@ class TestRawTable:
         path = tmp_path / "t1.jsonl"
         path.write_bytes(b'{"a":1}\n{"b":2')
         assert append_raw(path, '{"c":3}') == 3
-        assert list(iter_raw(path)) == [(1, b'{"a":1}'), (2, b'{"b":2'), (3, b'{"c":3}')]
+        assert path.read_bytes() == b'{"a":1}\n{"b":2\n{"c":3}\n'
 
     def test_collect_never_counts_the_table(self, tmp_path):
         path = tmp_path / "t1.jsonl"
@@ -121,44 +120,8 @@ class TestParsedTable:
         path = tmp_path / "t2.tsv"
         rows = [tweet(), tweet(tweet_id="2", text="second")]
         assert write_parsed(path, rows) == 2
-        window = (utc(2013, 7, 22), utc(2013, 7, 23))
-        back = list(scan_parsed(path, window))
-        assert back == rows
-
-    def test_window_is_half_open(self, tmp_path):
-        path = tmp_path / "t2.tsv"
-        write_parsed(path, [
-            tweet(tweet_id="a", timestamp=utc(2013, 7, 22, 0, 0, 0)),
-            tweet(tweet_id="b", timestamp=utc(2013, 7, 23, 0, 0, 0)),
-        ])
-        got = list(scan_parsed(path, (utc(2013, 7, 22), utc(2013, 7, 23))))
-        assert [row.tweet_id for row in got] == ["a"]
-
-    def test_region_filter(self, tmp_path):
-        path = tmp_path / "t2.tsv"
-        write_parsed(path, [
-            tweet(tweet_id="a", county="london"),
-            tweet(tweet_id="b", county="kent"),
-        ])
-        window = (utc(2013, 7, 1), utc(2013, 8, 1))
-        got = list(scan_parsed(path, window, region_filter=("County", "kent")))
-        assert [row.tweet_id for row in got] == ["b"]
-        got = list(scan_parsed(path, window, region_filter=("Country", "england")))
-        assert len(got) == 2
-
-    def test_malformed_line_reported_and_skipped(self, tmp_path):
-        path = tmp_path / "t2.tsv"
-        write_parsed(path, [tweet(tweet_id="a")])
-        with path.open("a") as handle:
-            handle.write("not\tenough\tfields\n")
-        write_parsed(path, [tweet(tweet_id="b")], append=True)
-        skips = []
-        got = list(scan_parsed(
-            path, (utc(2013, 7, 1), utc(2013, 8, 1)),
-            on_skip=lambda lineno, reason: skips.append(lineno),
-        ))
-        assert [row.tweet_id for row in got] == ["a", "b"]
-        assert skips == [2]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [_parse_parsed_line(line) for line in lines] == rows
 
     def test_naive_timestamp_rejected(self):
         bad = tweet(timestamp=datetime(2013, 7, 22, 12, 0, 0))
@@ -172,6 +135,34 @@ class TestParsedTable:
     def test_out_of_range_coordinates_rejected(self):
         with pytest.raises(ValueError):
             tweet(lat=90.5).validate()
+
+
+class TestMapBlocks:
+    BYTES = b"one\ntwo\r\n\nfour\rstill four\n\xff bad\nlast, unterminated"
+    LINES = [b"one", b"two\r", b"", b"four\rstill four", b"\xff bad", b"last, unterminated"]
+
+    def test_lines_split_on_lf_only_in_file_order(self, tmp_path):
+        path = tmp_path / "table"
+        path.write_bytes(self.BYTES)
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 4):
+            blocks = list(map_blocks(list, path, threads=1))
+        assert blocks == [self.LINES[:4], self.LINES[4:]]
+
+    @pytest.mark.parametrize("size", [1, 5, 100])
+    def test_pool_gives_the_same_blocks(self, tmp_path, size):
+        path = tmp_path / "table"
+        path.write_bytes(self.BYTES)
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", size), \
+                mock.patch.object(store, "POOL_BLOCK_LINES", size):
+            one = list(map_blocks(list, path, threads=1))
+            two = list(map_blocks(list, path, threads=2))
+        assert one == two
+        assert [line for block in two for line in block] == self.LINES
+
+    def test_empty_table_yields_nothing(self, tmp_path):
+        path = tmp_path / "table"
+        path.write_bytes(b"")
+        assert list(map_blocks(list, path, threads=1)) == []
 
 
 class TestScoreTable:
