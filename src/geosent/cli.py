@@ -1,13 +1,17 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags, missing
-required options), 2 for data problems (unreadable files, malformed
-content, impossible requests).  Progress and warnings go to stderr;
-stdout carries only machine-readable key=value lines and file paths.
+Each option is declared once, in `_option_table`, with its converter and
+default, and works both as a flag (`--norm-scope siblings`) and as a line
+of the `--config FILE` (`norm_scope=siblings`; `#` starts a comment).  The
+config file's values become the subcommand's defaults and pass through the
+same converter, so flags win over the config file, which wins over the
+declared defaults.  There a switch takes a boolean (`append=1`) and `mix`
+a whitespace-separated list.  A key the subcommand lacks is a usage error.
 
-Every subcommand accepts --config FILE holding key=value lines, one per
-option, with the same names as the long flags but underscores instead
-of dashes.  Flags win over the config file, which wins over defaults.
+Exit codes: 0 on success, 1 for usage problems (bad options or config keys,
+`pipeline` settings that cannot work), 2 for data problems (unreadable
+files, malformed content, impossible requests).  Progress and warnings go
+to stderr; stdout carries only machine-readable key=value lines and paths.
 """
 
 from __future__ import annotations
@@ -60,17 +64,8 @@ _DATA_ERRORS = (
     VisualizeError,
     GenerateError,
     OSError,
+    ValueError,
 )
-
-_APPROACH_ALIASES = {
-    "dict": "Dictionary",
-    "dictionary": "Dictionary",
-    "ml": "MachineLearning",
-    "machinelearning": "MachineLearning",
-    "machine-learning": "MachineLearning",
-}
-
-_LEVEL_ALIASES = {"country": "Country", "county": "County"}
 
 
 class UsageError(Exception):
@@ -84,29 +79,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Switch(argparse.Action):
+    """A flag without a value that stores const; a config file gives a boolean."""
+
+    def __init__(self, option_strings, dest, const=True, default=False, help=None):
+        super().__init__(option_strings, dest, nargs=0, const=const, default=default,
+                         type=_bool_arg, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const)
+
+
+class _Repeat(argparse.Action):
+    """A repeatable option whose values are lists; flags replace a config list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        so_far = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, (so_far if so_far is not self.default else []) + values)
+
+
 def _instant_arg(text: str) -> datetime:
     try:
         return parse_instant(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _approach_arg(text: str) -> str:
-    try:
-        return _APPROACH_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown approach {text!r}; use dictionary or ml"
-        ) from None
-
-
-def _level_arg(text: str) -> str:
-    try:
-        return _LEVEL_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown level {text!r}; use country or county"
-        ) from None
 
 
 def _bool_arg(text: str) -> bool:
@@ -116,6 +112,61 @@ def _bool_arg(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _alias_arg(aliases: dict[str, str], hint: str):
+    """Converter from any case of an alias to the name it stands for."""
+    def convert(text: str) -> str:
+        try:
+            return aliases[text.strip().lower()]
+        except KeyError:
+            raise argparse.ArgumentTypeError(f"unknown value {text!r}; use {hint}") from None
+    return convert
+
+
+_approach_arg = _alias_arg({
+    "dict": "Dictionary",
+    "dictionary": "Dictionary",
+    "ml": "MachineLearning",
+    "machinelearning": "MachineLearning",
+    "machine-learning": "MachineLearning",
+}, "dictionary or ml")
+_level_arg = _alias_arg({"country": "Country", "county": "County"}, "country or county")
+
+
+def _choice_arg(*choices: str):
+    """Converter accepting exactly one of choices."""
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"unknown value {text!r}; use one of {choices}")
+        return text
+    return convert
+
+
+def _list_arg(convert):
+    """Converter for a comma-separated list of distinct values."""
+    def convert_list(text: str) -> list:
+        values = [convert(item) for item in text.split(",") if item.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        if len(set(values)) != len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
+    return convert_list
+
+
+def _mix_arg(text: str) -> list:
+    try:
+        return [parse_mix(item) for item in text.split()]
+    except GenerateError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -136,87 +187,94 @@ def read_config(path: str | Path) -> dict[str, str]:
     return settings
 
 
-def _opt(args, cfg: dict[str, str], name: str, convert, default=None, required=False):
-    """Resolve one option: flag value, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is None and name in cfg:
-        try:
-            value = convert(cfg[name])
-        except argparse.ArgumentTypeError as err:
-            raise UsageError(f"config {name}: {err}") from None
-        except ValueError as err:
-            raise UsageError(f"config {name}: {err}") from None
-    if value is None:
-        if required:
+def _require(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
             raise UsageError(f"missing --{name.replace('_', '-')} (or {name}= in config)")
-        value = default
-    return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _analyser(approach: str, lexicon: str, model: str, hashtag_match: bool):
+    if approach == "Dictionary":
+        return DictionaryAnalyser(load_lexicon(lexicon), hashtag_match=hashtag_match)
+    return ModelAnalyser(load_model(model))
+
+
+def _draw(kind: str, rows, out: str, *, index=None, approach=None, level=None,
+          region=None, bucket_start=None, tz_offset=None) -> None:
+    """Pick the rows one renderer draws, draw them, and print the paths.
+
+    Maps draw one bucket (the earliest unless bucket_start is given) of the
+    approach's rows at level, County for tilemap; linegraph draws a region.
+    """
+    if kind == "linegraph":
+        chosen = [row for row in rows if row.region == region and row.level == level]
+        svg_path, csv_path = emit_linegraph(chosen, out, display_tz_offset_minutes=tz_offset)
+        print(f"linegraph_svg={svg_path}")
+        print(f"linegraph_csv={csv_path}")
+        return
+    if kind == "tilemap":
+        level = "County"
+    chosen = [row for row in rows if row.approach == approach and row.level == level]
+    if bucket_start is None:
+        if not chosen:
+            raise VisualizeError(f"{kind}: no matching rows in the score table")
+        bucket_start = min(row.bucket_start for row in chosen)
+    chosen = [row for row in chosen if row.bucket_start == bucket_start]
+    if kind == "kml":
+        emit_kml(chosen, index, out)
+    else:
+        emit_tilemap(chosen, out)
+    print(f"{kind}={out}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_collect(args, cfg):
-    raw = _opt(args, cfg, "raw", str, required=True)
-    source = _opt(args, cfg, "input", str, default="-")
-    if source == "-":
-        stats, fragment = collect(sys.stdin.buffer, raw)
+def _cmd_collect(args):
+    _require(args, "raw")
+    if args.input == "-":
+        stats, fragment = collect(sys.stdin.buffer, args.raw)
     else:
-        with open(source, "rb") as stream:
-            stats, fragment = collect(stream, raw)
+        with open(args.input, "rb") as stream:
+            stats, fragment = collect(stream, args.raw)
     print(f"lines_read={stats.lines_read}")
     print(f"fragment_bytes={len(fragment)}")
     return 0
 
 
-def _cmd_parse(args, cfg):
-    raw = _opt(args, cfg, "raw", str, required=True)
-    regions = _opt(args, cfg, "regions", str, required=True)
-    parsed = _opt(args, cfg, "parsed", str, required=True)
-    threads = _opt(args, cfg, "threads", _positive_int, default=1)
-    index = load_regions(regions)
-    log.info("parsing %s", raw)
-    stats = parse_corpus(raw, index, parsed, threads=threads)
-    print(f"lines_read={stats.lines_read}")
-    print(f"accepted={stats.accepted}")
-    print(f"rejected_no_geo={stats.rejected_no_geo}")
-    print(f"rejected_malformed={stats.rejected_malformed}")
-    print(f"rejected_unresolved={stats.rejected_unresolved}")
+def _cmd_parse(args):
+    _require(args, "raw", "regions", "parsed")
+    index = load_regions(args.regions)
+    log.info("parsing %s", args.raw)
+    stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
+    for key in ("lines_read", "accepted", "rejected_no_geo", "rejected_malformed",
+                "rejected_unresolved"):
+        print(f"{key}={getattr(stats, key)}")
     return 0
 
 
-def _cmd_train(args, cfg):
-    model_out = _opt(args, cfg, "model", str, required=True)
-    labeled = _opt(args, cfg, "labeled", str)
-    distant = _opt(args, cfg, "distant", str)
-    if (labeled is None) == (distant is None):
+def _cmd_train(args):
+    _require(args, "model")
+    if (args.labeled is None) == (args.distant is None):
         raise UsageError("give exactly one of --labeled or --distant")
-    if labeled is not None:
-        corpus = load_labeled(labeled)
+    if args.labeled is not None:
+        corpus = load_labeled(args.labeled)
     else:
-        texts = Path(distant).read_text(encoding="utf-8").splitlines()
+        texts = Path(args.distant).read_text(encoding="utf-8").splitlines()
         corpus = list(distant_label(texts))
         log.info("distant labelling kept %d of %d texts", len(corpus), len(texts))
     model = train(corpus)
-    save_model(model, model_out)
+    save_model(model, args.model)
     print(f"documents_positive={model.doc_counts['Positive']}")
     print(f"documents_negative={model.doc_counts['Negative']}")
     print(f"vocabulary={len(model.vocabulary)}")
     return 0
 
 
-def _cmd_evaluate(args, cfg):
-    model_path = _opt(args, cfg, "model", str, required=True)
-    test_path = _opt(args, cfg, "test", str, required=True)
-    report = evaluate(load_model(model_path), load_labeled(test_path))
+def _cmd_evaluate(args):
+    _require(args, "model", "test")
+    report = evaluate(load_model(args.model), load_labeled(args.test))
     print(f"total={report.total}")
     print(f"accuracy={report.accuracy!r}")
     for (truth, guess), count in sorted(report.confusion.items()):
@@ -224,207 +282,104 @@ def _cmd_evaluate(args, cfg):
     return 0
 
 
-def _score_analyser(args, cfg, approach: str):
-    if approach == "Dictionary":
-        lexicon_file = _opt(args, cfg, "lexicon", str, default=str(bundled.lexicon_path()))
-        hashtag = _opt(args, cfg, "hashtag_match", _bool_arg, default=True)
-        return DictionaryAnalyser(load_lexicon(lexicon_file), hashtag_match=hashtag)
-    model_file = _opt(args, cfg, "model", str, default=str(bundled.model_path()))
-    return ModelAnalyser(load_model(model_file))
-
-
-def _cmd_score(args, cfg):
-    parsed = _opt(args, cfg, "parsed", str, required=True)
-    scores = _opt(args, cfg, "scores", str, required=True)
-    approach = _opt(args, cfg, "approach", _approach_arg, required=True)
-    level = _opt(args, cfg, "level", _level_arg, required=True)
-    start = _opt(args, cfg, "start", _instant_arg, required=True)
-    end = _opt(args, cfg, "end", _instant_arg, required=True)
-    bucket = _opt(args, cfg, "bucket", _positive_int, default=86_400)
-    norm_scope = _opt(args, cfg, "norm_scope", str, default="level")
-    if norm_scope not in NORM_SCOPES:
-        raise UsageError(f"unknown norm scope {norm_scope!r}; use one of {NORM_SCOPES}")
-    threads = _opt(args, cfg, "threads", _positive_int, default=1)
-    append = _opt(args, cfg, "append", _bool_arg, default=False)
-
-    spec = AggregationSpec(level=level, window=(start, end), bucket_seconds=bucket,
-                           norm_scope=norm_scope)
-    analyser = _score_analyser(args, cfg, approach)
-    log.info("scoring %s at %s level", parsed, level)
-    [rows] = aggregate_many([(spec, analyser)], parsed, threads=threads)
-    write_scores(scores, rows, append=append)
+def _cmd_score(args):
+    _require(args, "parsed", "scores", "approach", "level", "start", "end")
+    spec = AggregationSpec(level=args.level, window=(args.start, args.end),
+                           bucket_seconds=args.bucket, norm_scope=args.norm_scope)
+    analyser = _analyser(args.approach, args.lexicon, args.model, args.hashtag_match)
+    log.info("scoring %s at %s level", args.parsed, args.level)
+    [rows] = aggregate_many([(spec, analyser)], args.parsed, threads=args.threads)
+    write_scores(args.scores, rows, append=args.append)
     print(f"rows={len(rows)}")
     return 0
 
 
-def _cmd_correlate(args, cfg):
-    scores = _opt(args, cfg, "scores", str, required=True)
-    region = _opt(args, cfg, "region", str, required=True)
-    level = _opt(args, cfg, "level", _level_arg, required=True)
-    bucket = _opt(args, cfg, "bucket", _positive_int)
-
-    rows = read_scores(scores)
-    chosen = [row for row in rows if row.region == region and row.level == level]
-    if bucket is not None:
-        chosen = [
-            row for row in chosen
-            if (row.bucket_end - row.bucket_start).total_seconds() == bucket
-        ]
-    first = series_from_rows(chosen, region, "Dictionary")
-    second = series_from_rows(chosen, region, "MachineLearning")
+def _cmd_correlate(args):
+    _require(args, "scores", "region", "level")
+    rows = [row for row in read_scores(args.scores) if row.level == args.level]
+    first = series_from_rows(rows, args.region, "Dictionary", bucket_seconds=args.bucket)
+    second = series_from_rows(rows, args.region, "MachineLearning", bucket_seconds=args.bucket)
     r = correlate(first, second)
     print(f"pearson={r!r}")
     return 0
 
 
-def _rows_for_bucket(rows, args, cfg, what: str):
-    """Filter score rows down to one bucket, defaulting to the earliest."""
-    wanted = _opt(args, cfg, "bucket_start", _instant_arg)
-    if wanted is None:
-        if not rows:
-            raise VisualizeError(f"{what}: no matching rows in the score table")
-        wanted = min(row.bucket_start for row in rows)
-    return [row for row in rows if row.bucket_start == wanted]
-
-
-def _cmd_render(args, cfg):
-    kind = _opt(args, cfg, "kind", str, required=True)
-    scores = _opt(args, cfg, "scores", str, required=True)
-    out = _opt(args, cfg, "out", str, required=True)
-    rows = read_scores(scores)
-
-    if kind == "kml":
-        regions = _opt(args, cfg, "regions", str, required=True)
-        approach = _opt(args, cfg, "approach", _approach_arg, default="Dictionary")
-        level = _opt(args, cfg, "level", _level_arg, default="Country")
-        chosen = [row for row in rows if row.approach == approach and row.level == level]
-        emit_kml(_rows_for_bucket(chosen, args, cfg, "kml"), load_regions(regions), out)
-        print(f"kml={out}")
-    elif kind == "tilemap":
-        approach = _opt(args, cfg, "approach", _approach_arg, default="Dictionary")
-        chosen = [row for row in rows if row.approach == approach and row.level == "County"]
-        emit_tilemap(_rows_for_bucket(chosen, args, cfg, "tilemap"), out)
-        print(f"tilemap={out}")
-    elif kind == "linegraph":
-        region = _opt(args, cfg, "region", str, required=True)
-        level = _opt(args, cfg, "level", _level_arg, default="Country")
-        tz_offset = _opt(args, cfg, "tz_offset", int, default=0)
-        chosen = [row for row in rows if row.region == region and row.level == level]
-        svg_path, csv_path = emit_linegraph(chosen, out, display_tz_offset_minutes=tz_offset)
-        print(f"linegraph_svg={svg_path}")
-        print(f"linegraph_csv={csv_path}")
-    else:
-        raise UsageError(f"unknown render kind {kind!r}; use kml, tilemap, or linegraph")
+def _cmd_render(args):
+    _require(args, "kind", "scores", "out")
+    index = None
+    if args.kind == "kml":
+        _require(args, "regions")
+        index = load_regions(args.regions)
+    elif args.kind == "linegraph":
+        _require(args, "region")
+    _draw(args.kind, read_scores(args.scores), args.out, index=index, approach=args.approach,
+          level=args.level, region=args.region, bucket_start=args.bucket_start,
+          tz_offset=args.tz_offset)
     return 0
 
 
-def _cmd_gen_corpus(args, cfg):
-    regions = _opt(args, cfg, "regions", str, required=True)
-    out = _opt(args, cfg, "out", str, required=True)
-    seed = _opt(args, cfg, "seed", int, required=True)
-    start = _opt(args, cfg, "start", _instant_arg, required=True)
-    duration = _opt(args, cfg, "duration", _positive_int, default=86_400)
-    mix_texts = getattr(args, "mix", None) or []
-    if not mix_texts and "mix" in cfg:
-        mix_texts = cfg["mix"].split()
-    if not mix_texts:
+def _cmd_gen_corpus(args):
+    _require(args, "regions", "out", "seed", "start")
+    if not args.mix:
         raise UsageError("give at least one --mix region:positives:negatives")
-    try:
-        mix = [parse_mix(text) for text in mix_texts]
-    except GenerateError as err:
-        raise UsageError(str(err)) from None
-    index = load_regions(regions)
-    count = generate(index, mix, seed, out, start, duration)
+    index = load_regions(args.regions)
+    count = generate(index, args.mix, args.seed, args.out, args.start, args.duration)
     print(f"records={count}")
     return 0
 
 
-def _cmd_pipeline(args, cfg):
-    raw = _opt(args, cfg, "raw", str, required=True)
-    regions_file = _opt(args, cfg, "regions", str, required=True)
-    parsed = _opt(args, cfg, "parsed", str, required=True)
-    scores = _opt(args, cfg, "scores", str, required=True)
-    start = _opt(args, cfg, "start", _instant_arg, required=True)
-    end = _opt(args, cfg, "end", _instant_arg, required=True)
-    bucket = _opt(args, cfg, "bucket", _positive_int, default=86_400)
-    threads = _opt(args, cfg, "threads", _positive_int, default=1)
-    norm_scope = _opt(args, cfg, "norm_scope", str, default="level")
-    tz_offset = _opt(args, cfg, "tz_offset", int, default=0)
-    approaches_text = _opt(args, cfg, "approaches", str, default="dictionary,ml")
-    levels_text = _opt(args, cfg, "levels", str, default="country,county")
-    kml_out = _opt(args, cfg, "kml_out", str)
-    tilemap_out = _opt(args, cfg, "tilemap_out", str)
-    line_out = _opt(args, cfg, "line_out", str)
-    line_region = _opt(args, cfg, "line_region", str)
-    line_level = _opt(args, cfg, "line_level", _level_arg, default="Country")
-    line_bucket = _opt(args, cfg, "line_bucket", _positive_int, default=3_600)
-    line_scores = _opt(args, cfg, "line_scores", str)
-    render_approach = _opt(args, cfg, "render_approach", _approach_arg, default="Dictionary")
-
-    try:
-        approaches = [_approach_arg(a) for a in approaches_text.split(",") if a.strip()]
-        levels = [_level_arg(level) for level in levels_text.split(",") if level.strip()]
-    except argparse.ArgumentTypeError as err:
-        raise UsageError(str(err)) from None
-    if not approaches or not levels:
-        raise UsageError("approaches and levels must not be empty")
-    if line_out and not line_region:
+def _cmd_pipeline(args):
+    _require(args, "raw", "regions", "parsed", "scores", "start", "end")
+    # Every setting is checked before parse_corpus replaces the parsed table.
+    if args.line_out and not args.line_region:
         raise UsageError("line_out needs line_region")
-    if line_out and not line_scores:
-        line_scores = scores + ".hourly"
+    for out, level in ((args.kml_out, "Country"), (args.tilemap_out, "County")):
+        if out and (level not in args.levels or args.render_approach not in args.approaches):
+            raise UsageError(f"{out} draws {args.render_approach} {level} rows, "
+                             "which approaches and levels leave out")
+    window = (args.start, args.end)
+    specs = [AggregationSpec(level, window, args.bucket, args.norm_scope) for level in args.levels]
+    line_specs = []
+    if args.line_out:
+        line_specs = [AggregationSpec(args.line_level, window, args.line_bucket, args.norm_scope)]
 
-    index = load_regions(regions_file)
-    log.info("pipeline: parsing %s", raw)
-    stats = parse_corpus(raw, index, parsed, threads=threads)
+    index = load_regions(args.regions)
+    try:
+        for spec in specs + line_specs:
+            spec.validate()
+        analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
+                     for approach in args.approaches}
+    except _DATA_ERRORS as err:
+        raise UsageError(f"bad pipeline setting: {err}") from None
+
+    log.info("pipeline: parsing %s", args.raw)
+    stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
     print(f"lines_read={stats.lines_read}")
     print(f"accepted={stats.accepted}")
-    print(f"parsed={parsed}")
+    print(f"parsed={args.parsed}")
 
-    analysers = {approach: _score_analyser(args, cfg, approach) for approach in approaches}
-    jobs = [
-        (AggregationSpec(level, (start, end), bucket, norm_scope), analysers[approach])
-        for approach in approaches for level in levels
-    ]
-    if line_out:
-        jobs += [
-            (AggregationSpec(line_level, (start, end), line_bucket, norm_scope), analysers[approach])
-            for approach in approaches
-        ]
+    jobs = [(spec, analysers[approach]) for approach in args.approaches for spec in specs]
+    jobs += [(spec, analysers[approach]) for approach in args.approaches for spec in line_specs]
     log.info("pipeline: scoring %d jobs in one scan", len(jobs))
-    results = aggregate_many(jobs, parsed, threads=threads)
-    split = len(approaches) * len(levels)
-    for k, rows in enumerate(results[:split]):
-        write_scores(scores, rows, append=k > 0)
-    print(f"scores={scores}")
-    for k, rows in enumerate(results[split:]):
-        write_scores(line_scores, rows, append=k > 0)
-    if line_out:
-        print(f"line_scores={line_scores}")
-
+    results = aggregate_many(jobs, args.parsed, threads=args.threads)
+    split = len(args.approaches) * len(specs)
     table = [row for rows in results[:split] for row in rows]
-
-    if kml_out:
-        chosen = [
-            row for row in table
-            if row.approach == render_approach and row.level == "Country"
-        ]
-        emit_kml(_rows_for_bucket(chosen, args, cfg, "kml"), index, kml_out)
-        print(f"kml={kml_out}")
-    if tilemap_out:
-        chosen = [
-            row for row in table
-            if row.approach == render_approach and row.level == "County"
-        ]
-        emit_tilemap(_rows_for_bucket(chosen, args, cfg, "tilemap"), tilemap_out)
-        print(f"tilemap={tilemap_out}")
-    if line_out:
-        chosen = [
-            row for rows in results[split:] for row in rows
-            if row.region == line_region and row.level == line_level
-        ]
-        svg_path, csv_path = emit_linegraph(chosen, line_out, display_tz_offset_minutes=tz_offset)
-        print(f"linegraph_svg={svg_path}")
-        print(f"linegraph_csv={csv_path}")
+    line_table = [row for rows in results[split:] for row in rows]
+    write_scores(args.scores, table)
+    print(f"scores={args.scores}")
+    if args.line_out:
+        line_scores = args.line_scores or args.scores + ".hourly"
+        write_scores(line_scores, line_table)
+        print(f"line_scores={line_scores}")
+    if args.kml_out:
+        _draw("kml", table, args.kml_out, index=index, approach=args.render_approach,
+              level="Country", bucket_start=args.bucket_start)
+    if args.tilemap_out:
+        _draw("tilemap", table, args.tilemap_out, approach=args.render_approach,
+              bucket_start=args.bucket_start)
+    if args.line_out:
+        _draw("linegraph", line_table, args.line_out, region=args.line_region,
+              level=args.line_level, tz_offset=args.tz_offset)
     return 0
 
 
@@ -432,151 +387,145 @@ def _cmd_pipeline(args, cfg):
 # parser wiring
 
 
-def build_parser() -> _Parser:
+def _option_table() -> dict[str, dict]:
+    """add_argument's keywords for every option, by config key.
+
+    The flag is --key, dashes for underscores, unless `flags` names it; a
+    default that differs between subcommands is set in build_parser.
+    """
+    return {
+        "config": dict(help="key=value settings file"),
+        "verbose": dict(flags=("-v", "--verbose"), action=_Switch, help="debug logging on stderr"),
+        "raw": dict(help="raw table"),
+        "input": dict(default="-", help="source file, or - for stdin"),
+        "regions": dict(help="region polygon file"),
+        "parsed": dict(help="parsed table"),
+        "scores": dict(help="score table"),
+        "out": dict(help="output path (path prefix for linegraph)"),
+        "threads": dict(type=_positive_int, default=1, help="worker processes"),
+        "model": dict(help="naive Bayes model file"),
+        "labeled": dict(help="label<TAB>text training table"),
+        "distant": dict(help="file of raw texts, labelled by emoticons"),
+        "test": dict(help="label<TAB>text test table"),
+        "lexicon": dict(default=str(bundled.lexicon_path()), help="opinion lexicon"),
+        "hashtag_match": dict(flags=("--no-hashtag-match",), action=_Switch, const=False,
+                              default=True, help="do not match lexicon entries inside hashtags"),
+        "approach": dict(type=_approach_arg, help="dictionary or ml"),
+        "level": dict(type=_level_arg, help="country or county"),
+        "region": dict(help="region name"),
+        "start": dict(type=_instant_arg,
+                      help="window start, or gen-corpus's first timestamp (ISO-8601 UTC)"),
+        "end": dict(type=_instant_arg, help="window end, exclusive"),
+        "bucket": dict(type=_positive_int, help="bucket length in seconds"),
+        "norm_scope": dict(type=_choice_arg(*NORM_SCOPES), default="level",
+                           help="relative-score group: level or siblings"),
+        "append": dict(action=_Switch, help="append to an existing score table"),
+        "kind": dict(type=_choice_arg("kml", "tilemap", "linegraph"),
+                     help="kml, tilemap, or linegraph"),
+        "bucket_start": dict(type=_instant_arg,
+                             help="bucket a kml or tilemap draws; default is the earliest"),
+        "tz_offset": dict(type=int, default=0,
+                          help="line graph display offset in minutes, labels only"),
+        "seed": dict(type=int, help="random seed"),
+        "mix": dict(action=_Repeat, type=_mix_arg, metavar="REGION:POS:NEG",
+                    help="tweets to plant in a region; repeatable"),
+        "duration": dict(type=_positive_int, default=86_400, help="corpus span in seconds"),
+        "approaches": dict(type=_list_arg(_approach_arg), default="dictionary,ml",
+                           help="comma-separated approaches to score"),
+        "levels": dict(type=_list_arg(_level_arg), default="country,county",
+                       help="comma-separated levels to score"),
+        "kml_out": dict(help="KML map of the Country rows to write"),
+        "tilemap_out": dict(help="tile map of the County rows to write"),
+        "render_approach": dict(type=_approach_arg, default="Dictionary",
+                                help="approach the KML map and the tile map draw"),
+        "line_out": dict(help="line graph path prefix; needs --line-region"),
+        "line_region": dict(help="region of the line graph"),
+        "line_level": dict(type=_level_arg, default="Country",
+                           help="level of the line graph's region"),
+        "line_bucket": dict(type=_positive_int, default=3_600,
+                            help="bucket length of the line graph in seconds"),
+        "line_scores": dict(help="score table of the line graph; default: scores + .hourly"),
+    }
+
+
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(
         prog="geosent",
         description="Score geolocated tweets by region and draw the results.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value settings file")
-    common.add_argument("-v", "--verbose", action="store_true", default=None,
-                        help="debug logging on stderr")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    table = _option_table()
 
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    def command(name, func, help, keys, **defaults):
+        p = sub.add_parser(name, help=help)
+        for key in ["config", "verbose", *keys.split()]:
+            kwargs = dict(table[key])
+            flags = kwargs.pop("flags", ["--" + key.replace("_", "-")])
+            p.add_argument(*flags, dest=key, **kwargs)
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("collect", parents=[common],
-                       help="append a stream of raw JSON lines to the raw table")
-    p.add_argument("--raw", help="raw table to append to")
-    p.add_argument("--input", help="source file, or - for stdin (default)")
-    p.set_defaults(func=_cmd_collect)
+    scoring = "start end bucket lexicon model norm_scope hashtag_match threads"
+    bundled_model = str(bundled.model_path())
+    command("collect", _cmd_collect, "append a stream of raw JSON lines to the raw table",
+            "raw input")
+    command("parse", _cmd_parse, "turn the raw table into the parsed, region-tagged table",
+            "raw regions parsed threads")
+    command("train", _cmd_train, "train the classifier from labelled or raw texts",
+            "model labeled distant")
+    command("evaluate", _cmd_evaluate, "measure classifier accuracy on a labelled table",
+            "model test")
+    command("score", _cmd_score, "aggregate the parsed table into sentiment rows",
+            f"parsed scores approach level append {scoring}",
+            bucket=86_400, model=bundled_model)
+    command("correlate", _cmd_correlate, "Pearson correlation between the two approaches",
+            "scores region level bucket")
+    command("render", _cmd_render, "draw a score table as kml, tilemap, or linegraph",
+            "kind scores out regions approach level region bucket_start tz_offset",
+            approach="Dictionary", level="Country")
+    command("gen-corpus", _cmd_gen_corpus, "write a seeded synthetic raw table",
+            "regions out seed mix start duration")
+    command("pipeline", _cmd_pipeline, "parse, score, and render in one deterministic run",
+            f"raw regions parsed scores {scoring} approaches levels kml_out tilemap_out "
+            "render_approach bucket_start line_out line_region line_level line_bucket "
+            "line_scores tz_offset",
+            bucket=86_400, model=bundled_model)
+    return parser, sub.choices
 
-    p = sub.add_parser("parse", parents=[common],
-                       help="turn the raw table into the parsed, region-tagged table")
-    p.add_argument("--raw", help="raw table to read")
-    p.add_argument("--regions", help="region polygon file")
-    p.add_argument("--parsed", help="parsed table to write")
-    p.add_argument("--threads", type=_positive_int, help="worker processes")
-    p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train the classifier from labelled or raw texts")
-    p.add_argument("--model", help="model file to write")
-    p.add_argument("--labeled", help="label<TAB>text training table")
-    p.add_argument("--distant", help="file of raw texts, labelled by emoticons")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="measure classifier accuracy on a labelled table")
-    p.add_argument("--model", help="model file to read")
-    p.add_argument("--test", help="label<TAB>text test table")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("score", parents=[common],
-                       help="aggregate the parsed table into sentiment rows")
-    p.add_argument("--parsed", help="parsed table to read")
-    p.add_argument("--scores", help="score table to write")
-    p.add_argument("--approach", type=_approach_arg, help="dictionary or ml")
-    p.add_argument("--level", type=_level_arg, help="country or county")
-    p.add_argument("--start", type=_instant_arg, help="window start, ISO-8601 UTC")
-    p.add_argument("--end", type=_instant_arg, help="window end, exclusive")
-    p.add_argument("--bucket", type=_positive_int, help="bucket length in seconds")
-    p.add_argument("--lexicon", help="opinion lexicon (dictionary approach)")
-    p.add_argument("--model", help="model file (ml approach)")
-    p.add_argument("--norm-scope", dest="norm_scope", choices=NORM_SCOPES,
-                   help="relative-score group: level or siblings")
-    p.add_argument("--no-hashtag-match", dest="hashtag_match", action="store_false",
-                   default=None, help="do not match lexicon entries inside hashtags")
-    p.add_argument("--threads", type=_positive_int, help="worker processes")
-    p.add_argument("--append", action="store_true", default=None,
-                   help="append to an existing score table")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("correlate", parents=[common],
-                       help="Pearson correlation between the two approaches")
-    p.add_argument("--scores", help="score table to read")
-    p.add_argument("--region", help="region name")
-    p.add_argument("--level", type=_level_arg, help="country or county")
-    p.add_argument("--bucket", type=_positive_int,
-                   help="only rows with this bucket length in seconds")
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("render", parents=[common],
-                       help="draw a score table as kml, tilemap, or linegraph")
-    p.add_argument("--kind", choices=("kml", "tilemap", "linegraph"))
-    p.add_argument("--scores", help="score table to read")
-    p.add_argument("--out", help="output path (prefix for linegraph)")
-    p.add_argument("--regions", help="region polygon file (kml)")
-    p.add_argument("--approach", type=_approach_arg, help="dictionary or ml")
-    p.add_argument("--level", type=_level_arg, help="country or county")
-    p.add_argument("--region", help="region name (linegraph)")
-    p.add_argument("--bucket-start", dest="bucket_start", type=_instant_arg,
-                   help="bucket to draw; default is the earliest")
-    p.add_argument("--tz-offset", dest="tz_offset", type=int,
-                   help="display offset in minutes, labels only")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("gen-corpus", parents=[common],
-                       help="write a seeded synthetic raw table")
-    p.add_argument("--regions", help="region polygon file")
-    p.add_argument("--out", help="raw table to write")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--mix", action="append", metavar="REGION:POS:NEG",
-                   help="tweets to plant in a region; repeatable")
-    p.add_argument("--start", type=_instant_arg, help="first timestamp")
-    p.add_argument("--duration", type=_positive_int, help="corpus span in seconds")
-    p.set_defaults(func=_cmd_gen_corpus)
-
-    p = sub.add_parser("pipeline", parents=[common],
-                       help="parse, score, and render in one deterministic run")
-    p.add_argument("--raw", help="raw table to read")
-    p.add_argument("--regions", help="region polygon file")
-    p.add_argument("--parsed", help="parsed table to write")
-    p.add_argument("--scores", help="score table to write")
-    p.add_argument("--start", type=_instant_arg, help="window start")
-    p.add_argument("--end", type=_instant_arg, help="window end, exclusive")
-    p.add_argument("--bucket", type=_positive_int, help="bucket length in seconds")
-    p.add_argument("--threads", type=_positive_int, help="worker processes")
-    p.add_argument("--lexicon", help="opinion lexicon")
-    p.add_argument("--model", help="model file")
-    p.set_defaults(func=_cmd_pipeline)
-
-    return parser
+def _parse_args(argv):
+    """Parse argv; a --config file's settings become the subcommand's defaults."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        settings = read_config(args.config)
+        for key in settings:
+            if key in ("command", "func", "config") or not hasattr(args, key):
+                raise UsageError(f"{args.config}: {args.command} has no option {key!r}")
+        commands[args.command].set_defaults(**settings)
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        print("usage error: no command given; try --help", file=sys.stderr)
         return 1
 
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if getattr(args, "verbose", None) else logging.INFO,
+        level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s: %(message)s",
     )
 
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            cfg = read_config(args.config)
-        except UsageError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return 1
-
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

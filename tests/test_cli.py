@@ -1,5 +1,9 @@
+import importlib.util
+import inspect
 import io
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +12,12 @@ from types import SimpleNamespace
 import pytest
 
 import geosent
-from geosent.cli import main, read_config
+from geosent.cli import build_parser, main, read_config
 from geosent.store import read_scores
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("collect", "parse", "train", "evaluate", "score", "correlate", "render",
+            "gen-corpus", "pipeline")
 
 WINDOW = ["--start", "2013-07-22T00:00:00Z", "--end", "2013-07-23T00:00:00Z"]
 
@@ -253,6 +261,64 @@ class TestConfigFile:
         cfg.write_text("# comment\n\nkey = value\nspaced   =   x y z\n")
         assert read_config(cfg) == {"key": "value", "spaced": "x y z"}
 
+    @pytest.mark.parametrize("key", ["kml_outt", "config", "func"])
+    def test_unknown_key_is_a_usage_error(self, capsys, corpus_file, regions_file,
+                                          tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"raw = {corpus_file}\nregions = {regions_file}\n"
+                       f"parsed = {tmp_path / 'p.tsv'}\n{key} = x\n")
+        code, _, err = run(capsys, "parse", "--config", str(cfg))
+        assert code == 1
+        assert repr(key) in err and str(cfg) in err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bucket = 0\n")
+        code, _, err = run(capsys, "score", "--config", str(cfg))
+        assert code == 1
+        assert "--bucket" in err
+
+    @pytest.mark.parametrize("setting, level", [("verbose = 1\n", logging.DEBUG),
+                                                ("verbose = no\n", logging.INFO),
+                                                ("", logging.INFO)])
+    def test_verbose_from_config(self, capsys, monkeypatch, tmp_path, setting, level):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"raw = {tmp_path / 'raw.jsonl'}\n{setting}")
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b"a\n")
+        code, _, _ = run(capsys, "collect", "--config", str(cfg), "--input", str(src))
+        assert code == 0
+        assert levels == [level]
+
+    def test_switch_from_config(self, capsys, parsed_table, tmp_path):
+        scores = tmp_path / "s.tsv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"parsed = {parsed_table}\nscores = {scores}\napproach = dict\n"
+                       "level = country\nstart = 2013-07-22T00:00:00Z\n"
+                       "end = 2013-07-23T00:00:00Z\nappend = yes\n")
+        for _ in range(2):
+            code, _, _ = run(capsys, "score", "--config", str(cfg))
+            assert code == 0
+        assert len(read_scores(scores)) == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_every_option_the_handler_reads(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    _, commands = build_parser()
+    assert set(commands) == set(COMMANDS)
+    handler = commands[command].get_default("func")
+    read = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(handler)))
+    assert read
+    for key in read | {"config", "verbose"}:
+        assert re.search(rf"--(no-)?{key.replace('_', '-')}\b", text), key
+
 
 class TestCorrelate:
     def test_pearson_line(self, capsys, hourly_scores):
@@ -343,6 +409,16 @@ class TestGenCorpus:
         assert code == 0
         assert keyvals(out)["records"] == "6"
 
+    def test_mix_flags_replace_config_mix(self, capsys, regions_file, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("mix = happycounty:2:1 sadcounty:1:2\n")
+        code, out, _ = run(capsys, "gen-corpus", "--config", str(cfg),
+                           "--regions", str(regions_file), "--out", str(tmp_path / "raw.jsonl"),
+                           "--seed", "5", "--start", "2013-07-22T00:00:00Z",
+                           "--mix", "happycounty:1:0", "--mix", "sadcounty:0:1")
+        assert code == 0
+        assert keyvals(out)["records"] == "2"
+
     def test_mix_required(self, capsys, regions_file, tmp_path):
         code, _, err = run(capsys, "gen-corpus", "--regions", str(regions_file),
                       "--out", str(tmp_path / "raw.jsonl"), "--seed", "5",
@@ -388,6 +464,112 @@ class TestPipeline:
                      "--regions", str(regions_file), "--out", str(solo_kml)]) == 0
         capsys.readouterr()
         assert solo_kml.read_bytes() == (tmp_path / "map.kml").read_bytes()
+
+
+    @pytest.mark.parametrize("setting", [
+        "norm_scope = bogus",
+        "model = /nonexistent",
+        "lexicon = /nonexistent",
+        "levels = county\nkml_out = {tmp}/map.kml",
+        "levels = country\ntilemap_out = {tmp}/tiles.svg",
+        "approaches = ml\nkml_out = {tmp}/map.kml",
+        "line_out = {tmp}/line",
+        "end = 2013-07-22T00:00:00Z",
+        "approaches = dictionary,dict",
+        "levels = county,County",
+        "approaches = ,",
+    ])
+    def test_bad_setting_fails_before_the_parsed_table_is_touched(
+            self, capsys, corpus_file, regions_file, tmp_path, setting):
+        parsed = tmp_path / "p.tsv"
+        parsed.write_bytes(b"an earlier parsed table\n")
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(
+            f"raw = {corpus_file}\n"
+            f"regions = {regions_file}\n"
+            f"parsed = {parsed}\n"
+            f"scores = {tmp_path / 's.tsv'}\n"
+            "start = 2013-07-22T00:00:00Z\n"
+            "end = 2013-07-23T00:00:00Z\n"
+            + setting.format(tmp=tmp_path) + "\n"
+        )
+        code, out, err = run(capsys, "pipeline", "--config", str(cfg))
+        assert code == 1
+        assert "usage error" in err
+        assert out == ""
+        assert parsed.read_bytes() == b"an earlier parsed table\n"
+        assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("flags", [["--approaches", "ml,machine-learning"],
+                                       ["--levels", "country,country"]])
+    def test_repeated_list_entry_is_a_usage_error(self, capsys, corpus_file,
+                                                  regions_file, tmp_path, flags):
+        code, _, err = run(capsys, "pipeline", "--raw", str(corpus_file),
+                           "--regions", str(regions_file), "--parsed", str(tmp_path / "p.tsv"),
+                           "--scores", str(tmp_path / "s.tsv"), *WINDOW, *flags)
+        assert code == 1
+        assert "repeated value" in err
+        assert not (tmp_path / "p.tsv").exists()
+
+    def test_flags_and_config_give_the_same_run(self, capsys, tmp_path):
+        # The demo's config plus every pipeline key away from its default,
+        # once as a config file and once as flags.
+        spec = importlib.util.spec_from_file_location("full_pipeline",
+                                                      ROOT / "demos" / "full_pipeline.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        extra = {
+            "norm_scope": "siblings",
+            "tz_offset": "60",
+            "approaches": "ml,dictionary",
+            "levels": "county,country",
+            "line_level": "County",
+            "line_region": "happycounty",
+            "line_bucket": "7200",
+            "render_approach": "ml",
+            "hashtag_match": "0",
+            "bucket_start": "2013-07-22T00:00:00Z",
+            "threads": "2",
+        }
+        runs = {}
+        for how in ("config", "flags"):
+            out_dir = tmp_path / how
+            out_dir.mkdir()
+            cfg = tmp_path / f"{how}.cfg"
+            cfg.write_text(demo.pipeline_config(out_dir))
+            settings = read_config(cfg)
+            settings.update(extra, line_scores=str(out_dir / "line.tsv"))
+            if how == "config":
+                cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+                argv = ["--config", str(cfg)]
+            else:
+                argv = []
+                for key, value in settings.items():
+                    if key == "hashtag_match":
+                        argv.append("--no-hashtag-match")
+                    else:
+                        argv += [f"--{key.replace('_', '-')}", value]
+            code, out, _ = run(capsys, "pipeline", *argv)
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            runs[how] = (out.replace(str(out_dir), "OUT"), files)
+        assert runs["config"] == runs["flags"]
+        out, files = runs["config"]
+        assert set(keyvals(out)) == {"lines_read", "accepted", "parsed", "scores",
+                                     "line_scores", "kml", "tilemap",
+                                     "linegraph_svg", "linegraph_csv"}
+        assert "line.tsv" in files
+        assert files["pipe.t3.tsv"].splitlines()[1].startswith(b"MachineLearning,County,")
+
+    def test_readme_demo_config_runs(self, capsys, monkeypatch, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("with `demo.cfg` containing:", 1)[1].split("```")[1]
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(block.replace("=out/", f"={tmp_path}/"))
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run(capsys, "pipeline", "--config", str(cfg))
+        assert code == 0
+        assert {"kml", "tilemap", "linegraph_svg"} <= set(keyvals(out))
 
 
 def test_console_script_installed():
