@@ -37,21 +37,21 @@ DAY = (
 )
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
+def main(out: Path = OUT) -> None:
+    out.mkdir(exist_ok=True)
     index = load_regions(bundled.regions_path())
-    parsed = OUT / "demo.t2.tsv"
+    parsed = out / "demo.t2.tsv"
     if not parsed.exists():
         parse_corpus(bundled.corpus_path(), index, parsed)
 
     analyser = DictionaryAnalyser(load_lexicon(bundled.lexicon_path()))
     daily = aggregate(AggregationSpec("County", DAY, 24 * 3600), parsed, analyser)
 
-    kml = OUT / "demo.kml"
+    kml = out / "demo.kml"
     emit_kml(daily, index, kml)
     print(f"wrote {kml.name}: {len(daily)} placemarks")
 
-    tiles = OUT / "demo-tiles.svg"
+    tiles = out / "demo-tiles.svg"
     emit_tilemap(daily, tiles)
     print(f"wrote {tiles.name}: rectangle areas track tweet volume")
 
@@ -62,12 +62,12 @@ def main() -> None:
     for a in (analyser, ml):
         hourly.extend(r for r in aggregate(hourly_spec, parsed, a)
                       if r.region == "happycounty" and r.tweet_count > 0)
-    svg, csv = emit_linegraph(hourly, OUT / "demo-series")
+    svg, csv = emit_linegraph(hourly, out / "demo-series")
     print(f"wrote {svg.name} and {csv.name}: happycounty, hour by hour")
 
     print()
     print("series numbers, straight from the CSV:")
-    for line in (OUT / "demo-series.csv").read_text(encoding="utf-8").splitlines():
+    for line in (out / "demo-series.csv").read_text(encoding="utf-8").splitlines():
         print(f"  {line}")
 
 

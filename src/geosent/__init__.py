@@ -37,18 +37,16 @@ from .store import (
     ParsedTweet,
     ScoreRow,
     read_scores,
-    write_parsed,
     write_scores,
 )
 from .tokenizer import Token, tokenize
-from .visualize import ColorScale, color_for, emit_kml, emit_linegraph, emit_tilemap
+from .visualize import color_for, emit_kml, emit_linegraph, emit_tilemap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APPROACHES",
     "AggregationSpec",
-    "ColorScale",
     "CollectorStats",
     "DictionaryAnalyser",
     "LEVELS",
@@ -85,6 +83,5 @@ __all__ = [
     "series_from_rows",
     "tokenize",
     "train",
-    "write_parsed",
     "write_scores",
 ]

@@ -89,16 +89,13 @@ def _token_features(tokens: Iterable[Token]) -> list[str]:
     return out
 
 
-def _emoticon_re(table: Iterable[str]) -> re.Pattern:
-    ordered = sorted(table, key=len, reverse=True)
-    return re.compile("|".join(re.escape(e) for e in ordered))
+# longest first, so an emoticon wins over any shorter one it starts with
+_EMOTICON_RE = re.compile(
+    "|".join(re.escape(e) for e in sorted(emoticons.ALL, key=len, reverse=True))
+)
 
 
-def distant_label(
-    texts: Iterable[str],
-    positive: Iterable[str] | None = None,
-    negative: Iterable[str] | None = None,
-) -> Iterator[LabeledTweet]:
+def distant_label(texts: Iterable[str]) -> Iterator[LabeledTweet]:
     """Label raw texts by their emoticons, dropping ambiguous ones.
 
     A text is kept only when it contains at least one emoticon and all of
@@ -106,19 +103,15 @@ def distant_label(
     emitted text and whitespace is collapsed.  Texts left empty by the
     removal are dropped as well.
     """
-    pos_table = tuple(positive) if positive is not None else emoticons.POSITIVE
-    neg_table = tuple(negative) if negative is not None else emoticons.NEGATIVE
-    pos_set, neg_set = set(pos_table), set(neg_table)
-    pattern = _emoticon_re(pos_table + neg_table)
     for text in texts:
-        found = pattern.findall(text)
+        found = _EMOTICON_RE.findall(text)
         if not found:
             continue
-        has_pos = any(e in pos_set for e in found)
-        has_neg = any(e in neg_set for e in found)
+        has_pos = any(e in emoticons.POSITIVE for e in found)
+        has_neg = any(e in emoticons.NEGATIVE for e in found)
         if has_pos == has_neg:
             continue
-        cleaned = " ".join(pattern.sub(" ", text).split())
+        cleaned = " ".join(_EMOTICON_RE.sub(" ", text).split())
         if not cleaned:
             continue
         yield LabeledTweet(text=cleaned, label=POSITIVE if has_pos else NEGATIVE)
@@ -265,15 +258,3 @@ def load_labeled(path: str | Path) -> list[LabeledTweet]:
                 raise ClassifierError(f"corpus line {number}: unknown label {parts[0]!r}")
             rows.append(LabeledTweet(text=parts[1], label=label))
     return rows
-
-
-def save_labeled(rows: Iterable[LabeledTweet], path: str | Path) -> int:
-    """Write a label<TAB>text corpus; returns the number of rows."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            if "\t" in row.text or "\n" in row.text:
-                raise ClassifierError("corpus text may not contain tabs or newlines")
-            fh.write(f"{row.label}\t{row.text}\n")
-            n += 1
-    return n

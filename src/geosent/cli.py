@@ -47,6 +47,7 @@ from .ingest import collect, parse_corpus
 from .lexicon import DictionaryAnalyser, LexiconError, load_lexicon
 from .store import (
     StoreError,
+    format_instant,
     parse_instant,
     read_scores,
     write_scores,
@@ -351,6 +352,11 @@ def _cmd_pipeline(args):
                      for approach in args.approaches}
     except _DATA_ERRORS as err:
         raise UsageError(f"bad pipeline setting: {err}") from None
+    if args.bucket_start is not None and (
+            not args.start <= args.bucket_start < args.end
+            or (args.bucket_start - args.start).total_seconds() % args.bucket):
+        raise UsageError(f"bucket_start {format_instant(args.bucket_start)} does not start "
+                         f"a {args.bucket} s bucket of the window")
 
     log.info("pipeline: parsing %s", args.raw)
     stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)

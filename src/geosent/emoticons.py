@@ -1,8 +1,7 @@
 """Emoticon polarity tables.
 
 One place for the distant-supervision markers so the tokenizer and the
-classifier cannot drift apart.  Callers may pass their own tables to
-override these defaults.
+classifier cannot drift apart.
 """
 
 POSITIVE = (":)", ":-)", ":D", "=)", ";)")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .georesolve import RegionIndex, resolve
-from .store import ParsedTweet, RawTable, format_parsed_line, map_blocks, parse_instant
+from .store import ParsedTweet, RawTable, format_parsed_line, map_blocks, parse_instant, staged
 
 log = logging.getLogger(__name__)
 
@@ -254,20 +253,13 @@ def parse_corpus(
     if threads < 1:
         raise ValueError("threads must be at least 1")
     stats = CollectorStats()
-    out = Path(parsed_path)
-    staging = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    try:
-        with staging.open("w", encoding="utf-8", newline="") as sink:
-            for lines, counts in map_blocks(functools.partial(_parse_block, index), raw_path, threads):
-                stats.merge(counts)
-                if lines:
-                    sink.write("\n".join(lines) + "\n")
-                if stats.lines_read % 500_000 == 0:
-                    log.info("parse: %d lines in", stats.lines_read)
-        os.replace(staging, out)
-    except BaseException:
-        staging.unlink(missing_ok=True)
-        raise
+    with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as sink:
+        for lines, counts in map_blocks(functools.partial(_parse_block, index), raw_path, threads):
+            stats.merge(counts)
+            if lines:
+                sink.write("\n".join(lines) + "\n")
+            if stats.lines_read % 500_000 == 0:
+                log.info("parse: %d lines in", stats.lines_read)
     if stats.rejected_malformed:
         log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
     return stats

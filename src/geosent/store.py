@@ -12,7 +12,8 @@ Three on-disk formats, all line-oriented and append-only:
    read back row compares equal.
 
 Appends never rewrite earlier bytes; writers validate before touching the
-file so a rejected batch leaves the table unchanged.
+file so a rejected batch leaves the table unchanged.  A whole table is
+written through staged(), so a failed write leaves the old table as it was.
 
 map_blocks() is the one table scan: it reads a table's lines as bytes in
 blocks and maps a function over them, in-process or through a process
@@ -21,6 +22,7 @@ run on it.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import multiprocessing
@@ -28,7 +30,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 APPROACHES = ("Dictionary", "MachineLearning")
 LEVELS = ("Country", "County")
@@ -171,15 +173,6 @@ class RawTable:
         """Append one verbatim line (no trailing newline in payload)."""
         self._fh.write(payload + b"\n")
 
-    def line_count(self) -> int:
-        """Lines in the table so far; reads the whole file."""
-        self._fh.flush()
-        with open(self.path, "rb") as fh:
-            return sum(1 for _ in fh)
-
-    def flush(self) -> None:
-        self._fh.flush()
-
     def close(self) -> None:
         self._fh.close()
 
@@ -190,11 +183,22 @@ class RawTable:
         self.close()
 
 
-def append_raw(table_path: str | Path, payload: str) -> int:
-    """Append one line to a T1 table, returning its 1-based line number."""
-    with RawTable(table_path) as table:
-        table.append(payload)
-        return table.line_count()
+@contextlib.contextmanager
+def staged(path: str | Path) -> Iterator[Path]:
+    """Yield a temporary sibling to write in place of path.
+
+    The sibling, <name>.<pid>.tmp, replaces path when the block ends
+    cleanly.  On any exception it is removed instead, so path keeps its
+    old bytes and no partial file is left behind.
+    """
+    out = Path(path)
+    staging = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        yield staging
+        os.replace(staging, out)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
 
 
 def _line_blocks(table_path: str | Path, size: int) -> Iterator[list[bytes]]:
@@ -233,18 +237,6 @@ def format_parsed_line(row: ParsedTweet) -> str:
     )
 
 
-def write_parsed(table_path: str | Path, rows: Iterable[ParsedTweet], append: bool = False) -> int:
-    """Write T2 rows, validating each; returns the number written."""
-    staged = []
-    for row in rows:
-        row.validate()
-        staged.append(format_parsed_line(row) + "\n")
-    mode = "a" if append else "w"
-    with open(table_path, mode, encoding="utf-8", newline="") as fh:
-        fh.writelines(staged)
-    return len(staged)
-
-
 def _parse_parsed_line(line: str) -> ParsedTweet:
     parts = line.split("\t")
     if len(parts) != 7:
@@ -275,25 +267,33 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     """Write T3 rows after validating the whole batch.
 
     On any invalid row the batch is rejected with a ScoreRowError naming
-    the offending indices and nothing is written.
+    the offending indices and nothing is written.  A fresh table replaces
+    table_path only once it is whole; an append writes in place, so a
+    crash mid-append can leave part of the batch at the end of the table.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
         detail = "; ".join(f"row {i}: {p}" for i, p in problems)
         raise ScoreRowError(f"rejected score rows: {detail}", [i for i, _ in problems])
-    fresh = not (append and Path(table_path).exists())
-    mode = "a" if append else "w"
-    with open(table_path, mode, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(SCORE_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.approach, row.level, row.region, row.parent,
-                format_instant(row.bucket_start), format_instant(row.bucket_end),
-                row.pos_count, row.neg_count, row.tweet_count,
-                _format_score(row.pss), _format_score(row.npss),
-            ])
+
+    def write(path: str | Path, mode: str, header: bool) -> None:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if header:
+                writer.writerow(SCORE_COLUMNS)
+            for row in rows:
+                writer.writerow([
+                    row.approach, row.level, row.region, row.parent,
+                    format_instant(row.bucket_start), format_instant(row.bucket_end),
+                    row.pos_count, row.neg_count, row.tweet_count,
+                    _format_score(row.pss), _format_score(row.npss),
+                ])
+
+    if append:
+        write(table_path, "a", header=not Path(table_path).exists())
+    else:
+        with staged(table_path) as staging:
+            write(staging, "w", header=True)
     return len(rows)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import emoticons
 
@@ -44,7 +43,7 @@ _URL_PREFIXES = ("http://", "https://", "www.")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 # longest first so ":-)" beats ":-" + ")"
-_DEFAULT_EMOTICONS = tuple(sorted(emoticons.ALL, key=len, reverse=True))
+_EMOTICONS = tuple(sorted(emoticons.ALL, key=len, reverse=True))
 # longest first so "n't" wins before "'t"-like tails could confuse shorter suffixes
 _CONTRACTIONS = ("n't", "'re", "'ve", "'ll", "'s", "'d", "'m")
 
@@ -55,11 +54,11 @@ class Token:
     kind: str
 
 
-def _entity_at(chunk: str, emoticon_table: tuple[str, ...]) -> Token | None:
+def _entity_at(chunk: str) -> Token | None:
     lowered = chunk.lower()
     if lowered.startswith(_URL_PREFIXES):
         return Token(chunk, URL)  # a URL runs to the next whitespace
-    for emo in emoticon_table:
+    for emo in _EMOTICONS:
         if chunk.startswith(emo):
             return Token(emo, EMOTICON)
     m = _MENTION_RE.match(chunk)
@@ -80,11 +79,11 @@ def _split_word(word: str) -> list[Token]:
     return [Token(word, WORD)]
 
 
-def _split_chunk(chunk: str, emoticon_table: tuple[str, ...]) -> list[Token]:
+def _split_chunk(chunk: str) -> list[Token]:
     tokens: list[Token] = []
     rest = chunk
     while rest:
-        entity = _entity_at(rest, emoticon_table)
+        entity = _entity_at(rest)
         if entity is not None:
             tokens.append(entity)
             rest = rest[len(entity.text):]
@@ -102,20 +101,16 @@ def _split_chunk(chunk: str, emoticon_table: tuple[str, ...]) -> list[Token]:
     core, tail = rest[:cut], rest[cut:]
     tokens.extend(_split_word(core))
     if tail:
-        if tail in emoticon_table:
+        if tail in _EMOTICONS:
             tokens.append(Token(tail, EMOTICON))
         else:
             tokens.extend(Token(c, PUNCT) for c in tail)
     return tokens
 
 
-def tokenize(text: str, emoticon_table: Iterable[str] | None = None) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Tokenize one tweet; see the module docstring for the rules."""
-    if emoticon_table is None:
-        table = _DEFAULT_EMOTICONS
-    else:
-        table = tuple(sorted(emoticon_table, key=len, reverse=True))
     tokens: list[Token] = []
     for chunk in text.split():
-        tokens.extend(_split_chunk(chunk, table))
+        tokens.extend(_split_chunk(chunk))
     return tokens

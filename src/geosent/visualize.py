@@ -8,6 +8,7 @@ at 1, and a region whose score is undefined is painted a flat grey
 rather than failing the whole render.
 
 Every emitter writes deterministic bytes: same rows in, same file out.
+Each file replaces its target only once it is whole.
 """
 
 from __future__ import annotations
@@ -15,21 +16,27 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
 from datetime import timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .georesolve import RegionIndex, RegionPolygon
-from .store import ScoreRow, format_instant
+from .store import ScoreRow, _format_score, format_instant, staged
 
 log = logging.getLogger(__name__)
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 SVG_NS = "http://www.w3.org/2000/svg"
 
+# colour at relative score 0 and 1, and for an undefined score
+LOW_COLOR = (255, 0, 0)
+HIGH_COLOR = (0, 255, 0)
 UNDEFINED_GREY = (128, 128, 128)
+
+# both SVGs share one canvas; a tile's long side is at most MAX_RATIO times its short
+WIDTH, HEIGHT = 1000, 600
+MAX_RATIO = 4.0
 
 LINE_COLORS = {
     "Dictionary": "#1f77b4",
@@ -42,17 +49,6 @@ class VisualizeError(Exception):
     """Raised when rows cannot be rendered as asked."""
 
 
-@dataclass(frozen=True)
-class ColorScale:
-    """Linear ramp between two RGB endpoints, indexed by a 0..1 score."""
-
-    low: tuple[int, int, int] = (255, 0, 0)
-    high: tuple[int, int, int] = (0, 255, 0)
-
-
-DEFAULT_SCALE = ColorScale()
-
-
 def _half_up(value: float) -> int:
     """Round to the nearest integer, halves away from zero."""
     if value >= 0:
@@ -60,19 +56,17 @@ def _half_up(value: float) -> int:
     return -math.floor(-value + 0.5)
 
 
-def color_for(scale: ColorScale, npss: float) -> tuple[int, int, int]:
-    """Interpolate the scale at a relative score in [0, 1]."""
+def color_for(npss: float) -> tuple[int, int, int]:
+    """Interpolate the red-to-green ramp at a relative score in [0, 1]."""
     if not 0.0 <= npss <= 1.0:
         raise VisualizeError(f"relative score {npss!r} is outside [0, 1]")
-    return tuple(
-        _half_up(lo + (hi - lo) * npss) for lo, hi in zip(scale.low, scale.high)
-    )
+    return tuple(_half_up(lo + (hi - lo) * npss) for lo, hi in zip(LOW_COLOR, HIGH_COLOR))
 
 
-def kml_color(rgb: tuple[int, int, int], alpha: int = 255) -> str:
-    """KML colour string: aabbggrr, lowercase hex."""
+def kml_color(rgb: tuple[int, int, int]) -> str:
+    """Opaque KML colour string: aabbggrr, lowercase hex."""
     r, g, b = rgb
-    return f"{alpha:02x}{b:02x}{g:02x}{r:02x}"
+    return f"ff{b:02x}{g:02x}{r:02x}"
 
 
 def svg_color(rgb: tuple[int, int, int]) -> str:
@@ -106,11 +100,48 @@ def _single_bucket(rows: list[ScoreRow], what: str) -> None:
         raise VisualizeError(f"{what}: duplicate region rows")
 
 
-def _fill_for(scale: ColorScale, row: ScoreRow) -> tuple[int, int, int]:
+def _fill_for(row: ScoreRow) -> tuple[int, int, int]:
     if row.npss is None:
         log.warning("region %r has no relative score; painting it grey", row.region)
         return UNDEFINED_GREY
-    return color_for(scale, row.npss)
+    return color_for(row.npss)
+
+
+def _write_xml(root: ET.Element, path: str | Path) -> None:
+    """Write an indented document; path is replaced only once it is whole."""
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    with staged(path) as staging:
+        tree.write(staging, encoding="UTF-8", xml_declaration=True)
+
+
+def _svg_canvas(title: str) -> ET.Element:
+    """An SVG root of WIDTH x HEIGHT with a title and a white background."""
+    root = ET.Element(
+        "svg",
+        xmlns=SVG_NS,
+        width=str(WIDTH), height=str(HEIGHT),
+        viewBox=f"0 0 {WIDTH} {HEIGHT}", version="1.1",
+    )
+    ET.SubElement(root, "title").text = title
+    ET.SubElement(
+        root, "rect",
+        x="0", y="0", width=str(WIDTH), height=str(HEIGHT), fill="#ffffff",
+    )
+    return root
+
+
+def _text(parent: ET.Element, x: str, y: str, text: str, *, size: int, fill: str,
+          anchor: str | None = None, baseline: str | None = None) -> None:
+    """A sans-serif text label; attributes keep one order, so bytes do too."""
+    label = ET.SubElement(parent, "text", x=x, y=y, fill=fill)
+    if anchor:
+        label.set("text-anchor", anchor)
+    if baseline:
+        label.set("dominant-baseline", baseline)
+    label.set("font-size", str(size))
+    label.set("font-family", "sans-serif")
+    label.text = text
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +166,21 @@ def _polygon_element(parent: ET.Element, part: RegionPolygon) -> None:
         ET.SubElement(ring, "coordinates").text = _ring_text(hole)
 
 
-def emit_kml(
-    rows: list[ScoreRow],
-    index: RegionIndex,
-    out_path: str | Path,
-    scale: ColorScale = DEFAULT_SCALE,
-) -> None:
+def emit_kml(rows: list[ScoreRow], index: RegionIndex, out_path: str | Path) -> None:
     """Write one bucket of scores as a coloured KML overlay.
 
     Expects rows for a single approach, level, and bucket, one row per
     region; each region must exist in the index at that level.
     """
     _single_bucket(rows, "kml")
+    shapes = []
     for row in rows:
-        if not index.parts(row.level, row.region):
+        parts = index.parts(row.level, row.region)
+        if not parts:
             raise VisualizeError(
                 f"kml: region {row.region!r} is not in the region file at level {row.level}"
             )
+        shapes.append(parts)
 
     root = ET.Element("kml", xmlns=KML_NS)
     doc = ET.SubElement(root, "Document")
@@ -163,13 +192,13 @@ def emit_kml(
     for i, row in enumerate(rows):
         style = ET.SubElement(doc, "Style", id=f"s{i}")
         poly_style = ET.SubElement(style, "PolyStyle")
-        ET.SubElement(poly_style, "color").text = kml_color(_fill_for(scale, row))
+        ET.SubElement(poly_style, "color").text = kml_color(_fill_for(row))
         ET.SubElement(poly_style, "fill").text = "1"
         ET.SubElement(poly_style, "outline").text = "1"
         line_style = ET.SubElement(style, "LineStyle")
         ET.SubElement(line_style, "color").text = "ff000000"
         ET.SubElement(line_style, "width").text = "1"
-    for i, row in enumerate(rows):
+    for i, (row, parts) in enumerate(zip(rows, shapes)):
         mark = ET.SubElement(doc, "Placemark")
         ET.SubElement(mark, "name").text = row.region
         ET.SubElement(mark, "description").text = (
@@ -177,45 +206,39 @@ def emit_kml(
             f"positive={row.pos_count} negative={row.neg_count} tweets={row.tweet_count}"
         )
         ET.SubElement(mark, "styleUrl").text = f"#s{i}"
-        parts = index.parts(row.level, row.region)
         if len(parts) == 1:
             _polygon_element(mark, parts[0])
         else:
             multi = ET.SubElement(mark, "MultiGeometry")
             for part in parts:
                 _polygon_element(multi, part)
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(out_path, encoding="UTF-8", xml_declaration=True)
+    _write_xml(root, out_path)
 
 
 # ---------------------------------------------------------------------------
 # Tile map
 
 
-def _strip_worst(volumes: list[int], total: int, width: float, height: float) -> float:
+def _strip_worst(volumes: list[int], total: int) -> float:
     """Worst tile aspect ratio if these volumes share one vertical strip."""
     strip_volume = sum(volumes)
-    w = strip_volume / total * width
+    w = strip_volume / total * WIDTH
     worst = 1.0
     for v in volumes:
-        h = v / strip_volume * height
+        h = v / strip_volume * HEIGHT
         worst = max(worst, w / h if w > h else h / w)
     return worst
 
 
-def _pack_strips(
-    rows: list[ScoreRow], total: int, width: float, height: float, max_ratio: float
-) -> list[list[ScoreRow]]:
+def _pack_strips(rows: list[ScoreRow], total: int) -> list[list[ScoreRow]]:
     strips: list[list[ScoreRow]] = []
     current: list[ScoreRow] = []
     for row in rows:
         if current:
             vols = [r.tweet_count for r in current]
             if (
-                _strip_worst(vols, total, width, height) <= max_ratio
-                and _strip_worst(vols + [row.tweet_count], total, width, height) > max_ratio
+                _strip_worst(vols, total) <= MAX_RATIO
+                and _strip_worst(vols + [row.tweet_count], total) > MAX_RATIO
             ):
                 strips.append(current)
                 current = [row]
@@ -226,14 +249,7 @@ def _pack_strips(
     return strips
 
 
-def emit_tilemap(
-    rows: list[ScoreRow],
-    out_path: str | Path,
-    scale: ColorScale = DEFAULT_SCALE,
-    width: int = 1000,
-    height: int = 600,
-    max_ratio: float = 4.0,
-) -> None:
+def emit_tilemap(rows: list[ScoreRow], out_path: str | Path) -> None:
     """Write one bucket of county scores as an SVG tile map.
 
     Tile area is proportional to each county's share of the bucket's
@@ -251,35 +267,20 @@ def emit_tilemap(
     drawable.sort(key=lambda row: (-row.tweet_count, row.region))
     total = sum(row.tweet_count for row in drawable)
 
-    root = ET.Element(
-        "svg",
-        xmlns=SVG_NS,
-        width=str(width),
-        height=str(height),
-        viewBox=f"0 0 {width} {height}",
-        version="1.1",
-    )
-    ET.SubElement(root, "title").text = (
-        f"County sentiment, {format_instant(drawable[0].bucket_start)}"
-    )
-    ET.SubElement(
-        root, "rect",
-        x="0", y="0", width=str(width), height=str(height), fill="#ffffff",
-    )
-
+    root = _svg_canvas(f"County sentiment, {format_instant(drawable[0].bucket_start)}")
     x = 0.0
-    for strip in _pack_strips(drawable, total, float(width), float(height), max_ratio):
+    for strip in _pack_strips(drawable, total):
         strip_volume = sum(row.tweet_count for row in strip)
-        strip_width = strip_volume / total * width
+        strip_width = strip_volume / total * WIDTH
         y = 0.0
         for row in strip:
-            tile_height = row.tweet_count / strip_volume * height
+            tile_height = row.tweet_count / strip_volume * HEIGHT
             group = ET.SubElement(root, "g")
             rect = ET.SubElement(
                 group, "rect",
                 x=f"{x:.2f}", y=f"{y:.2f}",
                 width=f"{strip_width:.2f}", height=f"{tile_height:.2f}",
-                fill=svg_color(_fill_for(scale, row)),
+                fill=svg_color(_fill_for(row)),
                 stroke="#ffffff",
             )
             rect.set("stroke-width", "1")
@@ -287,22 +288,11 @@ def emit_tilemap(
                 f"{row.region}: npss={_fmt4_or_na(row.npss)} tweets={row.tweet_count}"
             )
             if strip_width >= 60 and tile_height >= 16:
-                label = ET.SubElement(
-                    group, "text",
-                    x=f"{x + strip_width / 2:.2f}", y=f"{y + tile_height / 2:.2f}",
-                    fill="#111111",
-                )
-                label.set("text-anchor", "middle")
-                label.set("dominant-baseline", "middle")
-                label.set("font-size", "11")
-                label.set("font-family", "sans-serif")
-                label.text = row.region
+                _text(group, f"{x + strip_width / 2:.2f}", f"{y + tile_height / 2:.2f}",
+                      row.region, size=11, fill="#111111", anchor="middle", baseline="middle")
             y += tile_height
         x += strip_width
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(out_path, encoding="UTF-8", xml_declaration=True)
+    _write_xml(root, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +341,7 @@ def emit_linegraph(
     svg_path = out_prefix.with_name(out_prefix.name + ".svg")
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
 
-    with csv_path.open("w", encoding="utf-8", newline="") as handle:
+    with staged(csv_path) as staging, staging.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["bucket_start", "region", "approach", "pss", "npss", "tweet_count"])
         for bucket in buckets:
@@ -361,8 +351,8 @@ def emit_linegraph(
                     format_instant(bucket),
                     region,
                     approach,
-                    "NA" if row.pss is None else repr(row.pss),
-                    "NA" if row.npss is None else repr(row.npss),
+                    _format_score(row.pss),
+                    _format_score(row.npss),
                     row.tweet_count,
                 ])
 
@@ -379,10 +369,9 @@ def _write_linegraph_svg(
     svg_path: Path,
     display_tz_offset_minutes: int,
 ) -> None:
-    width, height = 1000, 600
     left, right, top, bottom = 70, 30, 50, 80
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
 
     top_score = 0.0
     for approach in approaches:
@@ -403,24 +392,9 @@ def _write_linegraph_svg(
     def y_of(score: float) -> float:
         return top + plot_h - score / y_max * plot_h
 
-    root = ET.Element(
-        "svg",
-        xmlns=SVG_NS,
-        width=str(width), height=str(height),
-        viewBox=f"0 0 {width} {height}", version="1.1",
-    )
-    ET.SubElement(root, "title").text = f"Sentiment over time, {region}"
-    ET.SubElement(
-        root, "rect",
-        x="0", y="0", width=str(width), height=str(height), fill="#ffffff",
-    )
-    heading = ET.SubElement(
-        root, "text", x=f"{width / 2:.2f}", y="28", fill="#111111",
-    )
-    heading.set("text-anchor", "middle")
-    heading.set("font-size", "16")
-    heading.set("font-family", "sans-serif")
-    heading.text = f"{region}: positive-to-negative score per bucket"
+    root = _svg_canvas(f"Sentiment over time, {region}")
+    _text(root, f"{WIDTH / 2:.2f}", "28", f"{region}: positive-to-negative score per bucket",
+          size=16, fill="#111111", anchor="middle")
 
     axes = ET.SubElement(root, "g")
     axes.set("stroke", "#333333")
@@ -443,14 +417,8 @@ def _write_linegraph_svg(
             stroke="#dddddd",
         )
         grid.set("stroke-width", "1")
-        tick = ET.SubElement(
-            root, "text",
-            x=str(left - 8), y=f"{y + 4:.2f}", fill="#333333",
-        )
-        tick.set("text-anchor", "end")
-        tick.set("font-size", "11")
-        tick.set("font-family", "sans-serif")
-        tick.text = f"{value:.2f}"
+        _text(root, str(left - 8), f"{y + 4:.2f}", f"{value:.2f}",
+              size=11, fill="#333333", anchor="end")
 
     shift = timedelta(minutes=display_tz_offset_minutes)
     step = max(1, math.ceil(len(buckets) / 8))
@@ -462,14 +430,9 @@ def _write_linegraph_svg(
             stroke="#333333",
         )
         mark.set("stroke-width", "1")
-        label = ET.SubElement(
-            root, "text",
-            x=f"{x:.2f}", y=str(top + plot_h + 22), fill="#333333",
-        )
-        label.set("text-anchor", "middle")
-        label.set("font-size", "11")
-        label.set("font-family", "sans-serif")
-        label.text = (buckets[i] + shift).strftime("%m-%d %H:%M")
+        _text(root, f"{x:.2f}", str(top + plot_h + 22),
+              (buckets[i] + shift).strftime("%m-%d %H:%M"),
+              size=11, fill="#333333", anchor="middle")
 
     for slot, approach in enumerate(approaches):
         color = LINE_COLORS.get(approach, _FALLBACK_LINE_COLOR)
@@ -492,14 +455,6 @@ def _write_linegraph_svg(
             stroke=color,
         )
         swatch.set("stroke-width", "2")
-        key = ET.SubElement(
-            root, "text",
-            x=str(left + plot_w - 120), y=f"{key_y + 4:.2f}", fill="#111111",
-        )
-        key.set("font-size", "12")
-        key.set("font-family", "sans-serif")
-        key.text = approach
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(svg_path, encoding="UTF-8", xml_declaration=True)
+        _text(root, str(left + plot_w - 120), f"{key_y + 4:.2f}", approach,
+              size=12, fill="#111111")
+    _write_xml(root, svg_path)

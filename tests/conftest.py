@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from geosent import bundled
+from geosent.store import format_parsed_line
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,28 @@ def model_file():
 
 def utc(*args):
     return datetime(*args, tzinfo=timezone.utc)
+
+
+def write_parsed(path, rows) -> None:
+    """Write ParsedTweet rows as a T2 table, validating each as parse_corpus does."""
+    lines = []
+    for row in rows:
+        row.validate()
+        lines.append(format_parsed_line(row) + "\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
+
+
+def fail_on_call(fn, n: int):
+    """fn, except that its n-th call raises OSError, as a disk filling up would."""
+    calls = 0
+
+    def wrapper(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise OSError("injected write failure")
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def square(x0, y0, x1, y1):

@@ -17,7 +17,6 @@ from geosent.classifier import (
     features,
     load_labeled,
     load_model,
-    save_labeled,
     save_model,
     train,
 )
@@ -72,11 +71,6 @@ class TestDistantLabel:
 
     def test_emoticon_only_text_discarded(self):
         assert list(distant_label([":)", " :( "])) == []
-
-    def test_custom_tables(self):
-        got = list(distant_label(["yay <3", "ugh </3"],
-                                 positive=["<3"], negative=["</3"]))
-        assert [x.label for x in got] == ["Positive", "Negative"]
 
     def test_longest_emoticon_wins(self):
         # ":-(" must not be read as ":-" plus "(" or split into ":" and "-("
@@ -213,7 +207,7 @@ class TestLabeledTables:
     def test_round_trip(self, tmp_path):
         rows = [LabeledTweet("one two", "Positive"), LabeledTweet("three", "Negative")]
         path = tmp_path / "corpus.tsv"
-        assert save_labeled(rows, path) == 2
+        path.write_text("Positive\tone two\nNegative\tthree\n", encoding="utf-8")
         assert load_labeled(path) == rows
 
     def test_labels_case_insensitive(self, tmp_path):
@@ -225,8 +219,6 @@ class TestLabeledTables:
         path = tmp_path / "corpus.tsv"
         path.write_text("positive\ta\tb\n")
         assert load_labeled(path)[0].text == "a\tb"
-        with pytest.raises(ClassifierError, match="tab"):
-            save_labeled([LabeledTweet("a\tb", "Positive")], tmp_path / "out.tsv")
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "corpus.tsv"

@@ -478,6 +478,8 @@ class TestPipeline:
         "approaches = dictionary,dict",
         "levels = county,County",
         "approaches = ,",
+        "bucket_start = 2013-07-23T00:00:00Z",
+        "bucket_start = 2013-07-22T06:00:00Z",
     ])
     def test_bad_setting_fails_before_the_parsed_table_is_touched(
             self, capsys, corpus_file, regions_file, tmp_path, setting):

@@ -30,3 +30,10 @@ def test_full_pipeline_reproduces_committed_outputs(tmp_path, threads):
     assert written == committed
     for name in sorted(committed):
         assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name
+
+
+def test_draw_maps_reproduces_committed_outputs(tmp_path):
+    _load_demo("draw_maps").main(tmp_path)
+    for name in ("demo.t2.tsv", "demo.kml", "demo-tiles.svg", "demo-series.svg",
+                 "demo-series.csv"):
+        assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name

@@ -23,9 +23,9 @@ from geosent.estimator import (
     series_from_rows,
 )
 from geosent.lexicon import DictionaryAnalyser, Lexicon, SentimentCounts
-from geosent.store import LEVELS, format_parsed_line, write_parsed, ParsedTweet
+from geosent.store import LEVELS, format_parsed_line, ParsedTweet
 
-from conftest import utc
+from conftest import utc, write_parsed
 from oracles import aggregate_per_pass, normalize, pearson_decimal
 
 LEX = Lexicon(

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from geosent import store
+from geosent import ingest, store
 from geosent.georesolve import load_regions
 from geosent.ingest import (
     MALFORMED,
@@ -17,7 +17,7 @@ from geosent.ingest import (
     sanitize_text,
 )
 
-from conftest import utc
+from conftest import fail_on_call, utc
 
 
 def record(**overrides):
@@ -223,6 +223,19 @@ class TestParseCorpus:
             parse_corpus(tmp_path / "missing.jsonl", load_regions(regions_file), parsed)
         assert parsed.read_bytes() == b"earlier\ttable\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t2.tsv"]
+
+    def test_failed_write_keeps_the_old_table(self, tmp_path, regions_file, monkeypatch):
+        raw = self.write_raw(tmp_path, [record(id_str=str(i), coordinates=[2.0, 2.0])
+                                        for i in range(3)])
+        parsed = tmp_path / "t2.tsv"
+        parsed.write_bytes(b"earlier\ttable\n")
+        # one line per block, so the first block is written before the second fails
+        monkeypatch.setattr(store, "SERIAL_BLOCK_LINES", 1)
+        monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
+        with pytest.raises(OSError):
+            parse_corpus(raw, load_regions(regions_file), parsed)
+        assert parsed.read_bytes() == b"earlier\ttable\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.jsonl", "t2.tsv"]
 
     def test_bad_thread_count(self, tmp_path, regions_file):
         with pytest.raises(ValueError):

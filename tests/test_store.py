@@ -14,16 +14,14 @@ from geosent.store import (
     ScoreRowError,
     StoreError,
     _parse_parsed_line,
-    append_raw,
     format_instant,
     map_blocks,
     parse_instant,
     read_scores,
-    write_parsed,
     write_scores,
 )
 
-from conftest import utc
+from conftest import fail_on_call, utc, write_parsed
 
 
 def tweet(**overrides):
@@ -76,10 +74,11 @@ class TestInstants:
 
 
 class TestRawTable:
-    def test_append_returns_line_numbers(self, tmp_path):
+    def test_appends_one_line_per_payload(self, tmp_path):
         path = tmp_path / "t1.jsonl"
-        assert append_raw(path, '{"a":1}') == 1
-        assert append_raw(path, '{"b":2}') == 2
+        with RawTable(path) as table:
+            table.append('{"a":1}')
+            table.append('{"b":2}')
         assert path.read_bytes() == b'{"a":1}\n{"b":2}\n'
 
     def test_payload_with_newline_is_rejected(self, tmp_path):
@@ -96,21 +95,22 @@ class TestRawTable:
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "t1.jsonl"
-        append_raw(path, "one")
-        append_raw(path, "two")
+        for payload in ("one", "two"):
+            with RawTable(path) as table:
+                table.append(payload)
         assert path.read_bytes() == b"one\ntwo\n"
 
     def test_torn_tail_is_terminated_before_appending(self, tmp_path):
         path = tmp_path / "t1.jsonl"
         path.write_bytes(b'{"a":1}\n{"b":2')
-        assert append_raw(path, '{"c":3}') == 3
+        with RawTable(path) as table:
+            table.append('{"c":3}')
         assert path.read_bytes() == b'{"a":1}\n{"b":2\n{"c":3}\n'
 
     def test_collect_never_counts_the_table(self, tmp_path):
         path = tmp_path / "t1.jsonl"
         path.write_bytes(b"old\n" * 1000)
-        with mock.patch.object(RawTable, "line_count", side_effect=AssertionError("counted")):
-            stats, fragment = collect(io.BytesIO(b"new\ntorn"), path)
+        stats, fragment = collect(io.BytesIO(b"new\ntorn"), path)
         assert (stats.lines_read, fragment) == (1, b"torn")
         assert path.read_bytes() == b"old\n" * 1000 + b"new\n"
 
@@ -119,7 +119,7 @@ class TestParsedTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t2.tsv"
         rows = [tweet(), tweet(tweet_id="2", text="second")]
-        assert write_parsed(path, rows) == 2
+        write_parsed(path, rows)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [_parse_parsed_line(line) for line in lines] == rows
 
@@ -202,6 +202,17 @@ class TestScoreTable:
             write_scores(path, rows)
         assert err.value.indices == [1]
         assert not path.exists()
+
+    def test_failed_write_keeps_the_old_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row()])
+        old = path.read_bytes()
+        # the second row's pss fails after the header and first row are out
+        monkeypatch.setattr(store, "_format_score", fail_on_call(store._format_score, 3))
+        with pytest.raises(OSError):
+            write_scores(path, [score_row(region="kent"), score_row(region="fife")])
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t3.csv"]
 
     def test_inconsistent_pss_detected(self):
         row = score_row(pss=2.5)

@@ -112,14 +112,6 @@ def test_mixed_sentence():
     ]
 
 
-def test_custom_emoticon_table():
-    table = ("<3",)
-    got = [(t.text, t.kind) for t in tokenize("love <3 you", emoticon_table=table)]
-    assert ("<3", "Emoticon") in got
-    # default table no longer applies
-    assert all(t != (":)", "Emoticon") for t in got)
-
-
 def test_token_kinds_are_known():
     for token in tokenize("a (b) @c #d http://e :) 'f'"):
         assert token.kind in KINDS

@@ -1,14 +1,16 @@
+import hashlib
 import json
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
 
+from geosent import visualize
 from geosent.georesolve import load_regions
 from geosent.store import ScoreRow
 from geosent.visualize import (
-    ColorScale,
-    DEFAULT_SCALE,
     VisualizeError,
+    _half_up,
     _pack_strips,
     color_for,
     emit_kml,
@@ -19,7 +21,7 @@ from geosent.visualize import (
     svg_color,
 )
 
-from conftest import utc
+from conftest import fail_on_call, utc
 
 KML = "{http://www.opengis.net/kml/2.2}"
 SVG = "{http://www.w3.org/2000/svg}"
@@ -44,27 +46,26 @@ def row(region, pos, neg, *, approach="Dictionary", level="County",
 
 class TestColors:
     def test_endpoints(self):
-        assert color_for(DEFAULT_SCALE, 0.0) == (255, 0, 0)
-        assert color_for(DEFAULT_SCALE, 1.0) == (0, 255, 0)
+        assert color_for(0.0) == (255, 0, 0)
+        assert color_for(1.0) == (0, 255, 0)
 
     def test_midpoint_rounds_half_up(self):
-        assert color_for(DEFAULT_SCALE, 0.5) == (128, 128, 0)
+        assert color_for(0.5) == (128, 128, 0)
         # 2.5 must become 3, not banker's 2
-        assert color_for(ColorScale((0, 0, 0), (5, 0, 0)), 0.5) == (3, 0, 0)
+        assert _half_up(2.5) == 3
 
     def test_interpolation(self):
-        assert color_for(DEFAULT_SCALE, 2 / 15) == (221, 34, 0)
+        assert color_for(2 / 15) == (221, 34, 0)
 
     @pytest.mark.parametrize("bad", [-0.001, 1.001, 2.0])
     def test_out_of_range(self, bad):
         with pytest.raises(VisualizeError):
-            color_for(DEFAULT_SCALE, bad)
+            color_for(bad)
 
     def test_kml_color_is_abgr(self):
         assert kml_color((255, 0, 0)) == "ff0000ff"
         assert kml_color((0, 255, 0)) == "ff00ff00"
         assert kml_color((128, 128, 0)) == "ff008080"
-        assert kml_color((1, 2, 3), alpha=0) == "00030201"
 
     def test_svg_color(self):
         assert svg_color((221, 34, 0)) == "#dd2200"
@@ -189,16 +190,16 @@ class TestKml:
 class TestPackStrips:
     def test_equal_quarters_split_three_one(self):
         rows = [row(f"c{i}", 25, 0, npss=1.0, tweets=25) for i in range(4)]
-        strips = _pack_strips(rows, 100, 1000.0, 600.0, 4.0)
+        strips = _pack_strips(rows, 100)
         assert [len(s) for s in strips] == [3, 1]
 
     def test_single_region_single_strip(self):
         rows = [row("c", 5, 0, npss=1.0, tweets=5)]
-        assert [len(s) for s in _pack_strips(rows, 5, 1000.0, 600.0, 4.0)] == [1]
+        assert [len(s) for s in _pack_strips(rows, 5)] == [1]
 
     def test_many_small_regions_share_strips(self):
         rows = [row(f"c{i:02d}", 1, 0, npss=1.0, tweets=1) for i in range(30)]
-        strips = _pack_strips(rows, 30, 1000.0, 600.0, 4.0)
+        strips = _pack_strips(rows, 30)
         assert sum(len(s) for s in strips) == 30
         assert len(strips) > 1
 
@@ -380,3 +381,80 @@ class TestLinegraph:
         b = emit_linegraph(self.rows(), tmp_path / "b")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+
+def _torn_xml_write(tree, path, *args, **kwargs):
+    Path(path).write_bytes(b"<?xml version=")
+    raise OSError("injected write failure")
+
+
+@pytest.mark.parametrize("output", ["map.kml", "tiles.svg", "line.svg", "line.csv"])
+def test_failed_write_keeps_the_old_file(tmp_path, regions_file, monkeypatch, output):
+    target = tmp_path / output
+    target.write_bytes(b"old bytes\n")
+    if output == "line.csv":
+        # the third score cell fails once the header and first row are out
+        monkeypatch.setattr(visualize, "_format_score", fail_on_call(visualize._format_score, 3))
+    else:
+        monkeypatch.setattr(ET.ElementTree, "write", _torn_xml_write)
+    with pytest.raises(OSError):
+        if output == "map.kml":
+            emit_kml(TestKml().rows(), load_regions(regions_file), target)
+        elif output == "tiles.svg":
+            emit_tilemap(TestTilemap().rows(), target)
+        else:
+            emit_linegraph(TestLinegraph().rows(), tmp_path / "line")
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: sha256 of each renderer's output for fixed rows, so any change
+# to the written bytes fails here, including on the multi-strip tile layout
+
+GOLDEN_COUNTS = [(37, 11), (29, 4), (3, 22), (14, 9), (12, 12), (9, 2),
+                 (0, 0), (5, 3), (2, 4), (3, 1), (1, 1), (0, 0)]
+
+GOLDEN_SHA256 = {
+    "map.kml": "0284ff557a5f76f19eff36751a71d86c4d93512380bc16a4b2a5f3c3fee2418c",
+    "tiles.svg": "033de9563c53d0501776cb47a621bf0d7f952fa14c8f7b2a774fa75d90b7338e",
+    "line.svg": "ed6ce40ae6911d4cc3b31c5c7e76bc42aff1737c48fe00392097f9700b1ecdee",
+    "line.csv": "de0d6448353b825e5f06294dbca5836e8d384e3eae376d2acf259d4b3f10c2da",
+}
+
+
+def golden_bucket():
+    """Twelve grid counties: one has tweets but no score, the last has no tweets."""
+    out = []
+    for k, (pos, neg) in enumerate(GOLDEN_COUNTS):
+        tweets = 7 if k == 6 else pos + neg
+        npss = None if pos == neg == 0 else round(k / 11, 6)
+        out.append(row(f"county-{k // 4:02d}-{k % 4:02d}", pos, neg, parent="gridland",
+                       tweets=tweets, npss=npss))
+    return out
+
+
+def golden_series():
+    """Two approaches over five hourly buckets; one bucket has no score."""
+    out = []
+    for i in range(5):
+        start, end = utc(2013, 7, 22, i), utc(2013, 7, 22, i + 1)
+        ml = (0, 0) if i == 3 else (2 + 2 * i % 3, 1 + i)
+        for approach, (pos, neg), npss in (("Dictionary", (4 + i, 3), i / 4),
+                                           ("MachineLearning", ml, None if i == 3 else 0.5)):
+            out.append(row("gridland", pos, neg, approach=approach, level="Country",
+                           parent="", start=start, end=end, tweets=5 + i, npss=npss))
+    return out
+
+
+def test_renderers_write_the_recorded_bytes(tmp_path, grid_regions_file):
+    rows = golden_bucket()
+    emit_kml(rows, load_regions(grid_regions_file(4)), tmp_path / "map.kml")
+    emit_tilemap(rows, tmp_path / "tiles.svg")
+    emit_linegraph(golden_series(), tmp_path / "line")
+    # the bucket takes the multi-strip path of the tile layout
+    tiles = ET.parse(tmp_path / "tiles.svg").getroot().iter(f"{SVG}rect")
+    assert len({r.get("x") for r in tiles if r.get("fill") != "#ffffff"}) >= 3
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
