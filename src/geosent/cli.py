@@ -348,8 +348,6 @@ def _cmd_pipeline(args):
     try:
         for spec in specs + line_specs:
             spec.validate()
-        analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
-                     for approach in args.approaches}
     except _DATA_ERRORS as err:
         raise UsageError(f"bad pipeline setting: {err}") from None
     if args.bucket_start is not None and (
@@ -357,6 +355,9 @@ def _cmd_pipeline(args):
             or (args.bucket_start - args.start).total_seconds() % args.bucket):
         raise UsageError(f"bucket_start {format_instant(args.bucket_start)} does not start "
                          f"a {args.bucket} s bucket of the window")
+    # an unreadable lexicon or model is a data error (exit 2), as for score
+    analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
+                 for approach in args.approaches}
 
     log.info("pipeline: parsing %s", args.raw)
     stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)

@@ -27,8 +27,6 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-import numpy as np
-
 from .store import LEVELS, ScoreRow, _parse_parsed_line, map_blocks
 from .lexicon import SentimentCounts
 from .tokenizer import Token, tokenize
@@ -274,15 +272,20 @@ def correlate(series_a: ScoreSeries, series_b: ScoreSeries) -> float:
     Raises CorrelationError when fewer than two buckets join or either
     joined side is constant.
     """
+    import statistics  # here, not at module top: it adds milliseconds to every command's start-up
+
     series_a.validate()
     series_b.validate()
     by_bucket = dict(series_b.points)
     joined = [(pss, by_bucket[ts]) for ts, pss in series_a.points if ts in by_bucket]
     if len(joined) < 2:
         raise CorrelationError(f"only {len(joined)} joined points, need at least 2")
-    xs = np.array([x for x, _ in joined], dtype=float)
-    ys = np.array([y for _, y in joined], dtype=float)
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+    xs = [float(x) for x, _ in joined]
+    ys = [float(y) for _, y in joined]
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise CorrelationError("correlation undefined for a constant series")
-    r = float(np.corrcoef(xs, ys)[0, 1])
+    try:
+        r = statistics.correlation(xs, ys)
+    except statistics.StatisticsError as err:  # a variance that underflows to 0
+        raise CorrelationError(f"correlation undefined: {err}") from None
     return min(1.0, max(-1.0, r))

@@ -95,14 +95,10 @@ def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, byt
             chunk = source.read(65536)
             if not chunk:
                 break
-            buffer += chunk
-            while True:
-                cut = buffer.find(b"\n")
-                if cut < 0:
-                    break
-                table.append_bytes(buffer[:cut])
-                stats.lines_read += 1
-                buffer = buffer[cut + 1 :]
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
+                table.append_bytes(line)
+            stats.lines_read += len(lines)
     if buffer:
         log.warning("collect: %d trailing bytes without newline were not stored", len(buffer))
     return stats, buffer

@@ -276,10 +276,10 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
         detail = "; ".join(f"row {i}: {p}" for i, p in problems)
         raise ScoreRowError(f"rejected score rows: {detail}", [i for i, _ in problems])
 
-    def write(path: str | Path, mode: str, header: bool) -> None:
+    def write(path: str | Path, mode: str) -> None:
         with open(path, mode, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if header:
+            if fh.tell() == 0:  # a new or empty table gets the header
                 writer.writerow(SCORE_COLUMNS)
             for row in rows:
                 writer.writerow([
@@ -290,10 +290,10 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
                 ])
 
     if append:
-        write(table_path, "a", header=not Path(table_path).exists())
+        write(table_path, "a")
     else:
         with staged(table_path) as staging:
-            write(staging, "w", header=True)
+            write(staging, "w")
     return len(rows)
 
 

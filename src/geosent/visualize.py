@@ -8,7 +8,8 @@ at 1, and a region whose score is undefined is painted a flat grey
 rather than failing the whole render.
 
 Every emitter writes deterministic bytes: same rows in, same file out.
-Each file replaces its target only once it is whole.
+Each file replaces its target only once it is whole, and the line graph
+replaces its SVG and CSV only once both are whole.
 """
 
 from __future__ import annotations
@@ -107,12 +108,11 @@ def _fill_for(row: ScoreRow) -> tuple[int, int, int]:
     return color_for(row.npss)
 
 
-def _write_xml(root: ET.Element, path: str | Path) -> None:
-    """Write an indented document; path is replaced only once it is whole."""
+def _write_xml(root: ET.Element, path: Path) -> None:
+    """Write an indented document to path, a staged() sibling of the target."""
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
-    with staged(path) as staging:
-        tree.write(staging, encoding="UTF-8", xml_declaration=True)
+    tree.write(path, encoding="UTF-8", xml_declaration=True)
 
 
 def _svg_canvas(title: str) -> ET.Element:
@@ -212,7 +212,8 @@ def emit_kml(rows: list[ScoreRow], index: RegionIndex, out_path: str | Path) -> 
             multi = ET.SubElement(mark, "MultiGeometry")
             for part in parts:
                 _polygon_element(multi, part)
-    _write_xml(root, out_path)
+    with staged(out_path) as staging:
+        _write_xml(root, staging)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,8 @@ def emit_tilemap(rows: list[ScoreRow], out_path: str | Path) -> None:
                       row.region, size=11, fill="#111111", anchor="middle", baseline="middle")
             y += tile_height
         x += strip_width
-    _write_xml(root, out_path)
+    with staged(out_path) as staging:
+        _write_xml(root, staging)
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +343,29 @@ def emit_linegraph(
     svg_path = out_prefix.with_name(out_prefix.name + ".svg")
     csv_path = out_prefix.with_name(out_prefix.name + ".csv")
 
-    with staged(csv_path) as staging, staging.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bucket_start", "region", "approach", "pss", "npss", "tweet_count"])
-        for bucket in buckets:
-            for approach in approaches:
-                row = by_approach[approach][bucket]
-                writer.writerow([
-                    format_instant(bucket),
-                    region,
-                    approach,
-                    _format_score(row.pss),
-                    _format_score(row.npss),
-                    row.tweet_count,
-                ])
-
-    _write_linegraph_svg(region, approaches, by_approach, buckets,
-                         svg_path, display_tz_offset_minutes)
+    svg = _linegraph_svg(region, approaches, by_approach, buckets, display_tz_offset_minutes)
+    # neither file is replaced unless both were written
+    with staged(svg_path) as svg_staging, staged(csv_path) as csv_staging:
+        with csv_staging.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["bucket_start", "region", "approach", "pss", "npss", "tweet_count"])
+            for bucket in buckets:
+                for approach in approaches:
+                    row = by_approach[approach][bucket]
+                    writer.writerow([format_instant(bucket), region, approach,
+                                     _format_score(row.pss), _format_score(row.npss),
+                                     row.tweet_count])
+        _write_xml(svg, svg_staging)
     return svg_path, csv_path
 
 
-def _write_linegraph_svg(
+def _linegraph_svg(
     region: str,
     approaches: list[str],
     by_approach: dict[str, dict],
     buckets: list,
-    svg_path: Path,
     display_tz_offset_minutes: int,
-) -> None:
+) -> ET.Element:
     left, right, top, bottom = 70, 30, 50, 80
     plot_w = WIDTH - left - right
     plot_h = HEIGHT - top - bottom
@@ -457,4 +454,4 @@ def _write_linegraph_svg(
         swatch.set("stroke-width", "2")
         _text(root, str(left + plot_w - 120), f"{key_y + 4:.2f}", approach,
               size=12, fill="#111111")
-    _write_xml(root, svg_path)
+    return root

@@ -343,6 +343,17 @@ class TestCorrelate:
         assert reference == 0
         assert keyvals(out)["pearson"] == keyvals(ref_out)["pearson"]
 
+    def test_runs_with_numpy_blocked(self, hourly_scores):
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "import geosent, geosent.cli\n"
+                "sys.exit(geosent.cli.main(['correlate', '--scores', sys.argv[1],"
+                " '--region', 'mycountry', '--level', 'country']))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(geosent.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", code, str(hourly_scores)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert "pearson=" in result.stdout
+
     def test_too_few_points(self, capsys, daily_scores):
         code, _, err = run(capsys, "correlate", "--scores", str(daily_scores),
                       "--region", "mycountry", "--level", "country")
@@ -468,8 +479,6 @@ class TestPipeline:
 
     @pytest.mark.parametrize("setting", [
         "norm_scope = bogus",
-        "model = /nonexistent",
-        "lexicon = /nonexistent",
         "levels = county\nkml_out = {tmp}/map.kml",
         "levels = country\ntilemap_out = {tmp}/tiles.svg",
         "approaches = ml\nkml_out = {tmp}/map.kml",
@@ -483,6 +492,23 @@ class TestPipeline:
     ])
     def test_bad_setting_fails_before_the_parsed_table_is_touched(
             self, capsys, corpus_file, regions_file, tmp_path, setting):
+        code, out, err = self.run_untouched(capsys, corpus_file, regions_file, tmp_path, setting)
+        assert code == 1
+        assert "usage error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("setting", ["model = /nonexistent", "lexicon = /nonexistent"])
+    def test_unreadable_analyser_file_is_a_data_error(
+            self, capsys, corpus_file, regions_file, tmp_path, setting):
+        # exit 2, as score gives for the same file, and still before parsing
+        code, out, err = self.run_untouched(capsys, corpus_file, regions_file, tmp_path, setting)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @staticmethod
+    def run_untouched(capsys, corpus_file, regions_file, tmp_path, setting):
+        """Run pipeline with one extra config line; no table may change."""
         parsed = tmp_path / "p.tsv"
         parsed.write_bytes(b"an earlier parsed table\n")
         cfg = tmp_path / "pipe.cfg"
@@ -495,12 +521,10 @@ class TestPipeline:
             "end = 2013-07-23T00:00:00Z\n"
             + setting.format(tmp=tmp_path) + "\n"
         )
-        code, out, err = run(capsys, "pipeline", "--config", str(cfg))
-        assert code == 1
-        assert "usage error" in err
-        assert out == ""
+        result = run(capsys, "pipeline", "--config", str(cfg))
         assert parsed.read_bytes() == b"an earlier parsed table\n"
         assert not (tmp_path / "s.tsv").exists()
+        return result
 
     @pytest.mark.parametrize("flags", [["--approaches", "ml,machine-learning"],
                                        ["--levels", "country,country"]])

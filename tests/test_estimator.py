@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geosent import estimator, store
 from geosent.classifier import LabeledTweet, ModelAnalyser, train
@@ -436,6 +436,22 @@ class TestCorrelate:
         a = self.series([1, 1, 1])
         with pytest.raises(CorrelationError):
             correlate(a, self.series([1, 2, 3]))
+
+    def test_variance_underflow_rejected(self):
+        # not constant, but the spread squares to 0.0
+        a = self.series([0.0, 5e-324, 0.0])
+        with pytest.raises(CorrelationError):
+            correlate(a, self.series([1, 2, 3]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+                    min_size=3, max_size=30))
+    def test_matches_exact_oracle(self, pairs):
+        xs = [x / 100 for x, _ in pairs]
+        ys = [y / 100 for _, y in pairs]
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        got = correlate(self.series(xs), self.series(ys))
+        assert abs(got - float(pearson_decimal(xs, ys))) <= 1e-12
 
     @given(st.lists(
         st.tuples(

@@ -1,9 +1,12 @@
 import io
 import json
 import multiprocessing
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geosent import ingest, store
 from geosent.georesolve import load_regions
@@ -18,6 +21,21 @@ from geosent.ingest import (
 )
 
 from conftest import fail_on_call, utc
+
+
+# byte streams with embedded LF and CRLF line ends, and lone CRs
+STREAMS = st.lists(st.sampled_from([b"a", b'{"b":1}', b"\xff", b"\n", b"\r\n", b"\r"]),
+                   max_size=40).map(b"".join)
+
+
+class Trickle:
+    """A byte stream whose reads return the given pieces in turn, then b""."""
+
+    def __init__(self, pieces):
+        self.pieces = list(pieces)
+
+    def read(self, size=-1):
+        return self.pieces.pop(0) if self.pieces else b""
 
 
 def record(**overrides):
@@ -59,6 +77,23 @@ class TestCollect:
         stats, _ = collect(io.BytesIO(b"a\r\nb\n"), path)
         assert stats.lines_read == 2
         assert path.read_bytes() == b"a\r\nb\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=STREAMS, data=st.data())
+    def test_any_split_of_the_stream(self, stream, data):
+        pieces, at = [], 0
+        while at < len(stream):
+            size = data.draw(st.integers(1, 7))
+            pieces.append(stream[at:at + size])
+            at += size
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t1.jsonl"
+            stats, fragment = collect(Trickle(pieces), path)
+            stored = path.read_bytes()
+        cut = stream.rfind(b"\n") + 1
+        assert stored == stream[:cut]
+        assert fragment == stream[cut:]
+        assert stats.lines_read == stream.count(b"\n")
 
 
 class TestParseRecord:

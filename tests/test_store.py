@@ -195,6 +195,15 @@ class TestScoreTable:
         assert text.count("approach,level,region") == 1
         assert len(read_scores(path)) == 2
 
+    @pytest.mark.parametrize("existing", [None, b""], ids=["missing", "empty"])
+    def test_append_to_a_missing_or_empty_table_writes_the_header(self, tmp_path, existing):
+        path = tmp_path / "t3.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        write_scores(path, [score_row()], append=True)
+        assert path.read_text().startswith("approach,level,region")
+        assert [row.region for row in read_scores(path)] == [score_row().region]
+
     def test_batch_validation_writes_nothing(self, tmp_path):
         path = tmp_path / "t3.csv"
         rows = [score_row(), score_row(region="kent", pss=9.9)]  # pss lies

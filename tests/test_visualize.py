@@ -391,7 +391,11 @@ def _torn_xml_write(tree, path, *args, **kwargs):
 @pytest.mark.parametrize("output", ["map.kml", "tiles.svg", "line.svg", "line.csv"])
 def test_failed_write_keeps_the_old_file(tmp_path, regions_file, monkeypatch, output):
     target = tmp_path / output
-    target.write_bytes(b"old bytes\n")
+    # the line graph's two files are replaced together or not at all
+    line_pair = [tmp_path / "line.svg", tmp_path / "line.csv"]
+    targets = line_pair if target in line_pair else [target]
+    for target in targets:
+        target.write_bytes(b"old bytes\n")
     if output == "line.csv":
         # the third score cell fails once the header and first row are out
         monkeypatch.setattr(visualize, "_format_score", fail_on_call(visualize._format_score, 3))
@@ -404,7 +408,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, regions_file, monkeypatch, ou
             emit_tilemap(TestTilemap().rows(), target)
         else:
             emit_linegraph(TestLinegraph().rows(), tmp_path / "line")
-    assert target.read_bytes() == b"old bytes\n"
+    assert [target.read_bytes() for target in targets] == [b"old bytes\n"] * len(targets)
     assert list(tmp_path.glob("*.tmp")) == []
 
 
