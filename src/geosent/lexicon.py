@@ -2,15 +2,20 @@
 
 A lexicon is a TSV of pattern<TAB>strength lines: strength is an integer
 in -5..-1 or 1..5, a trailing * marks a prefix wildcard, and # starts a
-comment line.  Matching is case-insensitive against Word tokens and
-hashtag bodies; an exact entry always beats a wildcard, and among
-wildcards the longest prefix wins.  Only the sign of the strength feeds
-the counts: one matched token is one positive or one negative word.
+comment line.  Patterns may not contain whitespace: tokens never do, so
+such an entry could never match.  Matching is case-insensitive against
+Word tokens and hashtag bodies; an exact entry always beats a wildcard,
+and among wildcards the longest prefix wins.  A token has at most one
+candidate prefix of each length, so a match looks the token's own
+prefixes up in a table, longest first: at most one lookup per character
+of the token, however many wildcards the lexicon has.  Only the sign of
+the strength feeds the counts: one matched token is one positive or one
+negative word.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -37,7 +42,22 @@ class SentimentCounts:
 @dataclass
 class Lexicon:
     exact: dict[str, int]
-    wildcards: list[tuple[str, int]]  # (prefix, strength), longest prefix first
+    # (prefix, strength); load_lexicon lists the longest prefix first, but
+    # matching takes the longest prefix whatever the order
+    wildcards: list[tuple[str, int]]
+    # prefix -> strength and the range of prefix lengths, built once from
+    # wildcards: a later edit of the list does not reach them
+    _prefixes: dict[str, int] = field(init=False, repr=False, compare=False)
+    _shortest: int = field(init=False, repr=False, compare=False)
+    _longest: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._prefixes = {}
+        for prefix, strength in self.wildcards:
+            self._prefixes.setdefault(prefix, strength)  # a repeated prefix keeps its first entry
+        lengths = [len(prefix) for prefix in self._prefixes]
+        self._shortest = min(lengths, default=1)
+        self._longest = max(lengths, default=0)
 
     def __len__(self) -> int:
         return len(self.exact) + len(self.wildcards)
@@ -69,6 +89,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 raise LexiconError(f"line {number}: empty pattern")
             if "*" in pattern:
                 raise LexiconError(f"line {number}: * is only allowed at the end of a pattern")
+            if pattern.split() != [pattern]:  # the tokenizer would cut it: no token can match
+                raise LexiconError(f"line {number}: pattern {pattern!r} contains whitespace, which no token has")
             table = wild if wildcard else exact
             if pattern in table:
                 log.warning("lexicon line %d: duplicate pattern %r, keeping the later entry", number, pattern)
@@ -89,9 +111,11 @@ def match_token(lexicon: Lexicon, token: Token, hashtag_match: bool = True) -> i
     strength = lexicon.exact.get(text)
     if strength is not None:
         return strength
-    for prefix, s in lexicon.wildcards:
-        if text.startswith(prefix):
-            return s
+    prefixes = lexicon._prefixes
+    for k in range(min(len(text), lexicon._longest), lexicon._shortest - 1, -1):
+        strength = prefixes.get(text[:k])
+        if strength is not None:
+            return strength
     return None
 
 

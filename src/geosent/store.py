@@ -298,7 +298,11 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
 
 
 def read_scores(table_path: str | Path) -> list[ScoreRow]:
-    """Read a T3 table back into ScoreRow values."""
+    """Read a T3 table back into ScoreRow values.
+
+    A row that does not convert, or that write_scores would reject, raises
+    StoreError naming its line.
+    """
     rows = []
     with open(table_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -307,18 +311,25 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
             raise StoreError(f"unexpected scores header {header!r}")
         for record in reader:
             if len(record) != len(SCORE_COLUMNS):
-                raise StoreError(f"scores row has {len(record)} fields")
-            rows.append(ScoreRow(
-                approach=record[0],
-                level=record[1],
-                region=record[2],
-                parent=record[3],
-                bucket_start=parse_instant(record[4]),
-                bucket_end=parse_instant(record[5]),
-                pos_count=int(record[6]),
-                neg_count=int(record[7]),
-                tweet_count=int(record[8]),
-                pss=_parse_score(record[9]),
-                npss=_parse_score(record[10]),
-            ))
+                raise StoreError(f"line {reader.line_num}: scores row has {len(record)} fields")
+            try:
+                row = ScoreRow(
+                    approach=record[0],
+                    level=record[1],
+                    region=record[2],
+                    parent=record[3],
+                    bucket_start=parse_instant(record[4]),
+                    bucket_end=parse_instant(record[5]),
+                    pos_count=int(record[6]),
+                    neg_count=int(record[7]),
+                    tweet_count=int(record[8]),
+                    pss=_parse_score(record[9]),
+                    npss=_parse_score(record[10]),
+                )
+            except ValueError as err:
+                raise StoreError(f"line {reader.line_num}: {err}") from None
+            problem = row.problem()
+            if problem:
+                raise StoreError(f"line {reader.line_num}: {problem}")
+            rows.append(row)
     return rows

@@ -4,10 +4,11 @@ Most of this is written from first principles with exact arithmetic
 (fractions, or high-precision decimals where a square root is needed),
 deliberately sharing no code with the package, so agreement between the
 two is meaningful.  The scoring section instead keeps earlier package
-code that a faster rewrite replaced: one T2 scan per aggregation spec
-and the stand-alone normalisation helper.  Those are references for
-differential tests; they reuse the package's row parser, tokenizer and
-row type, because what they pin is the scan and fold, not those layers.
+code that a faster rewrite replaced: one T2 scan per aggregation spec,
+the stand-alone normalisation helper and the lexicon's linear wildcard
+scan.  Those are references for differential tests; they reuse the
+package's row parser, tokenizer and row type, because what they pin is
+the scan and fold, not those layers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from geosent.estimator import EstimatorError, compute_pss
 from geosent.lexicon import SentimentCounts
 from geosent.store import ScoreRow, _parse_parsed_line
-from geosent.tokenizer import tokenize
+from geosent.tokenizer import HASHTAG, WORD, tokenize
 
 getcontext().prec = 50
 
@@ -141,6 +142,28 @@ def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
                 row.npss = row.pss / top
     rows.sort(key=lambda r: (r.bucket_start, r.region))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# lexicon matching
+
+
+def match_token_linear(lexicon, token, hashtag_match=True):
+    """The pre-table match_token: exact entry, else the first wildcard in list order."""
+    if token.kind == WORD:
+        text = token.text
+    elif token.kind == HASHTAG and hashtag_match:
+        text = token.text[1:]
+    else:
+        return None
+    text = text.lower()
+    strength = lexicon.exact.get(text)
+    if strength is not None:
+        return strength
+    for prefix, s in lexicon.wildcards:
+        if text.startswith(prefix):
+            return s
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,19 @@ class TestExitCodes:
                       "--region", "x", "--level", "country")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["correlate", "--region", "x", "--level", "country"],
+        ["render", "--kind", "tilemap", "--out", "{tmp}/tiles.svg"],
+    ], ids=["correlate", "render"])
+    def test_bad_score_row_names_its_line(self, capsys, tmp_path, daily_scores, command):
+        header, first, *rest = daily_scores.read_text().splitlines(keepends=True)
+        bad = tmp_path / "scores.tsv"
+        bad.write_text(header + first.rsplit(",", 2)[0] + ",nan,NA\n" + "".join(rest))
+        code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in command), "--scores", str(bad))
+        assert code == 2
+        assert err.startswith("error: line 2: pss nan")
+        assert not (tmp_path / "tiles.svg").exists()
+
 
 class TestCollect:
     def test_from_file(self, capsys, tmp_path):

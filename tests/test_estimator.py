@@ -272,7 +272,8 @@ class TestAggregate:
 
 ANALYSERS = (
     DictionaryAnalyser(LEX),
-    DictionaryAnalyser(Lexicon(exact={"good": 1}, wildcards=[("ba", -3)]), hashtag_match=False),
+    # overlapping prefixes, so the pool workers get a prefix table through pickling
+    DictionaryAnalyser(Lexicon(exact={"good": 1}, wildcards=[("bat", 2), ("ba", -3)]), hashtag_match=False),
     ModelAnalyser(train([
         LabeledTweet("good fine day", "Positive"),
         LabeledTweet("fine #sun good", "Positive"),
@@ -291,7 +292,7 @@ _VALID_ROWS = st.builds(
     st.sampled_from(["volcania", "dustland"]),
     # county names repeat across countries, so sort ties depend on fold order
     st.sampled_from(["ashmoor", "basalt", "crater"]),
-    st.lists(st.sampled_from(["good", "fine", "bad", "grim", "bath", "#good", "#bad",
+    st.lists(st.sampled_from(["good", "fine", "bad", "grim", "bath", "batch", "Bat", "#good", "#bad",
                               "@bad", "http://x.co/good", "day", "sun!", "don't"]),
              max_size=6),
 )

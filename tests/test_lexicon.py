@@ -1,15 +1,20 @@
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geosent.lexicon import (
     DictionaryAnalyser,
+    Lexicon,
     LexiconError,
     load_lexicon,
     match_token,
 )
 from geosent.store import ParsedTweet
-from geosent.tokenizer import tokenize
+from geosent.tokenizer import HASHTAG, KINDS, WORD, Token, tokenize
 
 from conftest import utc
+from oracles import match_token_linear
 
 
 def make_lexicon(tmp_path, lines, name="lex.tsv"):
@@ -50,6 +55,11 @@ class TestLoading:
     def test_embedded_star_rejected(self, tmp_path):
         with pytest.raises(LexiconError):
             make_lexicon(tmp_path, ["ha*py\t2"])
+
+    @pytest.mark.parametrize("pattern", ["very good", "very\u00a0good*"])
+    def test_whitespace_in_pattern_rejected(self, tmp_path, pattern):
+        with pytest.raises(LexiconError, match="line 2: .*whitespace"):
+            make_lexicon(tmp_path, ["happy\t3", f"{pattern}\t2"])
 
     def test_bare_star_rejected(self, tmp_path):
         with pytest.raises(LexiconError):
@@ -96,6 +106,66 @@ class TestMatching:
         for raw in ("@bbc", "http://bbc.co.uk", ":)"):
             token = tokenize(raw)[0]
             assert match_token(lex, token) is None
+
+
+# letters that make overlapping prefixes; "\u0130" lowers to two characters
+# and "\u1e9e" lowers to "\u00df", which upper-cases to "SS"
+_CHARS = "disDISco\u0130\u1e9e\u00dfi\u0307"
+_ENTRIES = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(["dis", "disco", "discov", "Disco", "\u0130s", "\u1e9eo", "\u00dfo"]),
+                  st.text(_CHARS, min_size=1, max_size=6)),
+        st.booleans(),
+        st.sampled_from([-5, -2, -1, 1, 3, 5]),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _tokens(draw, patterns):
+    """A token shorter than, as long as or longer than a drawn pattern, or unrelated text."""
+    stem = draw(st.sampled_from(patterns)) if patterns and draw(st.booleans()) else ""
+    text = stem[:draw(st.integers(0, len(stem)))] + draw(st.text(_CHARS, max_size=4))
+    text = draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(text)
+    kind = draw(st.sampled_from(KINDS))
+    return Token("#" + text if kind == HASHTAG else text, kind)
+
+
+class TestAgainstLinearScan:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=_ENTRIES, hashtag_match=st.booleans(), data=st.data())
+    def test_loaded_lexicons_match_the_linear_scan(self, tmp_path, entries, hashtag_match, data):
+        # the file is rewritten for every example, so sharing tmp_path is safe
+        lex = make_lexicon(tmp_path, [f"{p}{'*' if wild else ''}\t{s}" for p, wild, s in entries])
+        tokens = data.draw(st.lists(_tokens([p for p, _, _ in entries]), min_size=1, max_size=20))
+        for token in tokens:
+            assert match_token(lex, token, hashtag_match) == match_token_linear(lex, token, hashtag_match)
+
+    def test_repeated_prefix_keeps_the_first_entry(self):
+        lex = Lexicon(exact={}, wildcards=[("ba", -3), ("ba", 2)])
+        token = Token("bat", WORD)
+        assert match_token(lex, token) == match_token_linear(lex, token) == -3
+
+    def test_unsorted_wildcards_longest_wins(self):
+        lex = Lexicon(exact={}, wildcards=[("dis", -1), ("disco", 2)])
+        assert match_token(lex, Token("discovery", WORD)) == 2
+        assert match_token_linear(lex, Token("discovery", WORD)) == -1  # the scan took list order
+        assert match_token(lex, Token("dismal", WORD)) == -1
+
+    def test_no_wildcards(self):
+        lex = Lexicon(exact={"bat": 1}, wildcards=[])
+        for text in ("bat", "batch", "b", ""):
+            token = Token(text, WORD)
+            assert match_token(lex, token) == match_token_linear(lex, token)
+
+    def test_table_stays_out_of_equality_repr_and_pickle(self):
+        lex = Lexicon(exact={"bat": 1}, wildcards=[("disco", 2), ("dis", -1)])
+        assert lex == Lexicon(exact={"bat": 1}, wildcards=[("disco", 2), ("dis", -1)])
+        assert repr(lex) == "Lexicon(exact={'bat': 1}, wildcards=[('disco', 2), ('dis', -1)])"
+        copy = pickle.loads(pickle.dumps(lex))
+        assert copy == lex
+        assert match_token(copy, Token("discovery", WORD)) == 2
 
 
 class TestCounting:

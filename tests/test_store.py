@@ -236,6 +236,21 @@ class TestScoreTable:
         with pytest.raises(StoreError):
             read_scores(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        (",6,3,4,", ",x1,3,4,", "invalid literal for int"),
+        ("2013-07-22T00:00:00Z", "2013-13-22T00:00:00Z", "month must be in 1..12"),
+        (",2.0,0.5", ",2.0", "scores row has 10 fields"),
+        (",2.0,0.5", ",nan,0.5", "pss nan does not equal"),
+        (",2.0,0.5", ",2.0,1.5", "npss 1.5 outside"),
+    ], ids=["bad-int", "bad-instant", "short-row", "nan-pss", "npss-above-1"])
+    def test_read_names_the_bad_line(self, tmp_path, old, new, message):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row(), score_row(region="kent"), score_row(region="fife")])
+        header, first, second, third = path.read_text().splitlines(keepends=True)
+        path.write_text(header + first + second.replace(old, new, 1) + third)
+        with pytest.raises(StoreError, match=f"^line 3: {message}"):
+            read_scores(path)
+
 
 def test_score_row_pss_tolerance_is_relative():
     # the stored value differs in the last ulp, which must still be accepted
