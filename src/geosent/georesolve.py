@@ -9,8 +9,14 @@ Containment is even-odd ray casting with a half-open crossing rule: an
 edge is crossed when the point's latitude lies in [min(y1,y2), max(y1,y2))
 and the edge intersects the eastward ray strictly east of the point.
 That rule assigns a point on a shared border to exactly one of the
-adjacent polygons.  A bounding-box test runs first; resolution over a
-large corpus is dominated by that prefilter.
+adjacent polygons.  A closed bounding-box test runs first.  contains()
+states that rule, and resolve() applies it through contains().
+
+resolve() does not scan every polygon.  RegionIndex lays a uniform grid
+of about sqrt(rows) cells per axis over the union of all bounding boxes
+and lists, per cell, every row whose bounding box meets it.  A point is
+tested only against its own cell's rows, so its cost follows the number
+of polygons near it, not the number in the file.
 
 County polygons are authoritative: resolve() returns the first county in
 file order containing the point together with that county's parent
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .store import LEVELS, UNASSIGNED
@@ -52,10 +60,13 @@ def _clean_ring(raw, where: str) -> Ring:
         raise GeoError(f"{where}: ring must be a list of at least 3 positions")
     ring: Ring = []
     for pos in raw:
-        if (not isinstance(pos, (list, tuple)) or len(pos) < 2
-                or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in pos[:2])):
+        if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise GeoError(f"{where}: bad position {pos!r}")
-        ring.append((float(pos[0]), float(pos[1])))
+        x, y = pos[0], pos[1]
+        if not (isinstance(x, (int, float)) and math.isfinite(x)
+                and isinstance(y, (int, float)) and math.isfinite(y)):
+            raise GeoError(f"{where}: bad position {pos!r}")
+        ring.append((float(x), float(y)))
     if ring[0] == ring[-1]:
         ring.pop()
     if len(ring) < 3:
@@ -83,8 +94,35 @@ def _polygon_parts(geometry, where: str) -> list[list[Ring]]:
     return parts
 
 
+def _axis(lo: float, hi: float, n: int) -> tuple[float, float, int]:
+    """Origin, scale and cell count of one grid axis spanning [lo, hi].
+
+    An axis of zero width, or one whose width or scale overflows a float,
+    gets a single cell at scale 0; its origin is the midpoint, so that
+    v - origin stays finite for every v in [lo, hi].
+    """
+    scale = n / (hi - lo) if hi > lo else 0.0
+    if 0.0 < scale < math.inf:
+        return lo, scale, n
+    return lo * 0.5 + hi * 0.5, 0.0, 1
+
+
+def _cell(v: float, origin: float, scale: float, n: int) -> int:
+    """Cell of a coordinate v in the axis span, for bbox corners and points alike.
+
+    It is monotone in v, so a point inside a bounding box always lands in
+    a cell between the cells of the box's corners.
+    """
+    return min(n - 1, int((v - origin) * scale))
+
+
 class RegionIndex:
-    """All region polygons of one file, in file order, with fast lookup rows."""
+    """All region polygons of one file, in file order.
+
+    Built once: a level -> name -> parts map for parts() and names(), and
+    resolve()'s rows with the grid over them.  The grid holds row ids
+    only, so the index stays small when pickled for pool workers.
+    """
 
     def __init__(self, polygons: list[RegionPolygon]):
         self.polygons = polygons
@@ -94,25 +132,40 @@ class RegionIndex:
         for county in self.counties:
             if county.parent not in country_names:
                 raise GeoError(f"county {county.name!r} has unknown parent {county.parent!r}")
-        # flat rows for the resolve hot loop
-        self._county_rows = [
-            (p.bbox[0], p.bbox[1], p.bbox[2], p.bbox[3], [p.exterior] + p.holes, p.name, p.parent)
-            for p in self.counties
-        ]
-        self._country_rows = [
-            (p.bbox[0], p.bbox[1], p.bbox[2], p.bbox[3], [p.exterior] + p.holes, p.name)
-            for p in self.countries
-        ]
+        self._parts: dict[str, dict[str, list[RegionPolygon]]] = {}
+        for p in polygons:
+            self._parts.setdefault(p.level, {}).setdefault(p.name, []).append(p)
+        self._rows = self.counties + self.countries  # resolve tries counties first
+        self._build_grid()
+
+    def _build_grid(self) -> None:
+        """Bucket row ids by grid cell, CSR-style: cell c lists
+        _ids[_offsets[c]:_offsets[c + 1]], in row order."""
+        boxes = [p.bbox for p in self._rows]
+        self._box = (
+            min((b[0] for b in boxes), default=math.inf),
+            min((b[1] for b in boxes), default=math.inf),
+            max((b[2] for b in boxes), default=-math.inf),
+            max((b[3] for b in boxes), default=-math.inf),
+        )
+        side = max(1, math.isqrt(len(boxes)))
+        self._x_axis = ox, sx, nx = _axis(self._box[0], self._box[2], side)
+        self._y_axis = oy, sy, ny = _axis(self._box[1], self._box[3], side)
+        cells: list[list[int]] = [[] for _ in range(nx * ny)]
+        for row, (min_lon, min_lat, max_lon, max_lat) in enumerate(boxes):
+            i0 = _cell(min_lon, ox, sx, nx)
+            i1 = _cell(max_lon, ox, sx, nx) + 1
+            for j in range(_cell(min_lat, oy, sy, ny), _cell(max_lat, oy, sy, ny) + 1):
+                for members in cells[j * nx + i0:j * nx + i1]:
+                    members.append(row)
+        self._ids = array("i", chain.from_iterable(cells))
+        self._offsets = array("i", accumulate(map(len, cells), initial=0))
 
     def parts(self, level: str, name: str) -> list[RegionPolygon]:
-        return [p for p in self.polygons if p.level == level and p.name == name]
+        return list(self._parts.get(level, {}).get(name, ()))
 
     def names(self, level: str) -> list[str]:
-        seen: list[str] = []
-        for p in self.polygons:
-            if p.level == level and p.name not in seen:
-                seen.append(p.name)
-        return seen
+        return list(self._parts.get(level, ()))
 
 
 def load_regions(path: str | Path) -> RegionIndex:
@@ -172,6 +225,7 @@ def load_regions(path: str | Path) -> RegionIndex:
                 holes=rings[1:],
                 bbox=(min(xs), min(ys), max(xs), max(ys)),
             ))
+    del doc, features, feature  # free the parsed JSON before the index is built
     return RegionIndex(polygons)
 
 
@@ -189,11 +243,14 @@ def _crossings(rings: list[Ring], lat: float, lon: float) -> int:
 
 
 def contains(polygon: RegionPolygon, lat: float, lon: float) -> bool:
-    """True when the point is inside the polygon (holes excluded)."""
+    """True when the point is inside the polygon (holes excluded).
+
+    The one containment rule: inside the closed bbox, then an odd
+    crossing count.  resolve() applies it through this function.
+    """
     min_lon, min_lat, max_lon, max_lat = polygon.bbox
-    if not (min_lon <= lon <= max_lon and min_lat <= lat <= max_lat):
-        return False
-    return _crossings([polygon.exterior] + polygon.holes, lat, lon) % 2 == 1
+    return (min_lon <= lon <= max_lon and min_lat <= lat <= max_lat
+            and _crossings([polygon.exterior] + polygon.holes, lat, lon) % 2 == 1)
 
 
 def resolve(index: RegionIndex, lat: float, lon: float) -> tuple[str, str] | None:
@@ -203,12 +260,14 @@ def resolve(index: RegionIndex, lat: float, lon: float) -> tuple[str, str] | Non
     country.  A point inside only a country ring gets the "unassigned"
     county sentinel.
     """
-    for min_lon, min_lat, max_lon, max_lat, rings, name, parent in index._county_rows:
-        if min_lon <= lon <= max_lon and min_lat <= lat <= max_lat:
-            if _crossings(rings, lat, lon) % 2 == 1:
-                return parent, name
-    for min_lon, min_lat, max_lon, max_lat, rings, name in index._country_rows:
-        if min_lon <= lon <= max_lon and min_lat <= lat <= max_lat:
-            if _crossings(rings, lat, lon) % 2 == 1:
-                return name, UNASSIGNED
+    min_lon, min_lat, max_lon, max_lat = index._box
+    if not (min_lon <= lon <= max_lon and min_lat <= lat <= max_lat):
+        return None
+    nx = index._x_axis[2]
+    cell = _cell(lat, *index._y_axis) * nx + _cell(lon, *index._x_axis)
+    rows = index._rows
+    for row in index._ids[index._offsets[cell]:index._offsets[cell + 1]]:
+        p = rows[row]
+        if contains(p, lat, lon):
+            return (p.parent, p.name) if p.level == "County" else (p.name, UNASSIGNED)
     return None

@@ -5,10 +5,11 @@ Most of this is written from first principles with exact arithmetic
 deliberately sharing no code with the package, so agreement between the
 two is meaningful.  The scoring section instead keeps earlier package
 code that a faster rewrite replaced: one T2 scan per aggregation spec,
-the stand-alone normalisation helper and the lexicon's linear wildcard
-scan.  Those are references for differential tests; they reuse the
-package's row parser, tokenizer and row type, because what they pin is
-the scan and fold, not those layers.
+the stand-alone normalisation helper, the lexicon's linear wildcard
+scan and the region resolver's scan of every polygon.  Those are
+references for differential tests; they reuse the package's row parser,
+tokenizer, row type and crossing count, because what they pin is the
+scan and fold, not those layers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from geosent.estimator import EstimatorError, compute_pss
+from geosent.georesolve import _crossings
 from geosent.lexicon import SentimentCounts
-from geosent.store import ScoreRow, _parse_parsed_line
+from geosent.store import UNASSIGNED, ScoreRow, _parse_parsed_line
 from geosent.tokenizer import HASHTAG, WORD, tokenize
 
 getcontext().prec = 50
@@ -53,6 +55,19 @@ def wn_contains(exterior, holes, lat, lon):
     if winding_number(exterior, lat, lon) == 0:
         return False
     return all(winding_number(hole, lat, lon) == 0 for hole in holes)
+
+
+def resolve_linear(index, lat, lon):
+    """The pre-grid resolve: every county in file order, then every country."""
+    for level in ("County", "Country"):
+        for p in index.polygons:
+            if p.level != level:
+                continue
+            min_lon, min_lat, max_lon, max_lat = p.bbox
+            if min_lon <= lon <= max_lon and min_lat <= lat <= max_lat:
+                if _crossings([p.exterior] + p.holes, lat, lon) % 2 == 1:
+                    return (p.parent, p.name) if level == "County" else (p.name, UNASSIGNED)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
 import json
+import math
 import random
+import re
+import tempfile
+from multiprocessing.reduction import ForkingPickler
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geosent.georesolve import GeoError, contains, load_regions, resolve
+from geosent.georesolve import GeoError, RegionIndex, contains, load_regions, resolve
 
 from conftest import square
-from oracles import wn_contains
+from oracles import resolve_linear, wn_contains
+
+# ForkingPickler.dumps size of the 56x56 grid_regions index before the
+# index carried a grid; pool tasks pickle the index the same way.
+GRID_FREE_PICKLE_BYTES = 803_162
 
 
 def feature(region_id, name, level, parent, geometry):
@@ -81,6 +91,23 @@ class TestLoading:
         a = feature("a", "land", "Country", "", polygon([[0, 0], [1, 1], [0, 0]]))
         with pytest.raises(GeoError):
             load_regions(write_regions(tmp_path, [a]))
+
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 1.0], [1.0, math.inf], ["1", 1.0], [1.0], 7,
+    ], ids=["nan", "inf", "string", "one-element", "not-a-list"])
+    def test_bad_position_named(self, tmp_path, bad):
+        ring = [[0, 0], [1, 0], bad, [0, 1], [0, 0]]
+        a = feature("a", "land", "Country", "", polygon(ring))
+        expected = f"feature 0 (land) part 0 ring 0: bad position {bad!r}"
+        with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
+            load_regions(write_regions(tmp_path, [a]))
+
+    def test_bool_coordinates_accepted(self, tmp_path):
+        # bool is an int subclass, so JSON true/false read as 1 and 0
+        ring = [[False, False], [True, False], [True, True], [False, True]]
+        a = feature("a", "land", "Country", "", polygon(ring))
+        index = load_regions(write_regions(tmp_path, [a]))
+        assert resolve(index, 0.5, 0.5) == ("land", "unassigned")
 
     def test_not_a_collection(self, tmp_path):
         path = tmp_path / "bad.geojson"
@@ -177,3 +204,110 @@ def test_agrees_with_winding_oracle(tmp_path):
             mine = contains(part, lat, lon)
             oracle = wn_contains(part.exterior, part.holes, lat, lon)
             assert mine == oracle, (name, lat, lon)
+
+
+# ---------------------------------------------------------------------------
+# the grid index against the linear scan
+
+ORIGINS = st.sampled_from([-180.0, -37.5, -1.0, -0.1, 0.0, 2.75])
+STEPS = st.sampled_from([0.1, 0.3, 1.0, 2.5, 7.0])
+
+
+@st.composite
+def region_maps(draw):
+    """A region file and points to resolve in it, as (features, points).
+
+    A country covers an nx x ny grid with non-unit steps; grid counties
+    may be missing (gaps fall back to the country), and extra counties
+    overlap the grid, carry holes or are MultiPolygons, at random
+    places in file order.  With `flat`, every x (or y) collapses onto
+    the origin, so the union box has zero width (or height).
+    """
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    x0, y0 = draw(ORIGINS), draw(ORIGINS)
+    w, h = draw(STEPS), draw(STEPS)
+    xs = [x0 + i * w for i in range(nx + 1)]
+    ys = [y0 + j * h for j in range(ny + 1)]
+    flat = draw(st.sampled_from([None, None, None, "x", "y"]))
+    xs_out = [x0 - w, xs[-1] + w]
+    ys_out = [y0 - h, ys[-1] + h]
+    x_any = st.sampled_from(xs + xs_out) | st.floats(x0 - w, xs[-1] + w)
+    y_any = st.sampled_from(ys + ys_out) | st.floats(y0 - h, ys[-1] + h)
+
+    def ring(points):
+        if flat == "x":
+            points = [(x0, y) for _, y in points]
+        elif flat == "y":
+            points = [(x, y0) for x, _ in points]
+        return [list(pt) for pt in points] + [list(points[0])]
+
+    def rect(i0, j0, i1, j1):
+        return ring([(xs[i0], ys[j0]), (xs[i1], ys[j0]), (xs[i1], ys[j1]), (xs[i0], ys[j1])])
+
+    def free_ring():
+        return ring(draw(st.lists(st.tuples(x_any, y_any), min_size=3, max_size=6)))
+
+    # a grid county is missing where both masks have its bit set
+    gaps = draw(st.integers(0, 2 ** (nx * ny) - 1)) & draw(st.integers(0, 2 ** (nx * ny) - 1))
+    counties = [
+        feature(f"g{i}-{j}", f"g{i}-{j}", "County", "land", polygon(rect(i, j, i + 1, j + 1)))
+        for i in range(nx) for j in range(ny)
+        if not gaps >> (i * ny + j) & 1
+    ]
+    for k in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["overlap", "holed", "multi"]))
+        if kind == "overlap":
+            i0, i1 = sorted(draw(st.lists(st.integers(0, nx), min_size=2, max_size=2, unique=True)))
+            j0, j1 = sorted(draw(st.lists(st.integers(0, ny), min_size=2, max_size=2, unique=True)))
+            geometry = polygon(rect(i0, j0, i1, j1))
+        elif kind == "holed":
+            geometry = polygon(free_ring(), free_ring())
+        else:
+            geometry = multipolygon([free_ring()], [free_ring(), free_ring()])
+        at = draw(st.integers(0, len(counties)))
+        counties.insert(at, feature(f"x{k}", f"x{k}", "County", "land", geometry))
+    features = counties + [feature("c", "land", "Country", "", polygon(rect(0, 0, nx, ny)))]
+    if draw(st.booleans()):
+        features.append(feature("d", "isle", "Country", "", polygon(free_ring())))
+
+    if flat == "x":
+        x_any = st.just(x0) | x_any
+    elif flat == "y":
+        y_any = st.just(y0) | y_any
+    special = st.sampled_from([math.nan, math.inf, -math.inf])
+    points = draw(st.lists(
+        st.tuples(y_any, x_any) | st.tuples(special, x_any) | st.tuples(y_any, special),
+        min_size=1, max_size=25,
+    ))
+    # every vertex of the grid, the union box's max edges among them
+    points += [(y, x) for x in xs for y in ys]
+    return features, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_maps())
+def test_resolve_matches_the_linear_scan(case):
+    features, points = case
+    with tempfile.TemporaryDirectory() as tmp:
+        index = load_regions(write_regions(Path(tmp), features))
+    for lat, lon in points:
+        assert resolve(index, lat, lon) == resolve_linear(index, lat, lon), (lat, lon)
+
+
+def test_56x56_grid_matches_the_linear_scan(grid_regions_file):
+    index = load_regions(grid_regions_file(56))
+    rng = random.Random(9)
+    for _ in range(1200):
+        # each coordinate on a grid line half the time, so a quarter are vertices
+        lat, lon = (float(rng.randint(0, 56)) if rng.random() < 0.5 else rng.uniform(-0.5, 56.5)
+                    for _ in range(2))
+        assert resolve(index, lat, lon) == resolve_linear(index, lat, lon), (lat, lon)
+
+
+def test_empty_index_resolves_nothing():
+    assert resolve(RegionIndex([]), 0.0, 0.0) is None
+
+
+def test_pickled_index_stays_compact(grid_regions_file):
+    index = load_regions(grid_regions_file(56))
+    assert len(ForkingPickler.dumps(index)) <= GRID_FREE_PICKLE_BYTES * 1.15

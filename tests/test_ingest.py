@@ -237,6 +237,27 @@ class TestParseCorpus:
         assert stats_one == stats_two
         assert stats_one.rejected_malformed == 10
 
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_pool_start_methods_match_one_worker_on_a_large_grid(
+            self, tmp_path, grid_regions_file, method):
+        # points on grid lines, on vertices, inside cells and off the map
+        raw = self.write_raw(tmp_path, [
+            record(id_str=str(i), coordinates=[i * 7 % 59 - 1 + i % 3 / 4,
+                                               i * i % 59 - 1 + (i % 4 == 1) / 2])
+            for i in range(240)
+        ])
+        index = load_regions(grid_regions_file(56))
+        one = tmp_path / "one.tsv"
+        two = tmp_path / "two.tsv"
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 40), \
+                mock.patch.object(store, "POOL_BLOCK_LINES", 40):
+            stats_one = parse_corpus(raw, index, one, threads=1)
+            with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+                stats_two = parse_corpus(raw, index, two, threads=2)
+        assert one.read_bytes() == two.read_bytes()
+        assert stats_one == stats_two
+        assert stats_one.accepted > 150 and stats_one.rejected_unresolved > 10
+
     def test_tab_or_newline_in_tweet_id_is_malformed(self, tmp_path, regions_file):
         raw = self.write_raw(tmp_path, [
             record(id_str="tab\tid", coordinates=[2.0, 2.0]),
