@@ -89,10 +89,7 @@ def _token_features(tokens: Iterable[Token]) -> list[str]:
     return out
 
 
-# longest first, so an emoticon wins over any shorter one it starts with
-_EMOTICON_RE = re.compile(
-    "|".join(re.escape(e) for e in sorted(emoticons.ALL, key=len, reverse=True))
-)
+_EMOTICON_RE = re.compile(emoticons.PATTERN)
 
 
 def distant_label(texts: Iterable[str]) -> Iterator[LabeledTweet]:

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .store import LEVELS, ScoreRow, _parse_parsed_line, map_blocks
-from .lexicon import SentimentCounts
 from .tokenizer import Token, tokenize
 
 log = logging.getLogger(__name__)
@@ -50,11 +49,11 @@ class Analyser(Protocol):
     def counts(self, tokens: list[Token]) -> tuple[int, int]: ...
 
 
-def compute_pss(counts: SentimentCounts) -> float | None:
+def compute_pss(pos: int, neg: int) -> float | None:
     """pos/max(neg, 1), or None when there was no signal either way."""
-    if counts.pos == 0 and counts.neg == 0:
+    if pos == 0 and neg == 0:
         return None
-    return counts.pos / max(counts.neg, 1)
+    return pos / max(neg, 1)
 
 
 @dataclass
@@ -159,7 +158,7 @@ def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[Score
             pos_count=pos,
             neg_count=neg,
             tweet_count=tweets,
-            pss=compute_pss(SentimentCounts(pos=pos, neg=neg)),
+            pss=compute_pss(pos, neg),
             npss=None,
         ))
 

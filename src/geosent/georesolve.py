@@ -63,8 +63,12 @@ def _clean_ring(raw, where: str) -> Ring:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise GeoError(f"{where}: bad position {pos!r}")
         x, y = pos[0], pos[1]
-        if not (isinstance(x, (int, float)) and math.isfinite(x)
-                and isinstance(y, (int, float)) and math.isfinite(y)):
+        try:
+            ok = (isinstance(x, (int, float)) and math.isfinite(x)
+                  and isinstance(y, (int, float)) and math.isfinite(y))
+        except OverflowError:  # an int too large for a float
+            ok = False
+        if not ok:
             raise GeoError(f"{where}: bad position {pos!r}")
         ring.append((float(x), float(y)))
     if ring[0] == ring[-1]:

@@ -32,14 +32,6 @@ class LexiconError(Exception):
 
 
 @dataclass
-class SentimentCounts:
-    """Positive/negative tallies of one cell."""
-
-    pos: int
-    neg: int
-
-
-@dataclass
 class Lexicon:
     exact: dict[str, int]
     # (prefix, strength); load_lexicon lists the longest prefix first, but

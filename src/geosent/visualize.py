@@ -220,33 +220,42 @@ def emit_kml(rows: list[ScoreRow], index: RegionIndex, out_path: str | Path) -> 
 # Tile map
 
 
-def _strip_worst(volumes: list[int], total: int) -> float:
-    """Worst tile aspect ratio if these volumes share one vertical strip."""
-    strip_volume = sum(volumes)
-    w = strip_volume / total * WIDTH
+def _strip_worst(volume: int, low: int, high: int, total: int) -> float:
+    """Worst tile aspect ratio in a vertical strip of this volume whose
+    smallest and largest tiles hold low and high.
+
+    A tile's ratio falls as its height nears the strip's width and rises
+    beyond it, and correctly rounded division keeps that order, so no
+    tile between the two extremes can be worse.
+    """
+    w = volume / total * WIDTH
     worst = 1.0
-    for v in volumes:
-        h = v / strip_volume * HEIGHT
+    for v in (low, high):
+        h = v / volume * HEIGHT
         worst = max(worst, w / h if w > h else h / w)
     return worst
 
 
 def _pack_strips(rows: list[ScoreRow], total: int) -> list[list[ScoreRow]]:
+    """Rows in vertical strips, in order.
+
+    A row that would push a strip within the aspect-ratio limit past it
+    opens the next strip.  The open strip's volume, smallest and largest
+    tile and worst ratio carry from row to row, so each row costs O(1).
+    """
     strips: list[list[ScoreRow]] = []
-    current: list[ScoreRow] = []
     for row in rows:
-        if current:
-            vols = [r.tweet_count for r in current]
-            if (
-                _strip_worst(vols, total) <= MAX_RATIO
-                and _strip_worst(vols + [row.tweet_count], total) > MAX_RATIO
-            ):
-                strips.append(current)
-                current = [row]
+        v = row.tweet_count
+        if strips:
+            grown = (volume + v, min(low, v), max(high, v))
+            grown_worst = _strip_worst(*grown, total)
+            if not (worst <= MAX_RATIO and grown_worst > MAX_RATIO):
+                strips[-1].append(row)
+                (volume, low, high), worst = grown, grown_worst
                 continue
-        current.append(row)
-    if current:
-        strips.append(current)
+        strips.append([row])
+        volume = low = high = v
+        worst = _strip_worst(v, v, v, total)
     return strips
 
 

@@ -3,10 +3,11 @@
 Most of this is written from first principles with exact arithmetic
 (fractions, or high-precision decimals where a square root is needed),
 deliberately sharing no code with the package, so agreement between the
-two is meaningful.  The scoring section instead keeps earlier package
-code that a faster rewrite replaced: one T2 scan per aggregation spec,
-the stand-alone normalisation helper, the lexicon's linear wildcard
-scan and the region resolver's scan of every polygon.  Those are
+two is meaningful.  The rest keeps earlier package code that a rewrite
+replaced: one T2 scan per aggregation spec, the stand-alone
+normalisation helper, the lexicon's linear wildcard scan, the region
+resolver's scan of every polygon, the per-chunk tokenizer and the
+tile-map strip packer that re-measured every strip.  Those are
 references for differential tests; they reuse the package's row parser,
 tokenizer, row type and crossing count, because what they pin is the
 scan and fold, not those layers.
@@ -14,15 +15,18 @@ scan and fold, not those layers.
 
 from __future__ import annotations
 
+import re
+import string
 from datetime import timedelta
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from geosent.estimator import EstimatorError, compute_pss
 from geosent.georesolve import _crossings
-from geosent.lexicon import SentimentCounts
 from geosent.store import UNASSIGNED, ScoreRow, _parse_parsed_line
-from geosent.tokenizer import HASHTAG, WORD, tokenize
+from geosent import emoticons
+from geosent.tokenizer import EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
+from geosent.visualize import HEIGHT, MAX_RATIO, WIDTH
 
 getcontext().prec = 50
 
@@ -142,7 +146,7 @@ def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
             pos_count=pos,
             neg_count=neg,
             tweet_count=tweets,
-            pss=compute_pss(SentimentCounts(pos, neg)),
+            pss=compute_pss(pos, neg),
             npss=None,
         ))
     groups: dict = {}
@@ -179,6 +183,117 @@ def match_token_linear(lexicon, token, hashtag_match=True):
         if text.startswith(prefix):
             return s
     return None
+
+
+# ---------------------------------------------------------------------------
+# the per-chunk tokenizer: split on whitespace, then peel each chunk
+
+
+_ASCII_PUNCT = frozenset(string.punctuation)
+_URL_PREFIXES = ("http://", "https://", "www.")
+_MENTION_RE = re.compile(r"@\w+")
+_HASHTAG_RE = re.compile(r"#\w+")
+# longest first so ":-)" beats ":-" + ")"
+_EMOTICONS = tuple(sorted(emoticons.ALL, key=len, reverse=True))
+# longest first so "n't" wins before "'t"-like tails could confuse shorter suffixes
+_CONTRACTIONS = ("n't", "'re", "'ve", "'ll", "'s", "'d", "'m")
+
+
+def _entity_at(chunk):
+    lowered = chunk.lower()
+    if lowered.startswith(_URL_PREFIXES):
+        return Token(chunk, URL)  # a URL runs to the next whitespace
+    for emo in _EMOTICONS:
+        if chunk.startswith(emo):
+            return Token(emo, EMOTICON)
+    m = _MENTION_RE.match(chunk)
+    if m:
+        return Token(m.group(), MENTION)
+    m = _HASHTAG_RE.match(chunk)
+    if m:
+        return Token(m.group(), HASHTAG)
+    return None
+
+
+def _split_word(word):
+    lowered = word.lower()
+    for suffix in _CONTRACTIONS:
+        if lowered.endswith(suffix) and len(word) > len(suffix):
+            cut = len(word) - len(suffix)
+            return [Token(word[:cut], WORD), Token(word[cut:], WORD)]
+    return [Token(word, WORD)]
+
+
+def _split_chunk(chunk):
+    tokens = []
+    rest = chunk
+    while rest:
+        entity = _entity_at(rest)
+        if entity is not None:
+            tokens.append(entity)
+            rest = rest[len(entity.text):]
+            continue
+        if rest[0] in _ASCII_PUNCT:
+            tokens.append(Token(rest[0], PUNCT))
+            rest = rest[1:]
+            continue
+        break
+    if not rest:
+        return tokens
+    cut = len(rest)
+    while cut > 0 and rest[cut - 1] in _ASCII_PUNCT:
+        cut -= 1
+    core, tail = rest[:cut], rest[cut:]
+    tokens.extend(_split_word(core))
+    if tail:
+        if tail in _EMOTICONS:
+            tokens.append(Token(tail, EMOTICON))
+        else:
+            tokens.extend(Token(c, PUNCT) for c in tail)
+    return tokens
+
+
+def tokenize_per_chunk(text):
+    """The pre-scanner tokenize: str.split, then each chunk peeled in turn."""
+    tokens = []
+    for chunk in text.split():
+        tokens.extend(_split_chunk(chunk))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# tile-map strip packing, measuring every tile of a strip for each row
+
+
+def _strip_worst_all(volumes, total):
+    """Worst tile aspect ratio if these volumes share one vertical strip."""
+    strip_volume = sum(volumes)
+    w = strip_volume / total * WIDTH
+    worst = 1.0
+    for v in volumes:
+        h = v / strip_volume * HEIGHT
+        worst = max(worst, w / h if w > h else h / w)
+    return worst
+
+
+def pack_strips_quadratic(rows, total):
+    """The pre-running-extremes _pack_strips: O(strip size) work per row."""
+    strips = []
+    current = []
+    for row in rows:
+        if current:
+            vols = [r.tweet_count for r in current]
+            if (
+                _strip_worst_all(vols, total) <= MAX_RATIO
+                and _strip_worst_all(vols + [row.tweet_count], total) > MAX_RATIO
+            ):
+                strips.append(current)
+                current = [row]
+                continue
+        current.append(row)
+    if current:
+        strips.append(current)
+    return strips
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from geosent.gencorpus import (
 )
 from geosent.georesolve import contains, load_regions, resolve
 from geosent.ingest import parse_corpus
-from geosent.lexicon import DictionaryAnalyser, SentimentCounts, load_lexicon
+from geosent.lexicon import DictionaryAnalyser, load_lexicon
 from geosent.store import ScoreRow, read_scores
 from geosent.visualize import emit_kml, emit_linegraph, emit_tilemap, fmt4
 
@@ -122,7 +122,7 @@ def _group_scores(day, approach):
     pss = {}
     for country in COUNTRIES:
         pos, neg, _, _ = DAILY_REFERENCE[(day, country)][approach]
-        pss[country] = compute_pss(SentimentCounts(pos, neg))
+        pss[country] = compute_pss(pos, neg)
     npss = dict(normalize(sorted(pss.items())))
     return pss, npss
 

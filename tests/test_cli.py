@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import io
+import json
 import logging
 import os
 import re
@@ -93,6 +94,20 @@ class TestExitCodes:
                       "--regions", str(regions_file),
                       "--parsed", str(tmp_path / "out.tsv"))
         assert code == 2
+
+    def test_huge_integer_region_coordinate(self, capsys, tmp_path, corpus_file):
+        ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature",
+            "properties": {"region_id": "a", "name": "land", "level": "Country", "parent": ""},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }]}))
+        code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                             "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
+        assert code == 2
+        assert err.startswith("error: feature 0 (land) part 0 ring 0: bad position")
+        assert out == ""
 
     def test_garbage_score_table(self, capsys, tmp_path):
         bad = tmp_path / "scores.tsv"

@@ -22,7 +22,7 @@ from geosent.estimator import (
     correlate,
     series_from_rows,
 )
-from geosent.lexicon import DictionaryAnalyser, Lexicon, SentimentCounts
+from geosent.lexicon import DictionaryAnalyser, Lexicon
 from geosent.store import LEVELS, format_parsed_line, ParsedTweet
 
 from conftest import utc, write_parsed
@@ -66,16 +66,16 @@ def spec(level="County", bucket=3600, scope="level"):
 
 class TestPss:
     def test_ratio(self):
-        assert compute_pss(SentimentCounts(6, 3)) == 2.0
+        assert compute_pss(6, 3) == 2.0
 
     def test_zero_negative_floor(self):
-        assert compute_pss(SentimentCounts(5, 0)) == 5.0
+        assert compute_pss(5, 0) == 5.0
 
     def test_zero_positive(self):
-        assert compute_pss(SentimentCounts(0, 4)) == 0.0
+        assert compute_pss(0, 4) == 0.0
 
     def test_no_signal_undefined(self):
-        assert compute_pss(SentimentCounts(0, 0)) is None
+        assert compute_pss(0, 0) is None
 
 
 class TestNormalize:

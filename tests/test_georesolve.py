@@ -102,6 +102,13 @@ class TestLoading:
         with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
             load_regions(write_regions(tmp_path, [a]))
 
+    def test_huge_integer_coordinate_named(self, tmp_path):
+        # a 400-digit JSON integer has no float value; it must not escape as OverflowError
+        ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
+        a = feature("a", "land", "Country", "", polygon(ring))
+        with pytest.raises(GeoError, match=r"^feature 0 \(land\) part 0 ring 0: bad position "):
+            load_regions(write_regions(tmp_path, [a]))
+
     def test_bool_coordinates_accepted(self, tmp_path):
         # bool is an int subclass, so JSON true/false read as 1 and 0
         ring = [[False, False], [True, False], [True, True], [False, True]]

@@ -204,6 +204,20 @@ class TestParseCorpus:
         assert "\tmycountry\thappycounty\t" in lines[0]
         assert "\tmycountry\tunassigned\t" in lines[1]
 
+    def test_crlf_raw_input_parses_as_lf(self, tmp_path, corpus_file, regions_file):
+        lf = corpus_file.read_bytes()
+        assert b"\r" not in lf
+        index = load_regions(regions_file)
+        results = []
+        for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n"))):
+            raw = tmp_path / f"{name}.jsonl"
+            collect(io.BytesIO(data), raw)
+            assert raw.read_bytes() == data
+            stats = parse_corpus(raw, index, tmp_path / f"{name}.tsv")
+            results.append((stats, (tmp_path / f"{name}.tsv").read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0].accepted == results[0][0].lines_read > 0
+
     def test_threads_byte_identical(self, tmp_path, regions_file):
         raw = self.write_raw(tmp_path, [
             record(coordinates=[2.0 + (i % 7) * 0.9, 1.2 + (i % 5) * 0.6])

@@ -1,7 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import doctest
+import string
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from geosent import emoticons, tokenizer
 from geosent.tokenizer import KINDS, Token, tokenize
+
+from oracles import tokenize_per_chunk
 
 
 def texts(value):
@@ -145,3 +151,39 @@ def test_case_preserved_ascii(value):
     joined = "".join(t.text for t in tokenize(value))
     assert joined == "".join(value.split())
     assert joined.lower() == "".join(value.lower().split())
+
+
+# ---------------------------------------------------------------------------
+# the compiled scanner against the per-chunk tokenizer it replaced
+
+# pieces that reach every branch of the grammar and its case-folding traps:
+# "ſ" lowercases to itself but matches "s" under re.IGNORECASE, "K" (Kelvin)
+# lowercases to "k", and "İ" lowercases to two characters
+PIECES = (
+    ["http://", "HTTPS://", "hTtP://", "Www.", "wWw.", "htTpſ://", "httpſ://", "'ſ", "ſ", "K", "İ"]
+    + list(emoticons.ALL)
+    + ["n't", "N'T", "'re", "'RE", "'ve", "'Ll", "'s", "'S", "'d", "'M", "'t"]
+    + list(string.punctuation)
+    + [" ", "\t", "\n", "\x1c", "\x85", "　", "a", "B", "é", "_", "7"]
+)
+BIASED_TEXT = st.lists(st.sampled_from(PIECES), max_size=25).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), BIASED_TEXT))
+def test_scanner_matches_per_chunk_tokenizer(value):
+    assert tokenize(value) == tokenize_per_chunk(value)
+
+
+@pytest.mark.parametrize("value", [
+    "httpſ://x", "'ſ", "xn'ſ", "wwwK.x", "İn't", "aİ's", "x　n't", "a\x1cb",
+    "sad:((", "ok:)", "ok:-(:)", "@@a", "##", "a.http://x", "(http://x)",
+])
+def test_scanner_matches_per_chunk_tokenizer_on_traps(value):
+    assert tokenize(value) == tokenize_per_chunk(value)
+
+
+def test_docstring_examples():
+    result = doctest.testmod(tokenizer)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -4,6 +4,7 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geosent import visualize
 from geosent.georesolve import load_regions
@@ -22,6 +23,7 @@ from geosent.visualize import (
 )
 
 from conftest import fail_on_call, utc
+from oracles import pack_strips_quadratic
 
 KML = "{http://www.opengis.net/kml/2.2}"
 SVG = "{http://www.w3.org/2000/svg}"
@@ -202,6 +204,18 @@ class TestPackStrips:
         strips = _pack_strips(rows, 30)
         assert sum(len(s) for s in strips) == 30
         assert len(strips) > 1
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 10**6)), min_size=1, max_size=60),
+           st.booleans())
+    def test_matches_packing_that_measures_every_tile(self, volumes, largest_first):
+        if largest_first:
+            volumes = sorted(volumes, reverse=True)
+        rows = [row(f"c{i:02d}", 1, 0, npss=1.0, tweets=v) for i, v in enumerate(volumes)]
+        total = sum(volumes)
+        got = [[r.region for r in strip] for strip in _pack_strips(rows, total)]
+        want = [[r.region for r in strip] for strip in pack_strips_quadratic(rows, total)]
+        assert got == want
 
 
 class TestTilemap:
