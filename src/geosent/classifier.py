@@ -9,7 +9,12 @@ cannot just memorise them.
 The model is multinomial Naive Bayes over lowercased word unigrams
 (hashtag bodies included, mentions and URLs excluded) with add-one
 smoothing, scored in log space.  Tokens outside the vocabulary are
-skipped, and an exact tie goes to Positive.
+skipped, and an exact tie goes to Positive.  A text is scored in the
+model's linear form (McCallum & Nigam 1998): its margin, log
+score(Positive) minus log score(Negative), is the log prior ratio plus
+one log-ratio weight per in-vocabulary feature.  The weights are built
+once per model, on first use rather than at load time, so loading a
+model costs nothing for a run that never classifies.
 
 Model files are plain text:
 
@@ -31,7 +36,7 @@ from typing import Iterable, Iterator
 
 from . import emoticons
 from .lexicon import TWEETS
-from .tokenizer import HASHTAG, WORD, Token, tokenize
+from .tokenizer import Features, _scan_features
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -66,6 +71,10 @@ class NBModel:
     token_counts: dict[str, dict[str, int]]
     totals: dict[str, int]
     vocabulary: set[str] = field(default_factory=set)
+    # _linear_form(), built by the first _margin: a later edit of the
+    # counts does not reach it
+    _linear: tuple[float, dict[str, float], float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vocabulary:
@@ -75,18 +84,7 @@ class NBModel:
 
 def features(text: str) -> list[str]:
     """Lowercased unigram features: words and hashtag bodies, in order."""
-    return _token_features(tokenize(text))
-
-
-def _token_features(tokens: Iterable[Token]) -> list[str]:
-    """The features of an already tokenized text."""
-    out = []
-    for token in tokens:
-        if token.kind == WORD:
-            out.append(token.text.lower())
-        elif token.kind == HASHTAG:
-            out.append(token.text[1:].lower())
-    return out
+    return [feature for feature, _ in _scan_features(text)]
 
 
 _EMOTICON_RE = re.compile(emoticons.PATTERN)
@@ -142,20 +140,62 @@ def classify(model: NBModel, text: str) -> tuple[str, float]:
     return (POSITIVE if margin >= 0.0 else NEGATIVE), margin
 
 
+# Each weight is within a few ulps of its true value and each addition
+# rounds once, so a sum over n features lies within about
+# (n + 1)**2 * scale * 2**-52 of the exact margin; this keeps a factor
+# of 4096 to spare.
+_ROUNDING = 2.0 ** -40
+
+
 def _margin(model: NBModel, feats: list[str]) -> float:
-    """log score(Positive) - log score(Negative) of one feature list."""
-    total_docs = sum(model.doc_counts.values())
-    vocab_size = len(model.vocabulary)
+    """log score(Positive) - log score(Negative) of one feature list.
+
+    A margin within rounding distance of zero takes its sign from the
+    exact scores, so an exact tie is 0.0 (Positive) in any feature order.
+    """
+    if model._linear is None:
+        model._linear = _linear_form(model)
+    margin, weights, scale = model._linear
+    for feature in feats:
+        margin += weights.get(feature, 0.0)
+    if abs(margin) > _ROUNDING * scale * (len(feats) + 1) ** 2:
+        return margin
+    pos, neg = _exact_scores(model, feats)
+    if pos == neg:
+        return 0.0
+    return math.copysign(max(abs(margin), math.ulp(0.0)), 1.0 if pos > neg else -1.0)
+
+
+def _exact_scores(model: NBModel, feats: list[str]) -> tuple[int, int]:
+    """Integers in the ratio score(Positive) : score(Negative)."""
     toks = [t for t in feats if t in model.vocabulary]
-    scores = {}
-    for label in LABELS:
-        score = math.log(model.doc_counts[label]) - math.log(total_docs)
-        counts = model.token_counts[label]
-        denom = model.totals[label] + vocab_size
-        for tok in toks:
-            score += math.log((counts.get(tok, 0) + 1) / denom)
-        scores[label] = score
-    return scores[POSITIVE] - scores[NEGATIVE]
+    vocab_size = len(model.vocabulary)
+    pos = model.doc_counts[POSITIVE] * (model.totals[NEGATIVE] + vocab_size) ** len(toks)
+    neg = model.doc_counts[NEGATIVE] * (model.totals[POSITIVE] + vocab_size) ** len(toks)
+    pos_counts, neg_counts = model.token_counts[POSITIVE], model.token_counts[NEGATIVE]
+    for tok in toks:
+        pos *= pos_counts.get(tok, 0) + 1
+        neg *= neg_counts.get(tok, 0) + 1
+    return pos, neg
+
+
+def _linear_form(model: NBModel) -> tuple[float, dict[str, float], float]:
+    """The log prior ratio, each vocabulary token's log-ratio weight, and the largest of their sizes."""
+    total_docs = sum(model.doc_counts.values())
+    # each class's log prior over total_docs, as classify has always taken
+    # them, so a text with no known feature keeps its margin bit for bit
+    prior = ((math.log(model.doc_counts[POSITIVE]) - math.log(total_docs))
+             - (math.log(model.doc_counts[NEGATIVE]) - math.log(total_docs)))
+    vocab_size = len(model.vocabulary)
+    pos_counts, neg_counts = model.token_counts[POSITIVE], model.token_counts[NEGATIVE]
+    pos_denom = model.totals[POSITIVE] + vocab_size
+    neg_denom = model.totals[NEGATIVE] + vocab_size
+    weights = {
+        tok: math.log((pos_counts.get(tok, 0) + 1) / pos_denom)
+        - math.log((neg_counts.get(tok, 0) + 1) / neg_denom)
+        for tok in model.vocabulary
+    }
+    return prior, weights, max(map(abs, (prior, *weights.values())))
 
 
 @dataclass
@@ -190,9 +230,13 @@ class ModelAnalyser:
     def __init__(self, model: NBModel):
         self.model = model
 
-    def counts(self, tokens: Iterable[Token]) -> tuple[int, int]:
-        """(1, 0) when the tweet classifies Positive, else (0, 1)."""
-        return (1, 0) if _margin(self.model, _token_features(tokens)) >= 0.0 else (0, 1)
+    def counts(self, features: Features, memo: dict | None = None) -> tuple[int, int]:
+        """(1, 0) when the tweet's features classify Positive, else (0, 1).
+
+        memo is not used: the model's weights already cost one lookup
+        per feature.
+        """
+        return (1, 0) if _margin(self.model, [text for text, _ in features]) >= 0.0 else (0, 1)
 
 
 def save_model(model: NBModel, path: str | Path) -> None:
@@ -212,6 +256,8 @@ def load_model(path: str | Path) -> NBModel:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc.reason}") from None
     lines = raw.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         head = lines[0] if lines else ""

@@ -8,8 +8,9 @@ under one parent with norm_scope="siblings".  Scores keep full float
 precision here; rounding happens at render time.
 
 aggregate_many() makes one scan of a parsed table for every requested
-(spec, analyser) job.  Each row is parsed and tokenized once, each
-distinct analyser (lexicon counter or classifier) scores the tokens
+(spec, analyser) job.  Each row is parsed once and its features (the
+tokenizer's lowercased words and hashtag bodies) are scanned once; each
+distinct analyser (lexicon counter or classifier) scores those features
 once, and the counts fold into the cells of every job whose window
 holds the row.  Buckets count from the window start (the final bucket
 may be truncated).  aggregate() is the single-job case.  The scan runs
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .store import LEVELS, ScoreRow, _parse_parsed_line, map_blocks
-from .tokenizer import Token, tokenize
+from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
 
@@ -44,9 +45,15 @@ class CorrelationError(EstimatorError):
 
 
 class Analyser(Protocol):
+    """Scores one tweet's features as (positive, negative) counts.
+
+    The scan passes one memo dict per block of rows: an analyser may
+    keep per-feature results in it while the block lasts.
+    """
+
     approach: str
 
-    def counts(self, tokens: list[Token]) -> tuple[int, int]: ...
+    def counts(self, features: Features, memo: dict) -> tuple[int, int]: ...
 
 
 def compute_pss(pos: int, neg: int) -> float | None:
@@ -83,30 +90,36 @@ def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple
     """Fold one block of T2 lines into partial cell counts for every job.
 
     plan holds one (start, end, bucket_seconds, country_level, analyser
-    slot) entry per job.  A row is tokenized only when some job's window
-    holds it, and each analyser scores it at most once.
+    slot) entry per job.  Lines keep their LF: a last line without one
+    was cut short, so it is skipped even where what is left parses.  A
+    row's features are scanned only when some job's window holds it,
+    and each analyser scores it at most once.
     """
+    memos: list[dict] = [{} for _ in analysers]
     cells: list[dict] = [{} for _ in plan]
     skipped = 0
     for line in lines:
-        if not line:
+        if line == b"\n":
+            continue
+        if line[-1:] != b"\n":
+            skipped += 1
             continue
         try:
-            row = _parse_parsed_line(line.decode("utf-8"))
+            row = _parse_parsed_line(line[:-1].decode("utf-8"))
         except ValueError:  # UnicodeDecodeError included
             skipped += 1
             continue
         ts = row.timestamp
-        tokens = None
+        features = None
         scored: list = [None] * len(analysers)
         for part, (start, end, bucket_seconds, country_level, slot) in zip(cells, plan):
             if not start <= ts < end:
                 continue
-            if tokens is None:
-                tokens = tokenize(row.text)
+            if features is None:
+                features = _scan_features(row.text)
             counts = scored[slot]
             if counts is None:
-                counts = scored[slot] = analysers[slot].counts(tokens)
+                counts = scored[slot] = analysers[slot].counts(features, memos[slot])
             bucket = int((ts - start).total_seconds()) // bucket_seconds
             if country_level:
                 key = (bucket, row.country, "")
@@ -205,7 +218,7 @@ def aggregate_many(
         plan.append((start, end, spec.bucket_seconds, spec.level == "Country", slots[id(analyser)]))
     fold = functools.partial(_fold_block, analysers, plan)
     cells: list[dict] = [{} for _ in plan]
-    skipped = _merge_blocks(cells, map_blocks(fold, parsed_path, threads))
+    skipped = _merge_blocks(cells, map_blocks(fold, parsed_path, threads, keep_newlines=True))
     if skipped:
         log.warning("aggregate: skipped %d malformed parsed rows", skipped)
     return [_score_rows(spec, analyser.approach, part)

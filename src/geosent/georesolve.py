@@ -183,7 +183,9 @@ def load_regions(path: str | Path) -> RegionIndex:
             doc = json.load(fh)
     except OSError as exc:
         raise GeoError(f"cannot read region file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise GeoError(f"region file {path} is not UTF-8 text: {exc.reason}") from None
+    except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise GeoError(f"region file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoError(f"region file {path} is not a FeatureCollection")

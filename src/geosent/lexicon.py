@@ -11,15 +11,20 @@ prefixes up in a table, longest first: at most one lookup per character
 of the token, however many wildcards the lexicon has.  Only the sign of
 the strength feeds the counts: one matched token is one positive or one
 negative word.
+
+DictionaryAnalyser counts a tweet's features (the tokenizer's lowercased
+words and hashtag bodies) rather than its tokens.  Aggregation hands it
+one memo per block of tweets, which keeps the sign of every feature
+matched so far: a word repeated across the block is looked up once, and
+the memo goes when the block is done.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
-from .tokenizer import HASHTAG, WORD, Token
+from .tokenizer import HASHTAG, WORD, Features, Token
 
 log = logging.getLogger(__name__)
 
@@ -60,33 +65,37 @@ def load_lexicon(path: str | Path) -> Lexicon:
     exact: dict[str, int] = {}
     wild: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(f"line {number}: expected pattern<TAB>strength")
-            pattern, raw_strength = parts[0].strip().lower(), parts[1].strip()
-            try:
-                strength = int(raw_strength)
-            except ValueError:
-                raise LexiconError(f"line {number}: strength {raw_strength!r} is not an integer") from None
-            if strength == 0 or not -5 <= strength <= 5:
-                raise LexiconError(f"line {number}: strength must be in -5..-1 or 1..5")
-            wildcard = pattern.endswith("*")
-            if wildcard:
-                pattern = pattern[:-1]
-            if not pattern:
-                raise LexiconError(f"line {number}: empty pattern")
-            if "*" in pattern:
-                raise LexiconError(f"line {number}: * is only allowed at the end of a pattern")
-            if pattern.split() != [pattern]:  # the tokenizer would cut it: no token can match
-                raise LexiconError(f"line {number}: pattern {pattern!r} contains whitespace, which no token has")
-            table = wild if wildcard else exact
-            if pattern in table:
-                log.warning("lexicon line %d: duplicate pattern %r, keeping the later entry", number, pattern)
-            table[pattern] = strength
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise LexiconError(f"lexicon file {path} is not UTF-8 text: {exc.reason}") from None
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(f"line {number}: expected pattern<TAB>strength")
+        pattern, raw_strength = parts[0].strip().lower(), parts[1].strip()
+        try:
+            strength = int(raw_strength)
+        except ValueError:
+            raise LexiconError(f"line {number}: strength {raw_strength!r} is not an integer") from None
+        if strength == 0 or not -5 <= strength <= 5:
+            raise LexiconError(f"line {number}: strength must be in -5..-1 or 1..5")
+        wildcard = pattern.endswith("*")
+        if wildcard:
+            pattern = pattern[:-1]
+        if not pattern:
+            raise LexiconError(f"line {number}: empty pattern")
+        if "*" in pattern:
+            raise LexiconError(f"line {number}: * is only allowed at the end of a pattern")
+        if pattern.split() != [pattern]:  # the tokenizer would cut it: no token can match
+            raise LexiconError(f"line {number}: pattern {pattern!r} contains whitespace, which no token has")
+        table = wild if wildcard else exact
+        if pattern in table:
+            log.warning("lexicon line %d: duplicate pattern %r, keeping the later entry", number, pattern)
+        table[pattern] = strength
     ordered = sorted(wild.items(), key=lambda kv: (-len(kv[0]), kv[0]))
     return Lexicon(exact=exact, wildcards=ordered)
 
@@ -99,7 +108,11 @@ def match_token(lexicon: Lexicon, token: Token, hashtag_match: bool = True) -> i
         text = token.text[1:]
     else:
         return None
-    text = text.lower()
+    return _strength(lexicon, text.lower())
+
+
+def _strength(lexicon: Lexicon, text: str) -> int | None:
+    """The strength of a lowercased text: its exact entry, else its longest wildcard prefix."""
     strength = lexicon.exact.get(text)
     if strength is not None:
         return strength
@@ -121,16 +134,26 @@ class DictionaryAnalyser:
         self.lexicon = lexicon
         self.hashtag_match = hashtag_match
 
-    def counts(self, tokens: Iterable[Token]) -> tuple[int, int]:
-        """Positive and negative lexicon matches among one tweet's tokens."""
+    def counts(self, features: Features, memo: dict | None = None) -> tuple[int, int]:
+        """Positive and negative lexicon matches among one tweet's features.
+
+        memo maps each feature matched so far to the sign of its
+        strength, 0 for no match; aggregation passes one per block of
+        tweets, so a word repeated across the block is looked up once.
+        """
+        if memo is None:
+            memo = {}
+        lexicon, hashtag_match = self.lexicon, self.hashtag_match
         pos = neg = 0
-        for token in tokens:
-            strength = match_token(self.lexicon, token, self.hashtag_match)
-            if strength is None:
+        for text, is_hashtag in features:
+            if is_hashtag and not hashtag_match:
                 continue
-            if strength > 0:
+            sign = memo.get(text)
+            if sign is None:
+                strength = _strength(lexicon, text)
+                sign = memo[text] = 0 if strength is None else 1 if strength > 0 else -1
+            if sign > 0:
                 pos += 1
-            else:
+            elif sign:
                 neg += 1
         return pos, neg
-

@@ -148,6 +148,14 @@ class ScoreRow:
         return None
 
 
+def _torn(fh) -> bool:
+    """Whether a binary file's last line lacks its LF: a write cut short."""
+    if fh.seek(0, os.SEEK_END) == 0:
+        return False
+    fh.seek(-1, os.SEEK_END)
+    return fh.read(1) != b"\n"
+
+
 class RawTable:
     """Append handle for a T1 file.
 
@@ -159,10 +167,8 @@ class RawTable:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._fh = open(self.path, "a+b")
-        if self._fh.seek(0, os.SEEK_END) > 0:
-            self._fh.seek(-1, os.SEEK_END)
-            if self._fh.read(1) != b"\n":
-                self._fh.write(b"\n")
+        if _torn(self._fh):
+            self._fh.write(b"\n")
 
     def append(self, payload: str) -> None:
         if "\n" in payload or "\r" in payload:
@@ -201,11 +207,11 @@ def staged(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def _line_blocks(table_path: str | Path, size: int) -> Iterator[list[bytes]]:
+def _line_blocks(table_path: str | Path, size: int, keep_newlines: bool) -> Iterator[list[bytes]]:
     block: list[bytes] = []
     with open(table_path, "rb") as fh:
         for line in fh:
-            block.append(line.rstrip(b"\n"))
+            block.append(line if keep_newlines else line.rstrip(b"\n"))
             if len(block) >= size:
                 yield block
                 block = []
@@ -213,20 +219,22 @@ def _line_blocks(table_path: str | Path, size: int) -> Iterator[list[bytes]]:
         yield block
 
 
-def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int) -> Iterator:
+def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int,
+               keep_newlines: bool = False) -> Iterator:
     """Yield fn(block) for every block of a table's lines, in file order.
 
     A block is a list of lines as bytes, split on LF only and without
-    it.  One thread maps the blocks in-process; more hand them to a pool
-    of that many worker processes, so fn and everything bound to it
-    must pickle.
+    it; with keep_newlines each line keeps its LF, so a last line cut
+    short shows as the one line without.  One thread maps the blocks
+    in-process; more hand them to a pool of that many worker processes,
+    so fn and everything bound to it must pickle.
     """
     if threads == 1:
-        for block in _line_blocks(table_path, SERIAL_BLOCK_LINES):
+        for block in _line_blocks(table_path, SERIAL_BLOCK_LINES, keep_newlines):
             yield fn(block)
         return
     with multiprocessing.get_context().Pool(threads) as pool:
-        yield from pool.imap(fn, _line_blocks(table_path, POOL_BLOCK_LINES))
+        yield from pool.imap(fn, _line_blocks(table_path, POOL_BLOCK_LINES, keep_newlines))
 
 
 def format_parsed_line(row: ParsedTweet) -> str:
@@ -301,7 +309,9 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
     """Read a T3 table back into ScoreRow values.
 
     A row that does not convert, or that write_scores would reject, raises
-    StoreError naming its line.
+    StoreError naming its line.  So does a last row without its newline:
+    every row is written whole, so it was cut short, and what is left of
+    it may still convert.
     """
     rows = []
     with open(table_path, encoding="utf-8", newline="") as fh:
@@ -332,4 +342,8 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
             if problem:
                 raise StoreError(f"line {reader.line_num}: {problem}")
             rows.append(row)
+        last_line = reader.line_num
+    with open(table_path, "rb") as fh:
+        if _torn(fh):
+            raise StoreError(f"line {last_line}: row cut short, the table does not end in a newline")
     return rows

@@ -20,6 +20,11 @@ Case is never changed.  Every non-whitespace character of the input
 lands in exactly one token, in order, so joining token texts and
 deleting spaces reproduces the input with its whitespace removed.
 
+The scorers read only words and hashtags, so they take the same scan's
+features instead of tokens: the lowercased text of each Word token and
+each hashtag body, in order, with a flag that marks the hashtags.  No
+Token is built on that path.
+
 >>> [t.text for t in tokenize("Can't wait!!")]
 ['Ca', "n't", 'wait', '!', '!']
 >>> [t.kind for t in tokenize("@kate #royal http://t.co/x :)")]
@@ -57,6 +62,11 @@ _SCANNER = re.compile(
 )
 
 
+# what the scorers read of a text: (lowercased text, is_hashtag) per
+# Word token and hashtag body, in order
+Features = list[tuple[str, bool]]
+
+
 @dataclass(frozen=True)
 class Token:
     text: str
@@ -80,3 +90,19 @@ def tokenize(text: str) -> list[Token]:
         else:
             tokens.extend(Token(c, PUNCT) for c in tail)
     return tokens
+
+
+def _scan_features(text: str) -> Features:
+    """The Features of a text, from the same scan as tokenize."""
+    out = []
+    append = out.append
+    # findall gives each match's groups in pattern order; a group that
+    # took no part in the match is empty
+    for _url, _emoticon, _mention, hashtag, _punct, word, contraction, _tail in _SCANNER.findall(text):
+        if word:
+            append((word.lower(), False))
+            if contraction:
+                append((contraction.lower(), False))
+        elif hashtag:
+            append((hashtag[1:].lower(), True))
+    return out

@@ -5,24 +5,28 @@ Most of this is written from first principles with exact arithmetic
 deliberately sharing no code with the package, so agreement between the
 two is meaningful.  The rest keeps earlier package code that a rewrite
 replaced: one T2 scan per aggregation spec, the stand-alone
-normalisation helper, the lexicon's linear wildcard scan, the region
-resolver's scan of every polygon, the per-chunk tokenizer and the
-tile-map strip packer that re-measured every strip.  Those are
-references for differential tests; they reuse the package's row parser,
-tokenizer, row type and crossing count, because what they pin is the
-scan and fold, not those layers.
+normalisation helper, the lexicon's linear wildcard scan, the analysers'
+scoring of Token lists (match_token per token, Naive Bayes summed per
+class), the region resolver's scan of every polygon, the per-chunk
+tokenizer and the tile-map strip packer that re-measured every strip.
+Those are references for differential tests; they reuse the package's
+row parser, tokenizer, row type and crossing count, because what they
+pin is the scan and fold, not those layers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from datetime import timedelta
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+from geosent.classifier import LABELS, NEGATIVE, POSITIVE
 from geosent.estimator import EstimatorError, compute_pss
 from geosent.georesolve import _crossings
+from geosent.lexicon import DictionaryAnalyser, match_token
 from geosent.store import UNASSIGNED, ScoreRow, _parse_parsed_line
 from geosent import emoticons
 from geosent.tokenizer import EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
@@ -126,7 +130,7 @@ def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
                 key = (bucket, row.country, "")
             else:
                 key = (bucket, row.county, row.country)
-            pos, neg = analyser.counts(tokenize(row.text))
+            pos, neg = token_counts(analyser, tokenize(row.text))
             cell = cells.setdefault(key, [0, 0, 0])
             cell[0] += pos
             cell[1] += neg
@@ -161,6 +165,53 @@ def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
                 row.npss = row.pss / top
     rows.sort(key=lambda r: (r.bucket_start, r.region))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# scoring Token lists: the analysers before they read features
+
+
+def token_counts(analyser, tokens):
+    """A Dictionary or MachineLearning analyser's counts of one tweet's tokens."""
+    if isinstance(analyser, DictionaryAnalyser):
+        pos = neg = 0
+        for token in tokens:
+            strength = match_token(analyser.lexicon, token, analyser.hashtag_match)
+            if strength is None:
+                continue
+            if strength > 0:
+                pos += 1
+            else:
+                neg += 1
+        return pos, neg
+    return (1, 0) if margin_per_class(analyser.model, token_features(tokens)) >= 0.0 else (0, 1)
+
+
+def token_features(tokens):
+    """The Naive Bayes features of a tokenized text: lowercased words and hashtag bodies."""
+    out = []
+    for token in tokens:
+        if token.kind == WORD:
+            out.append(token.text.lower())
+        elif token.kind == HASHTAG:
+            out.append(token.text[1:].lower())
+    return out
+
+
+def margin_per_class(model, feats):
+    """log score(Positive) - log score(Negative), each class's log score summed on its own."""
+    total_docs = sum(model.doc_counts.values())
+    vocab_size = len(model.vocabulary)
+    toks = [t for t in feats if t in model.vocabulary]
+    scores = {}
+    for label in LABELS:
+        score = math.log(model.doc_counts[label]) - math.log(total_docs)
+        counts = model.token_counts[label]
+        denom = model.totals[label] + vocab_size
+        for tok in toks:
+            score += math.log((counts.get(tok, 0) + 1) / denom)
+        scores[label] = score
+    return scores[POSITIVE] - scores[NEGATIVE]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from geosent.classifier import (
     train,
 )
 from geosent.store import ParsedTweet
-from geosent.tokenizer import tokenize
+from geosent.tokenizer import _scan_features
 
 from conftest import utc
 from oracles import nb_label, nb_posteriors
@@ -195,6 +196,12 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.nb")
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "model.nb"
+        path.write_bytes(b"geosent-nb v1\nprior Positive 1\nprior Negative 1\ntok Positive caf\xe9 1\n")
+        with pytest.raises(ModelFormatError, match=f"^model file {re.escape(str(path))} is not UTF-8 text"):
+            load_model(path)
+
     def test_bundled_model_regenerates_byte_identical(self, tmp_path):
         # the shipped model file must stay in sync with the shipped
         # training table
@@ -265,8 +272,8 @@ class TestAnalyser:
 
     def test_tweet_counts_one_hot(self):
         analyser = ModelAnalyser(train(TWO_DOCS))
-        assert analyser.counts(tokenize("happy day")) == (1, 0)
-        assert analyser.counts(tokenize("sad cry day")) == (0, 1)
+        assert analyser.counts(_scan_features("happy day")) == (1, 0)
+        assert analyser.counts(_scan_features("sad cry day")) == (0, 1)
 
     def test_count_tweets_totals(self):
         model = train(TWO_DOCS)
@@ -279,5 +286,5 @@ class TestAnalyser:
                         "mycountry", "happycounty", "joy joy"),
         ]
         analyser = ModelAnalyser(model)
-        pos, neg = map(sum, zip(*(analyser.counts(tokenize(t.text)) for t in tweets)))
+        pos, neg = map(sum, zip(*(analyser.counts(_scan_features(t.text)) for t in tweets)))
         assert (pos, neg, analyser.unit) == (2, 1, "Tweets")

@@ -95,6 +95,32 @@ class TestExitCodes:
                       "--parsed", str(tmp_path / "out.tsv"))
         assert code == 2
 
+    @pytest.mark.parametrize("content", [b'{"type": "FeatureCollection", "name": "caf\xe9"}',
+                                         b'{"type": "FeatureCollection", "features": [' + b"9" * 5000 + b"]}"],
+                             ids=["non-utf8", "overlong-integer"])
+    def test_unreadable_region_file(self, capsys, tmp_path, corpus_file, content):
+        regions = tmp_path / "regions.geojson"
+        regions.write_bytes(content)
+        code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                             "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: region file {regions} is not ")
+        assert out == ""
+
+    @pytest.mark.parametrize("approach, flag, content", [
+        ("dictionary", "--lexicon", b"happy\t3\nsad\xff\t-2\n"),
+        ("ml", "--model", b"geosent-nb v1\nprior Positive 1\nprior Negative 1\ntok Positive caf\xe9 1\n"),
+    ], ids=["lexicon", "model"])
+    def test_non_utf8_analyser_file(self, capsys, tmp_path, parsed_table, approach, flag, content):
+        bad = tmp_path / "analyser-file"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(tmp_path / "s.tsv"), "--approach", approach,
+                             flag, str(bad), "--level", "country", *WINDOW)
+        assert code == 2
+        assert re.match(f"error: (lexicon|model) file {re.escape(str(bad))} is not UTF-8 text", err)
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_huge_integer_region_coordinate(self, capsys, tmp_path, corpus_file):
         ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
         regions = tmp_path / "regions.geojson"
@@ -127,6 +153,19 @@ class TestExitCodes:
         code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in command), "--scores", str(bad))
         assert code == 2
         assert err.startswith("error: line 2: pss nan")
+        assert not (tmp_path / "tiles.svg").exists()
+
+    @pytest.mark.parametrize("drop", [1, 2, 10, -1], ids=["newline", "last-digit", "mid-row", "first-byte"])
+    def test_score_table_cut_mid_row(self, capsys, tmp_path, daily_scores, drop):
+        lines = daily_scores.read_bytes().splitlines(keepends=True)
+        last = lines[-1]
+        bad = tmp_path / "scores.tsv"
+        bad.write_bytes(b"".join(lines[:-1]) + (last[:1] if drop == -1 else last[:-drop]))
+        code, out, err = run(capsys, "render", "--kind", "tilemap", "--scores", str(bad),
+                             "--out", str(tmp_path / "tiles.svg"))
+        assert code == 2
+        assert err.startswith(f"error: line {len(lines)}: ")
+        assert out == ""
         assert not (tmp_path / "tiles.svg").exists()
 
 

@@ -317,12 +317,16 @@ JOBS = st.lists(
 )
 
 
-def _check_against_oracle(lines, job_args, threads):
-    jobs = [
+def _jobs(job_args):
+    return [
         (AggregationSpec(level, (WINDOW[0] + timedelta(seconds=lo), WINDOW[0] + timedelta(seconds=hi)),
                          bucket, scope), ANALYSERS[k])
         for level, lo, hi, bucket, scope, k in job_args
     ]
+
+
+def _check_against_oracle(lines, job_args, threads):
+    jobs = _jobs(job_args)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t2.tsv"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -356,11 +360,29 @@ class TestFusedScan:
         ])
         shared = analyser()
         with mock.patch.object(shared, "counts", wraps=shared.counts) as counts, \
-                mock.patch.object(estimator, "tokenize", wraps=estimator.tokenize) as tokenize:
+                mock.patch.object(estimator, "_scan_features", wraps=estimator._scan_features) as scan:
             aggregate_many([(spec(level, bucket), shared)
                             for level in LEVELS for bucket in (3600, 86400)], path)
         assert counts.call_count == 2
-        assert tokenize.call_count == 2
+        assert scan.call_count == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(lines=st.lists(_VALID_ROWS, min_size=1, max_size=12), job_args=JOBS, data=st.data())
+    def test_row_cut_short_is_one_skipped_row(self, lines, job_args, data):
+        # a cut inside the text field leaves a row that parses: it must still not count
+        n = data.draw(st.integers(0, len(lines) - 1), label="whole rows kept")
+        row = lines[n].encode("utf-8")
+        cut = data.draw(st.integers(1, len(row)), label="bytes kept of the next row")
+        jobs = _jobs(job_args)
+        with tempfile.TemporaryDirectory() as tmp:
+            whole, torn = Path(tmp) / "whole.tsv", Path(tmp) / "torn.tsv"
+            whole.write_bytes(b"".join(line.encode("utf-8") + b"\n" for line in lines[:n]))
+            torn.write_bytes(whole.read_bytes() + row[:cut])
+            want = aggregate_many(jobs, whole)
+            with mock.patch.object(estimator.log, "warning") as warning:
+                got = aggregate_many(jobs, torn)
+        assert got == want
+        warning.assert_called_once_with("aggregate: skipped %d malformed parsed rows", 1)
 
 
 class TestSeries:

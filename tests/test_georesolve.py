@@ -122,6 +122,19 @@ class TestLoading:
         with pytest.raises(GeoError):
             load_regions(path)
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.geojson"
+        path.write_bytes(b'{"type": "FeatureCollection", "name": "caf\xe9", "features": []}')
+        with pytest.raises(GeoError, match=f"^region file {re.escape(str(path))} is not UTF-8 text"):
+            load_regions(path)
+
+    def test_overlong_integer_named(self, tmp_path):
+        # more digits than Python converts to int by default (4,300)
+        path = tmp_path / "long.geojson"
+        path.write_text('{"type": "FeatureCollection", "features": [' + "9" * 5000 + "]}")
+        with pytest.raises(GeoError, match=f"^region file {re.escape(str(path))} is not valid JSON"):
+            load_regions(path)
+
 
 class TestContains:
     def test_inside_and_outside(self, simple_index):

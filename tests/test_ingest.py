@@ -218,6 +218,25 @@ class TestParseCorpus:
         assert results[0] == results[1]
         assert results[0][0].accepted == results[0][0].lines_read > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_raw_table_cut_mid_line_is_one_malformed_record(self, corpus_file, regions_file, data):
+        # a cut after the closing brace would leave a whole record, which is kept
+        lines = corpus_file.read_bytes().splitlines(keepends=True)
+        n = data.draw(st.integers(0, len(lines) - 1), label="whole lines kept")
+        cut = data.draw(st.integers(1, len(lines[n].rstrip(b"\n")) - 1), label="bytes kept of the next line")
+        index = load_regions(regions_file)
+        with tempfile.TemporaryDirectory() as tmp:
+            whole, torn = Path(tmp) / "whole.jsonl", Path(tmp) / "torn.jsonl"
+            whole.write_bytes(b"".join(lines[:n]))
+            torn.write_bytes(b"".join(lines[:n]) + lines[n][:cut])
+            want = parse_corpus(whole, index, Path(tmp) / "whole.tsv")
+            got = parse_corpus(torn, index, Path(tmp) / "torn.tsv")
+            assert (Path(tmp) / "torn.tsv").read_bytes() == (Path(tmp) / "whole.tsv").read_bytes()
+        want.lines_read += 1
+        want.rejected_malformed += 1
+        assert got == want
+
     def test_threads_byte_identical(self, tmp_path, regions_file):
         raw = self.write_raw(tmp_path, [
             record(coordinates=[2.0 + (i % 7) * 0.9, 1.2 + (i % 5) * 0.6])

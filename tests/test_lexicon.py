@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,7 +12,7 @@ from geosent.lexicon import (
     match_token,
 )
 from geosent.store import ParsedTweet
-from geosent.tokenizer import HASHTAG, KINDS, WORD, Token, tokenize
+from geosent.tokenizer import HASHTAG, KINDS, WORD, Token, _scan_features, tokenize
 
 from conftest import utc
 from oracles import match_token_linear
@@ -69,6 +70,12 @@ class TestLoading:
         lex = make_lexicon(tmp_path, ["happy\t3", "happy\t-1"])
         assert lex.exact["happy"] == -1
         assert any("duplicate" in r.message for r in caplog.records)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"happy\t3\nsad\xff\t-2\n")
+        with pytest.raises(LexiconError, match=f"^lexicon file {re.escape(str(path))} is not UTF-8 text"):
+            load_lexicon(path)
 
 
 class TestMatching:
@@ -170,13 +177,13 @@ class TestAgainstLinearScan:
 
 class TestCounting:
     def test_word_unit_counts(self, lex):
-        pos, neg = DictionaryAnalyser(lex).counts(tokenize("happy happy sad day"))
+        pos, neg = DictionaryAnalyser(lex).counts(_scan_features("happy happy sad day"))
         assert (pos, neg) == (2, 1)
 
     def test_only_sign_matters(self, tmp_path):
         lex = make_lexicon(tmp_path, ["great\t5", "nice\t1", "bad\t-5"])
         analyser = DictionaryAnalyser(lex)
-        assert analyser.counts(tokenize("great nice bad")) == (2, 1)
+        assert analyser.counts(_scan_features("great nice bad")) == (2, 1)
 
     def test_corpus_totals(self, lex):
         rows = [
@@ -184,7 +191,7 @@ class TestCounting:
             for text in ["happy joy", "sad awful day", "nothing here"]
         ]
         analyser = DictionaryAnalyser(lex)
-        pos, neg = map(sum, zip(*(analyser.counts(tokenize(row.text)) for row in rows)))
+        pos, neg = map(sum, zip(*(analyser.counts(_scan_features(row.text)) for row in rows)))
         assert pos == 2
         assert neg == 2
         assert analyser.unit == "Words"

@@ -164,6 +164,14 @@ class TestMapBlocks:
         path.write_bytes(b"")
         assert list(map_blocks(list, path, threads=1)) == []
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_keep_newlines_shows_the_line_cut_short(self, tmp_path, threads):
+        path = tmp_path / "table"
+        path.write_bytes(self.BYTES)
+        with mock.patch.object(store, "POOL_BLOCK_LINES", 4):
+            blocks = list(map_blocks(list, path, threads=threads, keep_newlines=True))
+        assert [line for block in blocks for line in block] == [line + b"\n" for line in self.LINES[:-1]] + [self.LINES[-1]]
+
 
 class TestScoreTable:
     def test_round_trip_exact(self, tmp_path):
@@ -250,6 +258,18 @@ class TestScoreTable:
         path.write_text(header + first + second.replace(old, new, 1) + third)
         with pytest.raises(StoreError, match=f"^line 3: {message}"):
             read_scores(path)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_read_names_a_row_cut_short(self, tmp_path, row):
+        # every cut, including those that leave a readable row ("0.25" -> "0.2")
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row(npss=0.25), score_row(region="kent"), score_row(region="fife")])
+        lines = path.read_bytes().splitlines(keepends=True)
+        kept, cut_row = b"".join(lines[:row + 1]), lines[row + 1]
+        for cut in range(1, len(cut_row)):
+            path.write_bytes(kept + cut_row[:cut])
+            with pytest.raises(StoreError, match=f"^line {row + 2}: "):
+                read_scores(path)
 
 
 def test_score_row_pss_tolerance_is_relative():
