@@ -26,6 +26,7 @@ from .estimator import (
     aggregate_many,
     compute_pss,
     correlate,
+    parse_and_aggregate,
     series_from_rows,
 )
 from .georesolve import RegionIndex, load_regions, resolve
@@ -75,6 +76,7 @@ __all__ = [
     "load_model",
     "load_regions",
     "match_token",
+    "parse_and_aggregate",
     "parse_corpus",
     "parse_record",
     "read_scores",

@@ -261,7 +261,7 @@ def load_model(path: str | Path) -> NBModel:
     lines = raw.splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         head = lines[0] if lines else ""
-        raise ModelFormatError(f"bad model header {head!r}, expected {MODEL_HEADER!r}")
+        raise ModelFormatError(f"{path}: bad model header {head!r}, expected {MODEL_HEADER!r}")
     doc_counts: dict[str, int] = {}
     token_counts: dict[str, dict[str, int]] = {label: {} for label in LABELS}
     for number, line in enumerate(lines[1:], start=2):
@@ -276,10 +276,10 @@ def load_model(path: str | Path) -> NBModel:
             else:
                 raise ValueError(f"unrecognised line {line!r}")
         except ValueError as exc:
-            raise ModelFormatError(f"model file line {number}: {exc}") from None
+            raise ModelFormatError(f"{path}: line {number}: {exc}") from None
     missing = [label for label in LABELS if label not in doc_counts]
     if missing:
-        raise ModelFormatError(f"model file missing prior for {', '.join(missing)}")
+        raise ModelFormatError(f"{path}: missing prior for {', '.join(missing)}")
     totals = {label: sum(token_counts[label].values()) for label in LABELS}
     return NBModel(doc_counts=doc_counts, token_counts=token_counts, totals=totals)
 

@@ -39,6 +39,7 @@ from .estimator import (
     EstimatorError,
     aggregate_many,
     correlate,
+    parse_and_aggregate,
     series_from_rows,
 )
 from .gencorpus import GenerateError, generate, parse_mix
@@ -331,7 +332,7 @@ def _cmd_gen_corpus(args):
 
 def _cmd_pipeline(args):
     _require(args, "raw", "regions", "parsed", "scores", "start", "end")
-    # Every setting is checked before parse_corpus replaces the parsed table.
+    # Every setting is checked before the parsed table is replaced.
     if args.line_out and not args.line_region:
         raise UsageError("line_out needs line_region")
     for out, level in ((args.kml_out, "Country"), (args.tilemap_out, "County")):
@@ -359,16 +360,14 @@ def _cmd_pipeline(args):
     analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
                  for approach in args.approaches}
 
-    log.info("pipeline: parsing %s", args.raw)
-    stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
+    jobs = [(spec, analysers[approach]) for approach in args.approaches for spec in specs]
+    jobs += [(spec, analysers[approach]) for approach in args.approaches for spec in line_specs]
+    log.info("pipeline: parsing %s and scoring %d jobs in one pass", args.raw, len(jobs))
+    stats, results = parse_and_aggregate(args.raw, index, args.parsed, jobs, threads=args.threads)
     print(f"lines_read={stats.lines_read}")
     print(f"accepted={stats.accepted}")
     print(f"parsed={args.parsed}")
 
-    jobs = [(spec, analysers[approach]) for approach in args.approaches for spec in specs]
-    jobs += [(spec, analysers[approach]) for approach in args.approaches for spec in line_specs]
-    log.info("pipeline: scoring %d jobs in one scan", len(jobs))
-    results = aggregate_many(jobs, args.parsed, threads=args.threads)
     split = len(args.approaches) * len(specs)
     table = [row for rows in results[:split] for row in rows]
     line_table = [row for rows in results[split:] for row in rows]

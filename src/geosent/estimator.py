@@ -8,32 +8,43 @@ under one parent with norm_scope="siblings".  Scores keep full float
 precision here; rounding happens at render time.
 
 aggregate_many() makes one scan of a parsed table for every requested
-(spec, analyser) job.  Each row is parsed once and its features (the
-tokenizer's lowercased words and hashtag bodies) are scanned once; each
-distinct analyser (lexicon counter or classifier) scores those features
-once, and the counts fold into the cells of every job whose window
-holds the row.  Buckets count from the window start (the final bucket
-may be truncated).  aggregate() is the single-job case.  The scan runs
-on store.map_blocks, in-process or over a process pool; block results
-merge by addition in file order, so the output is identical whatever
-the thread count.  A line that is not valid UTF-8 or not a valid row is
-skipped and counted.  Window endpoints are timezone-aware instants.
+(spec, analyser) job: it decodes the T2 lines and folds the rows.  A
+line that is not valid UTF-8 or not a valid row is skipped and counted.
+parse_and_aggregate() makes one pass over a raw table instead: the rows
+ingest produces are written to T2 and folded in the same block, so T2
+is never read back.  aggregate() is the single-job case.
+
+The fold is shared.  Each row's instant becomes an integer count of
+microseconds once, and its features (the tokenizer's lowercased words
+and hashtag bodies) are scanned once; each distinct analyser (lexicon
+counter or classifier) scores those features once, and the counts fold
+into the cells of every job whose window holds the row.  Buckets count
+from the window start (the final bucket may be truncated).  Window
+endpoints are timezone-aware instants and may carry microseconds.  Both
+scans run on store.map_blocks, in-process or over a process pool; block
+results merge by addition in file order, so the output is identical
+whatever the thread count.
 """
 from __future__ import annotations
 
 import functools
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .store import LEVELS, ScoreRow, _parse_parsed_line, map_blocks
+from .georesolve import RegionIndex
+from .ingest import CollectorStats, _batches, _parsed_rows, _t2_text, _write_parsed
+from .store import LEVELS, ParsedTweet, ScoreRow, _parse_parsed_line, map_blocks
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("level", "siblings")
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 class EstimatorError(Exception):
@@ -86,41 +97,32 @@ class AggregationSpec:
             raise EstimatorError("window start must precede window end")
 
 
-def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple[list[dict], int]:
-    """Fold one block of T2 lines into partial cell counts for every job.
+def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet]) -> list[dict]:
+    """Fold rows into partial cell counts for every job.
 
     plan holds one (start, end, bucket_seconds, country_level, analyser
-    slot) entry per job.  Lines keep their LF: a last line without one
-    was cut short, so it is skipped even where what is left parses.  A
-    row's features are scanned only when some job's window holds it,
-    and each analyser scores it at most once.
+    slot) entry per job, its window in microseconds since the epoch.  A
+    row's instant is converted once, its features are scanned only when
+    some job's window holds it, and each analyser scores it at most once.
     """
     memos: list[dict] = [{} for _ in analysers]
     cells: list[dict] = [{} for _ in plan]
-    skipped = 0
-    for line in lines:
-        if line == b"\n":
-            continue
-        if line[-1:] != b"\n":
-            skipped += 1
-            continue
-        try:
-            row = _parse_parsed_line(line[:-1].decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError included
-            skipped += 1
-            continue
-        ts = row.timestamp
+    jobs = list(zip(cells, plan))
+    for row in rows:
+        instant = (row.timestamp - _EPOCH) // _MICROSECOND
         features = None
         scored: list = [None] * len(analysers)
-        for part, (start, end, bucket_seconds, country_level, slot) in zip(cells, plan):
-            if not start <= ts < end:
+        for part, (start, end, bucket_seconds, country_level, slot) in jobs:
+            if not start <= instant < end:
                 continue
             if features is None:
                 features = _scan_features(row.text)
             counts = scored[slot]
             if counts is None:
                 counts = scored[slot] = analysers[slot].counts(features, memos[slot])
-            bucket = int((ts - start).total_seconds()) // bucket_seconds
+            # divide as timedelta.total_seconds() does: over windows longer than 2^33 s its
+            # float rounding moves a microsecond below a whole second up to that second
+            bucket = int((instant - start) / 1_000_000) // bucket_seconds
             if country_level:
                 key = (bucket, row.country, "")
             else:
@@ -133,34 +135,79 @@ def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple
                 cell[0] += pos
                 cell[1] += neg
                 cell[2] += 1
+    return cells
+
+
+def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple[list[dict], int]:
+    """Decode one block of T2 lines and fold its rows; returns cells and rows skipped.
+
+    Lines keep their LF: a last line without one was cut short, so it is
+    skipped even where what is left parses.
+    """
+    skipped = 0
+
+    def rows() -> Iterator[ParsedTweet]:
+        nonlocal skipped
+        for line in lines:
+            if line == b"\n":
+                continue
+            if line[-1:] != b"\n":
+                skipped += 1
+                continue
+            try:
+                row = _parse_parsed_line(line[:-1].decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                skipped += 1
+                continue
+            yield row
+
+    cells = _fold_rows(analysers, plan, rows())
     return cells, skipped
 
 
-def _merge_blocks(cells: list[dict], parts: Iterable[tuple[list[dict], int]]) -> int:
-    """Add block results into cells, in file order; returns rows skipped."""
-    skipped = 0
-    for part, bad in parts:
-        skipped += bad
-        for target, got in zip(cells, part):
-            for key, (pos, neg, tweets) in got.items():
-                cell = target.get(key)
-                if cell is None:
-                    target[key] = [pos, neg, tweets]
-                else:
-                    cell[0] += pos
-                    cell[1] += neg
-                    cell[2] += tweets
-    return skipped
+def _parse_fold_block(index: RegionIndex, analysers: list, plan: list[tuple],
+                      lines: list[bytes]) -> tuple[list[str], CollectorStats, list[dict]]:
+    """Parse one block of raw lines into T2 text pieces, their counts and folded cells.
+
+    Rows reach the fold a batch at a time, as their T2 text is made.
+    """
+    stats = CollectorStats()
+    pieces: list[str] = []
+
+    def rows() -> Iterator[ParsedTweet]:
+        for batch in _batches(_parsed_rows(index, lines, stats)):
+            pieces.append(_t2_text(batch))
+            yield from batch
+
+    cells = _fold_rows(analysers, plan, rows())
+    return pieces, stats, cells
+
+
+def _merge_cells(cells: list[dict], part: list[dict]) -> None:
+    """Add one block's cells into cells; blocks arrive in file order."""
+    for target, got in zip(cells, part):
+        for key, (pos, neg, tweets) in got.items():
+            cell = target.get(key)
+            if cell is None:
+                target[key] = [pos, neg, tweets]
+            else:
+                cell[0] += pos
+                cell[1] += neg
+                cell[2] += tweets
 
 
 def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[ScoreRow]:
     """Scored, normalised and sorted rows of one job's cells."""
     start, end = spec.window
     delta = timedelta(seconds=spec.bucket_seconds)
+    bounds: dict[int, tuple[datetime, datetime]] = {}
     rows: list[ScoreRow] = []
     for (bucket, region, parent), (pos, neg, tweets) in cells.items():
-        bucket_start = start + bucket * delta
-        bucket_end = min(bucket_start + delta, end)
+        got = bounds.get(bucket)
+        if got is None:
+            bucket_start = start + bucket * delta
+            got = bounds[bucket] = (bucket_start, min(bucket_start + delta, end))
+        bucket_start, bucket_end = got
         rows.append(ScoreRow(
             approach=approach,
             level=spec.level,
@@ -192,6 +239,24 @@ def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[Score
     return rows
 
 
+def _plan(jobs: Sequence[tuple[AggregationSpec, Analyser]], threads: int) -> tuple[list, list[tuple]]:
+    """Check every spec and the thread count; the distinct analysers and each job's fold entry."""
+    if threads < 1:
+        raise EstimatorError("threads must be at least 1")
+    analysers: list = []
+    slots: dict[int, int] = {}
+    plan = []
+    for spec, analyser in jobs:
+        spec.validate()
+        if id(analyser) not in slots:
+            slots[id(analyser)] = len(analysers)
+            analysers.append(analyser)
+        start, end = spec.window
+        plan.append(((start - _EPOCH) // _MICROSECOND, (end - _EPOCH) // _MICROSECOND,
+                     spec.bucket_seconds, spec.level == "Country", slots[id(analyser)]))
+    return analysers, plan
+
+
 def aggregate_many(
     jobs: Sequence[tuple[AggregationSpec, Analyser]],
     parsed_path: str | Path,
@@ -204,25 +269,46 @@ def aggregate_many(
     thread count are validated before the scan starts.  Jobs that share
     an analyser object share its per-tweet scoring.
     """
-    if threads < 1:
-        raise EstimatorError("threads must be at least 1")
-    analysers: list = []
-    slots: dict[int, int] = {}
-    plan = []
-    for spec, analyser in jobs:
-        spec.validate()
-        if id(analyser) not in slots:
-            slots[id(analyser)] = len(analysers)
-            analysers.append(analyser)
-        start, end = spec.window
-        plan.append((start, end, spec.bucket_seconds, spec.level == "Country", slots[id(analyser)]))
-    fold = functools.partial(_fold_block, analysers, plan)
+    analysers, plan = _plan(jobs, threads)
     cells: list[dict] = [{} for _ in plan]
-    skipped = _merge_blocks(cells, map_blocks(fold, parsed_path, threads, keep_newlines=True))
+    skipped = 0
+    for part, bad in map_blocks(functools.partial(_fold_block, analysers, plan), parsed_path,
+                                threads, keep_newlines=True):
+        _merge_cells(cells, part)
+        skipped += bad
     if skipped:
         log.warning("aggregate: skipped %d malformed parsed rows", skipped)
     return [_score_rows(spec, analyser.approach, part)
             for (spec, analyser), part in zip(jobs, cells)]
+
+
+def parse_and_aggregate(
+    raw_path: str | Path,
+    index: RegionIndex,
+    parsed_path: str | Path,
+    jobs: Sequence[tuple[AggregationSpec, Analyser]],
+    threads: int = 1,
+) -> tuple[CollectorStats, list[list[ScoreRow]]]:
+    """Parse a raw table into parsed_path and score every job, in one pass.
+
+    Gives the counts parse_corpus gives and the rows aggregate_many gives
+    on the table it writes, with the same bytes in that table, without
+    reading it back.  Every spec and the thread count are validated
+    before the parsed table is touched; it is replaced only once the
+    whole raw table has been read.
+    """
+    analysers, plan = _plan(jobs, threads)
+    cells: list[dict] = [{} for _ in plan]
+
+    def blocks() -> Iterator[tuple[list[str], CollectorStats]]:
+        fold = functools.partial(_parse_fold_block, index, analysers, plan)
+        for pieces, stats, part in map_blocks(fold, raw_path, threads):
+            _merge_cells(cells, part)
+            yield pieces, stats
+
+    stats = _write_parsed(parsed_path, blocks())
+    return stats, [_score_rows(spec, analyser.approach, part)
+                   for (spec, analyser), part in zip(jobs, cells)]
 
 
 def aggregate(

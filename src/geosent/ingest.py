@@ -7,26 +7,38 @@ survives only if it carries an id, a creation time we can read, a geo
 point, and a text; the point must then land inside a known region.
 Everything else is counted and dropped, never silently.
 
-parse_corpus() runs on store.map_blocks: each block of raw lines comes
-back as T2 lines plus its CollectorStats, in file order, whatever the
-thread count.
+_parsed_rows() is the one row producer: it parses, resolves and
+validates a block of raw lines, counts each line's fate, and yields the
+rows that reach T2 one at a time.  parse_corpus() formats them into T2
+lines; estimator.parse_and_aggregate() also folds them into score cells
+in the same pass.  Both run on store.map_blocks and write T2 through
+_write_parsed(), in file order, whatever the thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Iterator
 
 from .georesolve import RegionIndex, resolve
 from .store import ParsedTweet, RawTable, format_parsed_line, map_blocks, parse_instant, staged
 
 log = logging.getLogger(__name__)
+
+PROGRESS_LINES = 500_000  # parsing logs progress each time this many more raw lines are read
+
+# Parsed rows go on to be formatted (and, in the pipeline's one pass, scored) in
+# batches this long.  Row by row the one pass costs about a tenth more time, as
+# each stage evicts the other's tables from the CPU caches.  Batches, not whole
+# blocks, so neither the rows nor their T2 lines are held a block at a time.
+ROWS_PER_BATCH = 256
 
 NO_GEO = "no_geo"
 MALFORMED = "malformed"
@@ -118,15 +130,16 @@ def _parse_created_at(value: str) -> datetime | None:
                 int(m.group("year")), month, int(m.group("day")),
                 int(m.group("h")), int(m.group("m")), int(m.group("s")),
                 tzinfo=timezone(offset),
-            )
-        except ValueError:
+            ).astimezone(timezone.utc)
+        except (ValueError, OverflowError):  # no such date, or none in UTC
             return None
-        return stamp.astimezone(timezone.utc)
-    try:
-        stamp = parse_instant(value)
-    except ValueError:
-        return None
-    return stamp.replace(microsecond=0)
+    else:
+        try:
+            stamp = parse_instant(value).replace(microsecond=0)
+        except (ValueError, OverflowError):
+            return None
+    # T2 writes a year before 1000 without its leading zeros, which no reader takes back
+    return stamp if stamp.year >= 1000 else None
 
 
 def _coordinates_of(record: dict) -> tuple[float, float] | None:
@@ -156,6 +169,17 @@ def sanitize_text(text: str) -> str:
     )
 
 
+def _utf8_text(text: str) -> bool:
+    """Whether text encodes as UTF-8: JSON's \\u escapes can leave a lone surrogate."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     """Parse one raw line; returns a candidate or a rejection reason."""
     try:
@@ -170,7 +194,7 @@ def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     tweet_id = record.get("id_str")
     if tweet_id is None and "id" in record:
         tweet_id = str(record["id"])
-    if not isinstance(tweet_id, str) or not tweet_id:
+    if not isinstance(tweet_id, str) or not tweet_id or not _utf8_text(tweet_id):
         return MALFORMED
 
     created = record.get("created_at")
@@ -181,7 +205,7 @@ def parse_record(payload: bytes | str) -> ParsedCandidate | str:
         return MALFORMED
 
     text = record.get("text")
-    if not isinstance(text, str):
+    if not isinstance(text, str) or not _utf8_text(text):
         return MALFORMED
 
     if "coordinates" not in record or record.get("coordinates") is None:
@@ -196,10 +220,13 @@ def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     return ParsedCandidate(tweet_id, stamp, lat, lon, sanitize_text(text))
 
 
-def _parse_block(index: RegionIndex, lines: list[bytes]) -> tuple[list[str], CollectorStats]:
-    """Parse and resolve one block of raw lines into T2 lines and counts."""
-    out: list[str] = []
-    stats = CollectorStats(lines_read=len(lines))
+def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) -> Iterator[ParsedTweet]:
+    """Yield the rows of a block of raw lines that reach T2, in order.
+
+    Each line is parsed, resolved and validated; its fate is counted in
+    stats.  Rows are yielded one at a time, so no block of them is held.
+    """
+    stats.lines_read += len(lines)
     for payload in lines:
         got = parse_record(payload)
         if got == NO_GEO:
@@ -228,9 +255,47 @@ def _parse_block(index: RegionIndex, lines: list[bytes]) -> tuple[list[str], Col
         except ValueError:
             stats.rejected_malformed += 1
             continue
-        out.append(format_parsed_line(row))
         stats.accepted += 1
-    return out, stats
+        yield row
+
+
+def _batches(rows: Iterator[ParsedTweet]) -> Iterator[list[ParsedTweet]]:
+    """Rows in lists of ROWS_PER_BATCH, the last one shorter."""
+    while batch := list(itertools.islice(rows, ROWS_PER_BATCH)):
+        yield batch
+
+
+def _t2_text(rows: list[ParsedTweet]) -> str:
+    """The T2 lines of rows, each ending in LF."""
+    return "\n".join([*map(format_parsed_line, rows), ""])
+
+
+def _parse_block(index: RegionIndex, lines: list[bytes]) -> tuple[list[str], CollectorStats]:
+    """Parse and resolve one block of raw lines into T2 text, one piece per batch, and counts."""
+    stats = CollectorStats()
+    return [_t2_text(batch) for batch in _batches(_parsed_rows(index, lines, stats))], stats
+
+
+def _write_parsed(parsed_path: str | Path,
+                  blocks: Iterable[tuple[list[str], CollectorStats]]) -> CollectorStats:
+    """Write blocks of T2 text pieces to the parsed table in order; returns their merged counts.
+
+    The table is written to a temporary sibling that replaces parsed_path
+    only once every block is in, so a failed run leaves any earlier
+    parsed table as it was.  Progress is logged each time another
+    PROGRESS_LINES raw lines have been read, whatever the block size.
+    """
+    stats = CollectorStats()
+    with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as sink:
+        for pieces, counts in blocks:
+            before = stats.lines_read
+            stats.merge(counts)
+            sink.writelines(pieces)
+            if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
+                log.info("parse: %d lines in", stats.lines_read)
+    if stats.rejected_malformed:
+        log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
+    return stats
 
 
 def parse_corpus(
@@ -248,14 +313,5 @@ def parse_corpus(
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    stats = CollectorStats()
-    with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as sink:
-        for lines, counts in map_blocks(functools.partial(_parse_block, index), raw_path, threads):
-            stats.merge(counts)
-            if lines:
-                sink.write("\n".join(lines) + "\n")
-            if stats.lines_read % 500_000 == 0:
-                log.info("parse: %d lines in", stats.lines_read)
-    if stats.rejected_malformed:
-        log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
-    return stats
+    return _write_parsed(parsed_path, map_blocks(functools.partial(_parse_block, index),
+                                                 raw_path, threads))

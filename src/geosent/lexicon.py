@@ -75,23 +75,23 @@ def load_lexicon(path: str | Path) -> Lexicon:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise LexiconError(f"line {number}: expected pattern<TAB>strength")
+            raise LexiconError(f"{path}: line {number}: expected pattern<TAB>strength")
         pattern, raw_strength = parts[0].strip().lower(), parts[1].strip()
         try:
             strength = int(raw_strength)
         except ValueError:
-            raise LexiconError(f"line {number}: strength {raw_strength!r} is not an integer") from None
+            raise LexiconError(f"{path}: line {number}: strength {raw_strength!r} is not an integer") from None
         if strength == 0 or not -5 <= strength <= 5:
-            raise LexiconError(f"line {number}: strength must be in -5..-1 or 1..5")
+            raise LexiconError(f"{path}: line {number}: strength must be in -5..-1 or 1..5")
         wildcard = pattern.endswith("*")
         if wildcard:
             pattern = pattern[:-1]
         if not pattern:
-            raise LexiconError(f"line {number}: empty pattern")
+            raise LexiconError(f"{path}: line {number}: empty pattern")
         if "*" in pattern:
-            raise LexiconError(f"line {number}: * is only allowed at the end of a pattern")
+            raise LexiconError(f"{path}: line {number}: * is only allowed at the end of a pattern")
         if pattern.split() != [pattern]:  # the tokenizer would cut it: no token can match
-            raise LexiconError(f"line {number}: pattern {pattern!r} contains whitespace, which no token has")
+            raise LexiconError(f"{path}: line {number}: pattern {pattern!r} contains whitespace, which no token has")
         table = wild if wildcard else exact
         if pattern in table:
             log.warning("lexicon line %d: duplicate pattern %r, keeping the later entry", number, pattern)

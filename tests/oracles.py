@@ -8,7 +8,8 @@ replaced: one T2 scan per aggregation spec, the stand-alone
 normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
 class), the region resolver's scan of every polygon, the per-chunk
-tokenizer and the tile-map strip packer that re-measured every strip.
+tokenizer, the tile-map strip packer that re-measured every strip, the
+timedelta bucket rule and the strftime instant formatter.
 Those are references for differential tests; they reuse the package's
 row parser, tokenizer, row type and crossing count, because what they
 pin is the scan and fold, not those layers.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 import string
-from datetime import timedelta
+from datetime import timedelta, timezone
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -108,6 +109,16 @@ def normalize(group: list[tuple[str, float]]) -> list[tuple[str, float]]:
     return [(region, pss / top) for region, pss in group]
 
 
+def bucket_of(ts, start, bucket_seconds) -> int:
+    """The bucket of an instant in a window starting at start: the timedelta rule."""
+    return int((ts - start).total_seconds()) // bucket_seconds
+
+
+def format_instant_strftime(ts) -> str:
+    """store.format_instant before it stopped calling strftime."""
+    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
     """One scan of a parsed table for one spec: the pre-fusion aggregate."""
     spec.validate()
@@ -125,7 +136,7 @@ def aggregate_per_pass(spec, parsed_path, analyser) -> list[ScoreRow]:
             ts = row.timestamp
             if not start <= ts < end:
                 continue
-            bucket = int((ts - start).total_seconds()) // spec.bucket_seconds
+            bucket = bucket_of(ts, start, spec.bucket_seconds)
             if spec.level == "Country":
                 key = (bucket, row.country, "")
             else:

@@ -121,6 +121,33 @@ class TestExitCodes:
         assert re.match(f"error: (lexicon|model) file {re.escape(str(bad))} is not UTF-8 text", err)
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_bad_lexicon_line_names_the_file(self, capsys, tmp_path, corpus_file, regions_file):
+        # pipeline reads regions, lexicon and model: the message must say which file is wrong
+        bad = tmp_path / "bad-lexicon.tsv"
+        bad.write_text("happy\t3\nno strength here\n", encoding="utf-8")
+        code, out, err = run(capsys, "pipeline", "--raw", str(corpus_file), "--regions",
+                             str(regions_file), "--parsed", str(tmp_path / "p.tsv"),
+                             "--scores", str(tmp_path / "s.tsv"), "--lexicon", str(bad), *WINDOW)
+        assert code == 2
+        assert err == f"error: {bad}: line 2: expected pattern<TAB>strength\n"
+        assert out == ""
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("content, problem", [
+        ("not a model\n", "bad model header 'not a model'"),
+        ("geosent-nb v1\nprior Positive 1\nprior Negative x\n", "line 3: invalid literal"),
+        ("geosent-nb v1\nprior Positive 1\n", "missing prior for Negative"),
+    ], ids=["header", "line", "prior"])
+    def test_bad_model_names_the_file(self, capsys, tmp_path, parsed_table, content, problem):
+        bad = tmp_path / "bad-model.nb"
+        bad.write_text(content, encoding="utf-8")
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(tmp_path / "s.tsv"), "--approach", "ml",
+                             "--model", str(bad), "--level", "country", *WINDOW)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: {problem}")
+        assert out == ""
+
     def test_huge_integer_region_coordinate(self, capsys, tmp_path, corpus_file):
         ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
         regions = tmp_path / "regions.geojson"
@@ -543,6 +570,29 @@ class TestPipeline:
         capsys.readouterr()
         assert solo_kml.read_bytes() == (tmp_path / "map.kml").read_bytes()
 
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_lone_surrogate_costs_only_its_record(self, capsys, corpus_file, regions_file,
+                                                  tmp_path, threads):
+        lines = corpus_file.read_bytes().splitlines(keepends=True)
+        broken = json.loads(lines[0])
+        broken["text"] = "broken \ud83d emoji"  # a truncated emoji
+        with_bad = tmp_path / "t1.jsonl"
+        with_bad.write_bytes(b"".join(lines[:2]) + json.dumps(broken).encode() + b"\n"
+                             + b"".join(lines[2:]))
+
+        def pipeline(raw, name):
+            return run(capsys, "pipeline", "--raw", str(raw), "--regions", str(regions_file),
+                       "--parsed", str(tmp_path / f"{name}.tsv"),
+                       "--scores", str(tmp_path / f"{name}.csv"), "--threads", threads, *WINDOW)
+
+        code, out, err = pipeline(with_bad, "bad")
+        assert code == 0, err
+        assert pipeline(corpus_file, "good")[0] == 0
+        assert keyvals(out)["lines_read"] == str(len(lines) + 1)
+        assert keyvals(out)["accepted"] == "9"
+        for suffix in ("tsv", "csv"):
+            assert (tmp_path / f"bad.{suffix}").read_bytes() == (tmp_path / f"good.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("setting", [
         "norm_scope = bogus",

@@ -1,14 +1,16 @@
+import json
+import logging
 import math
 import multiprocessing
 import tempfile
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from geosent import estimator, store
+from geosent import bundled, estimator, ingest, store
 from geosent.classifier import LabeledTweet, ModelAnalyser, train
 from geosent.estimator import (
     NORM_SCOPES,
@@ -20,13 +22,16 @@ from geosent.estimator import (
     aggregate_many,
     compute_pss,
     correlate,
+    parse_and_aggregate,
     series_from_rows,
 )
+from geosent.georesolve import load_regions
+from geosent.ingest import parse_corpus
 from geosent.lexicon import DictionaryAnalyser, Lexicon
 from geosent.store import LEVELS, format_parsed_line, ParsedTweet
 
-from conftest import utc, write_parsed
-from oracles import aggregate_per_pass, normalize, pearson_decimal
+from conftest import fail_on_call, utc, write_parsed
+from oracles import aggregate_per_pass, bucket_of, normalize, pearson_decimal
 
 LEX = Lexicon(
     exact={"good": 2, "fine": 1, "bad": -2, "grim": -1},
@@ -383,6 +388,205 @@ class TestFusedScan:
                 got = aggregate_many(jobs, torn)
         assert got == want
         warning.assert_called_once_with("aggregate: skipped %d malformed parsed rows", 1)
+
+
+# ---------------------------------------------------------------------------
+# the one pass over T1 against parsing it, then scoring the parsed table
+
+REGIONS = load_regions(bundled.regions_path())
+# (lon, lat): happycounty, sadcounty, the country outside both, off the map
+_POINTS = st.sampled_from([[2.0, 2.0], [7.0, 2.0], [5.0, 5.0], [50.0, 50.0]])
+_TEXTS = st.lists(st.sampled_from(["good", "fine", "bad", "grim", "bath", "Bat", "#good", "@bad",
+                                   "http://x.co/good", "don't", "sun!", "caf\xe9", "tab\tgood",
+                                   "new\nline", "cr\r\nbad"]), max_size=6).map(" ".join)
+_INSTANTS = st.one_of(st.integers(-3 * 3600, 27 * 3600),
+                      st.sampled_from([-1, 0, 6 * 3600, 6 * 3600 + 1, 12 * 3600 - 1, 12 * 3600, 24 * 3600])
+                      ).map(lambda seconds: WINDOW[0] + timedelta(seconds=seconds))
+
+
+def _classic(ts, hours):
+    """Twitter's created_at for an instant, on a clock hours ahead of UTC."""
+    wall = ts + timedelta(hours=hours)
+    return f"{wall:%a %b %d %H:%M:%S} {'-' if hours < 0 else '+'}{abs(hours):02d}00 {wall.year}"
+
+
+_CREATED = st.one_of(
+    st.builds(_classic, _INSTANTS, st.integers(-12, 12)),
+    # ISO with a fraction: the row keeps the whole second
+    _INSTANTS.map(lambda ts: (ts + timedelta(microseconds=999_999)).isoformat()),
+)
+_RECORDS = st.builds(
+    lambda n, created, point, text: json.dumps({
+        "id_str": str(n), "created_at": created,
+        "coordinates": {"type": "Point", "coordinates": point}, "text": text}).encode(),
+    st.integers(0, 99), _CREATED, _POINTS, _TEXTS,
+)
+
+
+def _raw(**fields):
+    record = {"id_str": "7", "created_at": "Mon Jul 22 10:00:00 +0000 2013",
+              "coordinates": [2.0, 2.0], "text": "good"}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if v is not ...}).encode()
+
+
+# every reject path: no geo, malformed, fails ParsedTweet.validate, unresolved
+REJECT_LINES = [
+    _raw(coordinates=...), _raw(coordinates=None),
+    b"{broken", b"", b"\xff\xfe", b'"just a string"', _raw(id_str=...), _raw(created_at="yesterday"),
+    _raw(created_at="Mon Jul 22 10:00:00 +0000 0999"), _raw(created_at="0001-01-01T00:30:00+01:00"),
+    _raw(coordinates=[True, False]), _raw(coordinates=[2.0, 95.0]), _raw(text=7),
+    _raw(text="broken \ud83d emoji"), _raw(id_str="4\udc002"),
+    _raw(id_str="tab\tid"), _raw(id_str="cr\rid"),
+    _raw(coordinates=[50.0, 50.0]),
+    _raw() + b"\r",  # a CRLF line end
+]
+_REJECTS = st.sampled_from(REJECT_LINES)
+RAW_TABLES = st.tuples(st.lists(st.one_of(_RECORDS, _RECORDS, _REJECTS), max_size=30), st.booleans()).map(
+    lambda t: b"".join(line + b"\n" for line in t[0])[:-1 if t[1] and t[0] else None])
+ONE_PASS_JOBS = st.lists(
+    st.tuples(
+        st.sampled_from(LEVELS),
+        st.sampled_from([0, 6 * 3600, 6 * 3600 + 0.5]),             # a start in mid-second
+        st.sampled_from([12 * 3600, 12 * 3600 + 0.000_001, 24 * 3600]),
+        st.sampled_from([600, 3600, 7 * 3600, 86400]),
+        st.sampled_from(NORM_SCOPES),
+        st.sampled_from(range(len(ANALYSERS))),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _check_one_pass(data, job_args, threads):
+    jobs = _jobs(job_args)
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, two, one = Path(tmp) / "t1.jsonl", Path(tmp) / "two.tsv", Path(tmp) / "one.tsv"
+        raw.write_bytes(data)
+        # small blocks, so cells and counts merge across many blocks
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(store, "POOL_BLOCK_LINES", 7):
+            want_stats = parse_corpus(raw, REGIONS, two, threads=threads)
+            want_rows = aggregate_many(jobs, two, threads=threads)
+            got_stats, got_rows = parse_and_aggregate(raw, REGIONS, one, jobs, threads=threads)
+        assert one.read_bytes() == two.read_bytes()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["one.tsv", "t1.jsonl", "two.tsv"]
+    assert got_stats == want_stats
+    assert got_rows == want_rows
+
+
+class TestOnePass:
+    @settings(max_examples=150, deadline=None)
+    @given(data=RAW_TABLES, job_args=ONE_PASS_JOBS)
+    def test_one_worker_matches_parse_then_score(self, data, job_args):
+        _check_one_pass(data, job_args, threads=1)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_pool_matches_parse_then_score(self, method, threads):
+        @settings(max_examples=8, deadline=None)
+        @given(data=RAW_TABLES, job_args=ONE_PASS_JOBS)
+        def check(data, job_args):
+            _check_one_pass(data, job_args, threads=threads)
+
+        with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+            check()
+
+    def test_every_reject_path_is_taken(self):
+        stats = ingest.CollectorStats()
+        rows = list(ingest._parsed_rows(REGIONS, REJECT_LINES, stats))
+        assert (stats.rejected_no_geo, stats.rejected_unresolved, len(rows)) == (2, 1, 1)
+        assert stats.rejected_malformed == stats.lines_read - 4
+
+    def test_bad_settings_rejected_before_the_parsed_table_is_touched(self, tmp_path):
+        parsed = tmp_path / "t2.tsv"
+        parsed.write_bytes(b"earlier\ttable\n")
+        missing = tmp_path / "never-opened.jsonl"
+        for jobs, threads in [([(spec(bucket=0), analyser())], 1), ([(spec(), analyser())], 0)]:
+            with pytest.raises(EstimatorError):
+                parse_and_aggregate(missing, REGIONS, parsed, jobs, threads=threads)
+        assert parsed.read_bytes() == b"earlier\ttable\n"
+
+    def test_failed_pass_keeps_the_old_table(self, tmp_path, monkeypatch):
+        raw = tmp_path / "t1.jsonl"
+        raw.write_bytes(b"".join(_raw(id_str=str(i)) + b"\n" for i in range(3)))
+        parsed = tmp_path / "t2.tsv"
+        parsed.write_bytes(b"earlier\ttable\n")
+        # one line per block, so the first block is written before the second fails
+        monkeypatch.setattr(store, "SERIAL_BLOCK_LINES", 1)
+        monkeypatch.setattr(estimator, "_parse_fold_block", fail_on_call(estimator._parse_fold_block, 2))
+        with pytest.raises(OSError):
+            parse_and_aggregate(raw, REGIONS, parsed, [(spec(), analyser())])
+        assert parsed.read_bytes() == b"earlier\ttable\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.jsonl", "t2.tsv"]
+
+    def test_progress_logged_as_parse_logs_it(self, tmp_path, caplog):
+        raw = tmp_path / "t1.jsonl"
+        raw.write_bytes(b"".join(_raw(id_str=str(i)) + b"\n" for i in range(12)))
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level(logging.INFO):
+            stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
+        assert stats.accepted == 12
+        assert [r.getMessage() for r in caplog.records] == ["parse: 7 lines in", "parse: 12 lines in"]
+
+    def test_rows_reach_the_fold_in_batches_not_blocks(self, tmp_path):
+        raw = tmp_path / "t1.jsonl"
+        raw.write_bytes(b"".join(_raw(id_str=str(i)) + b"\n" for i in range(10)))
+        produced = folded = 0
+        ahead = []
+
+        def producer(*args):
+            nonlocal produced
+            for row in real_producer(*args):
+                produced += 1
+                yield row
+
+        def fold(analysers, plan, rows):
+            def counted():
+                nonlocal folded
+                for row in rows:
+                    folded += 1
+                    ahead.append(produced - folded)
+                    yield row
+            return real_fold(analysers, plan, counted())
+
+        real_producer, real_fold = estimator._parsed_rows, estimator._fold_rows
+        with mock.patch.object(estimator, "_parsed_rows", producer), \
+                mock.patch.object(estimator, "_fold_rows", fold), \
+                mock.patch.object(ingest, "ROWS_PER_BATCH", 3):
+            stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
+        # the block is one of 10 lines: rows are parsed at most 3 ahead of the fold
+        assert folded == stats.accepted == 10
+        assert max(ahead) == 2
+
+
+# ---------------------------------------------------------------------------
+# instants as integers: the fold's window test and bucket against the timedelta rule
+
+_ANY_INSTANT = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999),
+    timezones=st.one_of(st.just(timezone.utc), st.timedeltas(
+        min_value=timedelta(hours=-23, minutes=-59), max_value=timedelta(hours=23, minutes=59)
+    ).map(timezone)))
+
+
+class TestInstantArithmetic:
+    @settings(max_examples=500, deadline=None)
+    @given(ts=_ANY_INSTANT, ends=st.tuples(_ANY_INSTANT, _ANY_INSTANT),
+           bucket_seconds=st.one_of(st.integers(1, 86_400), st.integers(1, 10**12)))
+    # past 2^33 s a microsecond below a whole second rounds up in total_seconds(): so must the fold
+    @example(ts=utc(9999, 1, 1), ends=(utc(1, 1, 1, 0, 0, 0, 1), utc(9999, 12, 31)), bucket_seconds=1)
+    @example(ts=utc(2013, 7, 22, 6), ends=(utc(2013, 7, 22, 6, 0, 0, 1), utc(2013, 7, 23)), bucket_seconds=1)
+    def test_fold_matches_the_timedelta_rule(self, ts, ends, bucket_seconds):
+        start, end = sorted(ends)
+        assume(start < end)
+        jobs = [(AggregationSpec("Country", (start, end), bucket_seconds), analyser())]
+        analysers, plan = estimator._plan(jobs, threads=1)
+        row = ParsedTweet("1", ts, 1.0, 1.0, "volcania", "ashmoor", "good")
+        [cells] = estimator._fold_rows(analysers, plan, [row])
+        if start <= ts < end:
+            assert cells == {(bucket_of(ts, start, bucket_seconds), "volcania", ""): [1, 0, 1]}
+        else:
+            assert cells == {}
 
 
 class TestSeries:

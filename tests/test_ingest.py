@@ -141,6 +141,24 @@ class TestParseRecord:
         mangle(raw)
         assert parse_record(json.dumps(raw)) == MALFORMED
 
+    @pytest.mark.parametrize("overrides", [
+        {"text": "broken \ud83d emoji"},                         # a truncated emoji
+        {"text": "\udc00 low half first"},
+        {"id_str": "4\ud83d2"},
+        {"created_at": "0999-07-22T16:24:00Z"},                   # T2 could not read it back
+        {"created_at": "Mon Jul 22 16:24:00 +0000 0999"},
+        {"created_at": "0001-01-01T00:30:00+01:00"},              # before year 1 in UTC
+        {"created_at": "Fri Dec 31 23:59:59 -0100 9999"},         # after year 9999 in UTC
+    ], ids=["text-surrogate", "text-low-surrogate", "id-surrogate", "iso-year-999",
+            "classic-year-999", "iso-overflow", "classic-overflow"])
+    def test_record_that_t2_cannot_hold_is_malformed(self, overrides):
+        assert parse_record(record(**overrides)) == MALFORMED
+        assert parse_record(record(**overrides).encode("ascii")) == MALFORMED
+
+    def test_non_ascii_text_kept(self):
+        assert parse_record(record(text="caf\xe9 \U0001f600")).text == "caf\xe9 \U0001f600"
+        assert parse_record(record(created_at="1000-01-01T00:00:00Z")).timestamp == utc(1000, 1, 1)
+
     def test_not_json(self):
         assert parse_record(b"{nope") == MALFORMED
         assert parse_record(b"\xff\xfe") == MALFORMED
@@ -290,6 +308,28 @@ class TestParseCorpus:
         assert one.read_bytes() == two.read_bytes()
         assert stats_one == stats_two
         assert stats_one.accepted > 150 and stats_one.rejected_unresolved > 10
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lone_surrogate_costs_only_its_record(self, tmp_path, regions_file, threads):
+        raw = self.write_raw(tmp_path, [
+            record(id_str="before", coordinates=[2.0, 2.0]),
+            record(id_str="broken", text="broken \ud83d emoji", coordinates=[2.0, 2.0]),
+            record(id_str="after", coordinates=[2.0, 2.0]),
+        ])
+        parsed = tmp_path / "t2.tsv"
+        stats = parse_corpus(raw, load_regions(regions_file), parsed, threads=threads)
+        assert (stats.lines_read, stats.accepted, stats.rejected_malformed) == (3, 2, 1)
+        assert [line.split(b"\t")[0] for line in parsed.read_bytes().splitlines()] == [b"before", b"after"]
+
+    def test_progress_logged_each_time_more_lines_are_read(self, tmp_path, regions_file, caplog):
+        raw = self.write_raw(tmp_path, [record(id_str=str(i), coordinates=[2.0, 2.0])
+                                        for i in range(23)])
+        # blocks of 7 lines never end on a multiple of 5: a block that passes one logs once
+        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+                mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level("INFO"):
+            parse_corpus(raw, load_regions(regions_file), tmp_path / "t2.tsv")
+        assert [r.getMessage() for r in caplog.records] == [
+            "parse: 7 lines in", "parse: 14 lines in", "parse: 21 lines in"]
 
     def test_tab_or_newline_in_tweet_id_is_malformed(self, tmp_path, regions_file):
         raw = self.write_raw(tmp_path, [

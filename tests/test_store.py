@@ -1,9 +1,10 @@
 import io
 import math
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geosent import store
 from geosent.ingest import collect
@@ -22,6 +23,21 @@ from geosent.store import (
 )
 
 from conftest import fail_on_call, utc, write_parsed
+from oracles import format_instant_strftime
+
+# fixed offsets strictly inside a day, down to the microsecond
+OFFSETS = st.timedeltas(min_value=timedelta(hours=-24) + timedelta(microseconds=1),
+                        max_value=timedelta(hours=24) - timedelta(microseconds=1)).map(timezone)
+
+
+class _FoldZone(tzinfo):
+    """UTC+1 until the clocks go back, then UTC: a wall time repeats, told apart by fold."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=0 if dt.fold else 1)
+
+    def dst(self, dt):
+        return None
 
 
 def tweet(**overrides):
@@ -71,6 +87,24 @@ class TestInstants:
 
     def test_parse_accepts_offset_form(self):
         assert parse_instant("2013-07-22T18:00:00+02:00") == utc(2013, 7, 22, 16)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ts=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999),
+                           timezones=st.one_of(st.just(timezone.utc), OFFSETS)))
+    @example(ts=utc(999, 12, 31, 23, 59, 59, 999999))
+    @example(ts=utc(1, 1, 1))
+    @example(ts=utc(1000, 1, 1))
+    @example(ts=datetime(1000, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))))
+    @example(ts=datetime(9999, 12, 31, 23, 0, tzinfo=timezone(timedelta(hours=-2))))
+    def test_format_matches_strftime(self, ts):
+        # years before 1000 included: strftime writes them without leading zeros
+        try:
+            want = format_instant_strftime(ts)
+        except OverflowError:  # no such instant in UTC
+            with pytest.raises(OverflowError):
+                format_instant(ts)
+            return
+        assert format_instant(ts) == want
 
 
 class TestRawTable:
@@ -159,6 +193,19 @@ class TestMapBlocks:
         assert one == two
         assert [line for block in two for line in block] == self.LINES
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pool_blocks_are_sized_from_the_table(self, tmp_path, threads):
+        path = tmp_path / "table"
+        path.write_bytes(b"".join(b"%09d\n" % i for i in range(1200)))
+        with mock.patch.object(store, "POOL_BLOCK_MIN_BYTES", 1):
+            sizes = list(map_blocks(len, path, threads=threads))
+            with mock.patch.object(store, "POOL_BLOCK_LINES", 70):
+                capped = list(map_blocks(len, path, threads=threads))
+        # about POOL_BLOCKS_PER_WORKER blocks per worker, and never over the line cap
+        assert sum(sizes) == sum(capped) == 1200
+        assert len(sizes) == threads * store.POOL_BLOCKS_PER_WORKER
+        assert max(capped) == 70
+
     def test_empty_table_yields_nothing(self, tmp_path):
         path = tmp_path / "table"
         path.write_bytes(b"")
@@ -211,6 +258,27 @@ class TestScoreTable:
         write_scores(path, [score_row()], append=True)
         assert path.read_text().startswith("approach,level,region")
         assert [row.region for row in read_scores(path)] == [score_row().region]
+
+    def test_each_distinct_instant_formatted_once(self, tmp_path):
+        # equal instants in distinct objects, as rows of separate jobs carry them
+        rows = [score_row(region=f"r{i}", bucket_start=utc(2013, 7, 22 + i % 2),
+                          bucket_end=utc(2013, 7, 23 + i % 2)) for i in range(50)]
+        path = tmp_path / "scores.csv"
+        with mock.patch.object(store, "format_instant", wraps=format_instant) as fmt:
+            write_scores(path, rows)
+        assert fmt.call_count == 3
+        assert [r.bucket_start for r in read_scores(path)] == [r.bucket_start for r in rows]
+
+    def test_equal_wall_times_that_differ_in_fold_keep_their_instants(self, tmp_path):
+        first = datetime(2013, 10, 27, 1, 30, tzinfo=_FoldZone())
+        again = first.replace(fold=1)
+        assert first == again  # one tzinfo: compared by wall time
+        rows = [score_row(bucket_start=first, bucket_end=first + timedelta(hours=1)),
+                score_row(bucket_start=again, bucket_end=again + timedelta(hours=2))]
+        path = tmp_path / "scores.csv"
+        write_scores(path, rows)
+        assert [format_instant(r.bucket_start) for r in read_scores(path)] == [
+            "2013-10-27T00:30:00Z", "2013-10-27T01:30:00Z"]
 
     def test_batch_validation_writes_nothing(self, tmp_path):
         path = tmp_path / "t3.csv"
