@@ -211,6 +211,11 @@ def load_regions(path: str | Path) -> RegionIndex:
             raise GeoError(f"{where}: unknown level {level!r}")
         if not name or any(c in name for c in "\t\n\r"):
             raise GeoError(f"{where}: bad region name {name!r}")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no output table can hold
+            raise GeoError(f"region file {path}: {where}: region name {name!r} "
+                           f"is not valid UTF-8") from None
         if level == "County" and not parent:
             raise GeoError(f"{where}: county {name!r} has no parent")
         if name == UNASSIGNED:

@@ -26,7 +26,6 @@ import contextlib
 import csv
 import functools
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -257,6 +256,7 @@ def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, thre
         size = max(os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1,
                    POOL_BLOCK_MIN_BYTES)
         blocks = iter(functools.partial(_read_block, fh, POOL_BLOCK_LINES, size, keep_newlines), [])
+        import multiprocessing  # here, so a one-worker run and every import skip its cost
         with multiprocessing.get_context().Pool(threads) as pool:
             yield from pool.imap(fn, blocks)
 

@@ -8,8 +8,12 @@ at 1, and a region whose score is undefined is painted a flat grey
 rather than failing the whole render.
 
 Every emitter writes deterministic bytes: same rows in, same file out.
-Each file replaces its target only once it is whole, and the line graph
-replaces its SVG and CSV only once both are whole.
+The KML and SVG documents are written as text, line by line, in the
+bytes ElementTree writes for the same elements once indented: attributes
+in a fixed order, two spaces per level, a single-quoted declaration, and
+an empty element closed as `<x />`.  Each file replaces its target only
+once it is whole, and the line graph replaces its SVG and CSV only once
+both are whole.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import math
 from datetime import timedelta
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from xml.etree import ElementTree as ET
+from typing import Iterable, Iterator
 
 from .georesolve import RegionIndex, RegionPolygon
-from .store import ScoreRow, _format_score, format_instant, staged
+from .store import UNASSIGNED, ScoreRow, _format_score, format_instant, staged
 
 log = logging.getLogger(__name__)
 
@@ -50,18 +54,19 @@ class VisualizeError(Exception):
     """Raised when rows cannot be rendered as asked."""
 
 
-def _half_up(value: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    if value >= 0:
-        return math.floor(value + 0.5)
-    return -math.floor(-value + 0.5)
-
-
 def color_for(npss: float) -> tuple[int, int, int]:
-    """Interpolate the red-to-green ramp at a relative score in [0, 1]."""
+    """Interpolate the red-to-green ramp at a relative score in [0, 1].
+
+    Each channel is lo + (hi - lo) * npss, rounded half away from zero.
+    A channel lies between its two endpoints, so it is never negative and
+    rounding it half up is flooring it plus a half.
+    """
     if not 0.0 <= npss <= 1.0:
         raise VisualizeError(f"relative score {npss!r} is outside [0, 1]")
-    return tuple(_half_up(lo + (hi - lo) * npss) for lo, hi in zip(LOW_COLOR, HIGH_COLOR))
+    (r0, g0, b0), (r1, g1, b1) = LOW_COLOR, HIGH_COLOR
+    return (math.floor(r0 + (r1 - r0) * npss + 0.5),
+            math.floor(g0 + (g1 - g0) * npss + 0.5),
+            math.floor(b0 + (b1 - b0) * npss + 0.5))
 
 
 def kml_color(rgb: tuple[int, int, int]) -> str:
@@ -75,9 +80,12 @@ def svg_color(rgb: tuple[int, int, int]) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+_FOUR_PLACES = Decimal("0.0001")
+
+
 def fmt4(value: float) -> str:
     """Four decimal places, halves rounded away from zero."""
-    return str(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(_FOUR_PLACES, rounding=ROUND_HALF_UP))
 
 
 def _fmt4_or_na(value: float | None) -> str:
@@ -108,40 +116,60 @@ def _fill_for(row: ScoreRow) -> tuple[int, int, int]:
     return color_for(row.npss)
 
 
-def _write_xml(root: ET.Element, path: Path) -> None:
-    """Write an indented document to path, a staged() sibling of the target."""
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(path, encoding="UTF-8", xml_declaration=True)
+# ---------------------------------------------------------------------------
+# XML as text
+#
+# Element text goes through _escape; attribute values never hold caller
+# text (only numbers, fixed colours and keywords), so they are written as is.
 
 
-def _svg_canvas(title: str) -> ET.Element:
-    """An SVG root of WIDTH x HEIGHT with a title and a white background."""
-    root = ET.Element(
-        "svg",
-        xmlns=SVG_NS,
-        width=str(WIDTH), height=str(HEIGHT),
-        viewBox=f"0 0 {WIDTH} {HEIGHT}", version="1.1",
+def _escape(text: str) -> str:
+    """Element text as ElementTree escapes it: only &, < and >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _leaf(tag: str, text: str | None, attrs: str = "") -> str:
+    """An element without children; with no text it closes itself."""
+    if text:
+        return f"<{tag}{attrs}>{_escape(text)}</{tag}>"
+    return f"<{tag}{attrs} />"
+
+
+def _write_xml(lines: Iterable[str], path: Path) -> None:
+    """Stream an indented document to path, a staged() sibling of the target.
+
+    Each item of lines is one or more whole lines, without the newline
+    that ends the last.  The file holds the bytes ElementTree writes with
+    an XML declaration in UTF-8: a character UTF-8 cannot encode (a lone
+    surrogate) becomes a character reference, and no newline follows the
+    root's closing tag.
+    """
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace", newline="\n") as fh:
+        fh.write("<?xml version='1.0' encoding='UTF-8'?>")
+        for line in lines:
+            fh.write("\n")
+            fh.write(line)
+
+
+def _svg_open(title: str) -> str:
+    """An SVG root of WIDTH x HEIGHT with a title and a white background, left open."""
+    return (
+        f'<svg xmlns="{SVG_NS}" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" version="1.1">\n'
+        f'  {_leaf("title", title)}\n'
+        f'  <rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff" />'
     )
-    ET.SubElement(root, "title").text = title
-    ET.SubElement(
-        root, "rect",
-        x="0", y="0", width=str(WIDTH), height=str(HEIGHT), fill="#ffffff",
-    )
-    return root
 
 
-def _text(parent: ET.Element, x: str, y: str, text: str, *, size: int, fill: str,
-          anchor: str | None = None, baseline: str | None = None) -> None:
+def _text(x: str, y: str, text: str, *, size: int, fill: str,
+          anchor: str | None = None, baseline: str | None = None) -> str:
     """A sans-serif text label; attributes keep one order, so bytes do too."""
-    label = ET.SubElement(parent, "text", x=x, y=y, fill=fill)
+    attrs = f' x="{x}" y="{y}" fill="{fill}"'
     if anchor:
-        label.set("text-anchor", anchor)
+        attrs += f' text-anchor="{anchor}"'
     if baseline:
-        label.set("dominant-baseline", baseline)
-    label.set("font-size", str(size))
-    label.set("font-family", "sans-serif")
-    label.text = text
+        attrs += f' dominant-baseline="{baseline}"'
+    return _leaf("text", text, f'{attrs} font-size="{size}" font-family="sans-serif"')
 
 
 # ---------------------------------------------------------------------------
@@ -155,65 +183,81 @@ def _ring_text(ring: list[tuple[float, float]]) -> str:
     return " ".join(f"{lon!r},{lat!r},0" for lon, lat in closed)
 
 
-def _polygon_element(parent: ET.Element, part: RegionPolygon) -> None:
-    poly = ET.SubElement(parent, "Polygon")
-    outer = ET.SubElement(poly, "outerBoundaryIs")
-    ring = ET.SubElement(outer, "LinearRing")
-    ET.SubElement(ring, "coordinates").text = _ring_text(part.exterior)
-    for hole in part.holes:
-        inner = ET.SubElement(poly, "innerBoundaryIs")
-        ring = ET.SubElement(inner, "LinearRing")
-        ET.SubElement(ring, "coordinates").text = _ring_text(hole)
+def _polygon_lines(part: RegionPolygon, pad: str) -> Iterator[str]:
+    yield f"{pad}<Polygon>"
+    for boundary, ring in [("outerBoundaryIs", part.exterior),
+                           *(("innerBoundaryIs", hole) for hole in part.holes)]:
+        yield (f"{pad}  <{boundary}>\n"
+               f"{pad}    <LinearRing>\n"
+               f"{pad}      <coordinates>{_ring_text(ring)}</coordinates>\n"
+               f"{pad}    </LinearRing>\n"
+               f"{pad}  </{boundary}>")
+    yield f"{pad}</Polygon>"
 
 
 def emit_kml(rows: list[ScoreRow], index: RegionIndex, out_path: str | Path) -> None:
     """Write one bucket of scores as a coloured KML overlay.
 
     Expects rows for a single approach, level, and bucket, one row per
-    region; each region must exist in the index at that level.
+    region; each region must exist in the index at that level, except
+    the synthetic County 'unassigned', which has no shape and is skipped.
     """
     _single_bucket(rows, "kml")
-    shapes = []
+    drawn, shapes = [], []
     for row in rows:
         parts = index.parts(row.level, row.region)
-        if not parts:
+        if parts:
+            drawn.append(row)
+            shapes.append(parts)
+        elif row.level == "County" and row.region == UNASSIGNED:
+            log.warning("kml: skipped county %r, which has no shape", UNASSIGNED)
+        else:
             raise VisualizeError(
                 f"kml: region {row.region!r} is not in the region file at level {row.level}"
             )
-        shapes.append(parts)
+    if not drawn:
+        raise VisualizeError(f"kml: no region to draw besides {UNASSIGNED!r}")
+    with staged(out_path) as staging:
+        _write_xml(_kml_lines(drawn, shapes), staging)
 
-    root = ET.Element("kml", xmlns=KML_NS)
-    doc = ET.SubElement(root, "Document")
-    name = ET.SubElement(doc, "name")
-    name.text = (
-        f"{rows[0].approach} sentiment, {rows[0].level} level, "
-        f"{format_instant(rows[0].bucket_start)}"
-    )
+
+def _kml_lines(rows: list[ScoreRow], shapes: list[list[RegionPolygon]]) -> Iterator[str]:
+    first = rows[0]
+    yield f'<kml xmlns="{KML_NS}">'
+    yield "  <Document>"
+    yield "    " + _leaf("name", f"{first.approach} sentiment, {first.level} level, "
+                                 f"{format_instant(first.bucket_start)}")
     for i, row in enumerate(rows):
-        style = ET.SubElement(doc, "Style", id=f"s{i}")
-        poly_style = ET.SubElement(style, "PolyStyle")
-        ET.SubElement(poly_style, "color").text = kml_color(_fill_for(row))
-        ET.SubElement(poly_style, "fill").text = "1"
-        ET.SubElement(poly_style, "outline").text = "1"
-        line_style = ET.SubElement(style, "LineStyle")
-        ET.SubElement(line_style, "color").text = "ff000000"
-        ET.SubElement(line_style, "width").text = "1"
+        yield (f'    <Style id="s{i}">\n'
+               "      <PolyStyle>\n"
+               f"        <color>{kml_color(_fill_for(row))}</color>\n"
+               "        <fill>1</fill>\n"
+               "        <outline>1</outline>\n"
+               "      </PolyStyle>\n"
+               "      <LineStyle>\n"
+               "        <color>ff000000</color>\n"
+               "        <width>1</width>\n"
+               "      </LineStyle>\n"
+               "    </Style>")
     for i, (row, parts) in enumerate(zip(rows, shapes)):
-        mark = ET.SubElement(doc, "Placemark")
-        ET.SubElement(mark, "name").text = row.region
-        ET.SubElement(mark, "description").text = (
+        description = (
             f"pss={_fmt4_or_na(row.pss)} npss={_fmt4_or_na(row.npss)} "
             f"positive={row.pos_count} negative={row.neg_count} tweets={row.tweet_count}"
         )
-        ET.SubElement(mark, "styleUrl").text = f"#s{i}"
+        yield ("    <Placemark>\n"
+               f"      {_leaf('name', row.region)}\n"
+               f"      {_leaf('description', description)}\n"
+               f"      <styleUrl>#s{i}</styleUrl>")
         if len(parts) == 1:
-            _polygon_element(mark, parts[0])
+            yield from _polygon_lines(parts[0], "      ")
         else:
-            multi = ET.SubElement(mark, "MultiGeometry")
+            yield "      <MultiGeometry>"
             for part in parts:
-                _polygon_element(multi, part)
-    with staged(out_path) as staging:
-        _write_xml(root, staging)
+                yield from _polygon_lines(part, "        ")
+            yield "      </MultiGeometry>"
+        yield "    </Placemark>"
+    yield "  </Document>"
+    yield "</kml>"
 
 
 # ---------------------------------------------------------------------------
@@ -275,35 +319,35 @@ def emit_tilemap(rows: list[ScoreRow], out_path: str | Path) -> None:
     if not drawable:
         raise VisualizeError("tilemap: every region has zero tweets")
     drawable.sort(key=lambda row: (-row.tweet_count, row.region))
-    total = sum(row.tweet_count for row in drawable)
+    with staged(out_path) as staging:
+        _write_xml(_tilemap_lines(drawable), staging)
 
-    root = _svg_canvas(f"County sentiment, {format_instant(drawable[0].bucket_start)}")
+
+def _tilemap_lines(drawable: list[ScoreRow]) -> Iterator[str]:
+    total = sum(row.tweet_count for row in drawable)
+    yield _svg_open(f"County sentiment, {format_instant(drawable[0].bucket_start)}")
     x = 0.0
     for strip in _pack_strips(drawable, total):
         strip_volume = sum(row.tweet_count for row in strip)
         strip_width = strip_volume / total * WIDTH
+        # every tile of a strip shares its left edge and its width
+        left, width = f"{x:.2f}", f"{strip_width:.2f}"
         y = 0.0
         for row in strip:
             tile_height = row.tweet_count / strip_volume * HEIGHT
-            group = ET.SubElement(root, "g")
-            rect = ET.SubElement(
-                group, "rect",
-                x=f"{x:.2f}", y=f"{y:.2f}",
-                width=f"{strip_width:.2f}", height=f"{tile_height:.2f}",
-                fill=svg_color(_fill_for(row)),
-                stroke="#ffffff",
-            )
-            rect.set("stroke-width", "1")
-            ET.SubElement(group, "title").text = (
-                f"{row.region}: npss={_fmt4_or_na(row.npss)} tweets={row.tweet_count}"
-            )
+            title = f"{row.region}: npss={_fmt4_or_na(row.npss)} tweets={row.tweet_count}"
+            tile = ("  <g>\n"
+                    f'    <rect x="{left}" y="{y:.2f}" width="{width}" height="{tile_height:.2f}" '
+                    f'fill="{svg_color(_fill_for(row))}" stroke="#ffffff" stroke-width="1" />\n'
+                    f"    <title>{_escape(title)}</title>")
             if strip_width >= 60 and tile_height >= 16:
-                _text(group, f"{x + strip_width / 2:.2f}", f"{y + tile_height / 2:.2f}",
-                      row.region, size=11, fill="#111111", anchor="middle", baseline="middle")
+                tile += "\n    " + _text(f"{x + strip_width / 2:.2f}", f"{y + tile_height / 2:.2f}",
+                                         row.region, size=11, fill="#111111",
+                                         anchor="middle", baseline="middle")
+            yield tile + "\n  </g>"
             y += tile_height
         x += strip_width
-    with staged(out_path) as staging:
-        _write_xml(root, staging)
+    yield "</svg>"
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +418,7 @@ def _linegraph_svg(
     by_approach: dict[str, dict],
     buckets: list,
     display_tz_offset_minutes: int,
-) -> ET.Element:
+) -> Iterator[str]:
     left, right, top, bottom = 70, 30, 50, 80
     plot_w = WIDTH - left - right
     plot_h = HEIGHT - top - bottom
@@ -398,47 +442,32 @@ def _linegraph_svg(
     def y_of(score: float) -> float:
         return top + plot_h - score / y_max * plot_h
 
-    root = _svg_canvas(f"Sentiment over time, {region}")
-    _text(root, f"{WIDTH / 2:.2f}", "28", f"{region}: positive-to-negative score per bucket",
-          size=16, fill="#111111", anchor="middle")
-
-    axes = ET.SubElement(root, "g")
-    axes.set("stroke", "#333333")
-    axes.set("stroke-width", "1")
-    ET.SubElement(
-        axes, "line",
-        x1=str(left), y1=str(top), x2=str(left), y2=str(top + plot_h),
-    )
-    ET.SubElement(
-        axes, "line",
-        x1=str(left), y1=str(top + plot_h), x2=str(left + plot_w), y2=str(top + plot_h),
-    )
+    yield _svg_open(f"Sentiment over time, {region}")
+    yield "  " + _text(f"{WIDTH / 2:.2f}", "28",
+                       f"{region}: positive-to-negative score per bucket",
+                       size=16, fill="#111111", anchor="middle")
+    yield (f'  <g stroke="#333333" stroke-width="1">\n'
+           f'    <line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" />\n'
+           f'    <line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" />\n'
+           "  </g>")
 
     for k in range(5):
         value = y_max * k / 4
         y = y_of(value)
-        grid = ET.SubElement(
-            root, "line",
-            x1=str(left), y1=f"{y:.2f}", x2=str(left + plot_w), y2=f"{y:.2f}",
-            stroke="#dddddd",
-        )
-        grid.set("stroke-width", "1")
-        _text(root, str(left - 8), f"{y + 4:.2f}", f"{value:.2f}",
-              size=11, fill="#333333", anchor="end")
+        yield (f'  <line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" '
+               f'stroke="#dddddd" stroke-width="1" />')
+        yield "  " + _text(str(left - 8), f"{y + 4:.2f}", f"{value:.2f}",
+                           size=11, fill="#333333", anchor="end")
 
     shift = timedelta(minutes=display_tz_offset_minutes)
     step = max(1, math.ceil(len(buckets) / 8))
     for i in range(0, len(buckets), step):
         x = x_of(i)
-        mark = ET.SubElement(
-            root, "line",
-            x1=f"{x:.2f}", y1=str(top + plot_h), x2=f"{x:.2f}", y2=str(top + plot_h + 5),
-            stroke="#333333",
-        )
-        mark.set("stroke-width", "1")
-        _text(root, f"{x:.2f}", str(top + plot_h + 22),
-              (buckets[i] + shift).strftime("%m-%d %H:%M"),
-              size=11, fill="#333333", anchor="middle")
+        yield (f'  <line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 5}" '
+               f'stroke="#333333" stroke-width="1" />')
+        yield "  " + _text(f"{x:.2f}", str(top + plot_h + 22),
+                           (buckets[i] + shift).strftime("%m-%d %H:%M"),
+                           size=11, fill="#333333", anchor="middle")
 
     for slot, approach in enumerate(approaches):
         color = LINE_COLORS.get(approach, _FALLBACK_LINE_COLOR)
@@ -449,18 +478,11 @@ def _linegraph_svg(
                 continue
             points.append(f"{x_of(i):.2f},{y_of(row.pss):.2f}")
         if points:
-            line = ET.SubElement(root, "polyline", points=" ".join(points))
-            line.set("fill", "none")
-            line.set("stroke", color)
-            line.set("stroke-width", "2")
+            yield (f'  <polyline points="{" ".join(points)}" fill="none" '
+                   f'stroke="{color}" stroke-width="2" />')
         key_y = top + 16 * slot
-        swatch = ET.SubElement(
-            root, "line",
-            x1=str(left + plot_w - 150), y1=f"{key_y:.2f}",
-            x2=str(left + plot_w - 126), y2=f"{key_y:.2f}",
-            stroke=color,
-        )
-        swatch.set("stroke-width", "2")
-        _text(root, str(left + plot_w - 120), f"{key_y + 4:.2f}", approach,
-              size=12, fill="#111111")
-    return root
+        yield (f'  <line x1="{left + plot_w - 150}" y1="{key_y:.2f}" '
+               f'x2="{left + plot_w - 126}" y2="{key_y:.2f}" stroke="{color}" stroke-width="2" />')
+        yield "  " + _text(str(left + plot_w - 120), f"{key_y + 4:.2f}", approach,
+                           size=12, fill="#111111")
+    yield "</svg>"

@@ -9,29 +9,54 @@ normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
 class), the region resolver's scan of every polygon, the per-chunk
 tokenizer, the tile-map strip packer that re-measured every strip, the
-timedelta bucket rule and the strftime instant formatter.
+timedelta bucket rule, the strftime instant formatter, the colour ramp
+built from a generator of rounded channels, and the three renderers as
+they were drawn through ElementTree.
 Those are references for differential tests; they reuse the package's
-row parser, tokenizer, row type and crossing count, because what they
-pin is the scan and fold, not those layers.
+row parser, tokenizer, row type, crossing count and the renderers'
+number formatting and layout, because what they pin is the scan, fold
+and serialisation, not those layers.
 """
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
 import re
 import string
 from datetime import timedelta, timezone
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
+from xml.etree import ElementTree as ET
 
 from geosent.classifier import LABELS, NEGATIVE, POSITIVE
 from geosent.estimator import EstimatorError, compute_pss
 from geosent.georesolve import _crossings
 from geosent.lexicon import DictionaryAnalyser, match_token
-from geosent.store import UNASSIGNED, ScoreRow, _parse_parsed_line
+from geosent.store import UNASSIGNED, ScoreRow, _format_score, _parse_parsed_line, format_instant, staged
 from geosent import emoticons
 from geosent.tokenizer import EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
-from geosent.visualize import HEIGHT, MAX_RATIO, WIDTH
+from geosent.visualize import (
+    _FALLBACK_LINE_COLOR,
+    HEIGHT,
+    HIGH_COLOR,
+    KML_NS,
+    LINE_COLORS,
+    LOW_COLOR,
+    MAX_RATIO,
+    SVG_NS,
+    UNDEFINED_GREY,
+    WIDTH,
+    VisualizeError,
+    _fmt4_or_na,
+    _pack_strips,
+    _ring_text,
+    _single_bucket,
+    kml_color,
+    svg_color,
+)
 
 getcontext().prec = 50
 
@@ -356,6 +381,314 @@ def pack_strips_quadratic(rows, total):
     if current:
         strips.append(current)
     return strips
+
+
+# ---------------------------------------------------------------------------
+# the colour ramp and the three renderers as drawn through ElementTree
+
+
+log = logging.getLogger("geosent.visualize")
+
+
+def _half_up(value: float) -> int:
+    """Round to the nearest integer, halves away from zero."""
+    if value >= 0:
+        return math.floor(value + 0.5)
+    return -math.floor(-value + 0.5)
+
+
+def color_for_generator(npss: float) -> tuple[int, int, int]:
+    """The pre-inline color_for: one rounded channel per (lo, hi) pair."""
+    if not 0.0 <= npss <= 1.0:
+        raise VisualizeError(f"relative score {npss!r} is outside [0, 1]")
+    return tuple(_half_up(lo + (hi - lo) * npss) for lo, hi in zip(LOW_COLOR, HIGH_COLOR))
+
+
+def _fill_for(row: ScoreRow) -> tuple[int, int, int]:
+    if row.npss is None:
+        log.warning("region %r has no relative score; painting it grey", row.region)
+        return UNDEFINED_GREY
+    return color_for_generator(row.npss)
+
+
+def write_xml_etree(root: ET.Element, path: Path) -> None:
+    """Write an indented document to path, a staged() sibling of the target."""
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    tree.write(path, encoding="UTF-8", xml_declaration=True)
+
+
+def _svg_canvas(title: str) -> ET.Element:
+    """An SVG root of WIDTH x HEIGHT with a title and a white background."""
+    root = ET.Element(
+        "svg",
+        xmlns=SVG_NS,
+        width=str(WIDTH), height=str(HEIGHT),
+        viewBox=f"0 0 {WIDTH} {HEIGHT}", version="1.1",
+    )
+    ET.SubElement(root, "title").text = title
+    ET.SubElement(
+        root, "rect",
+        x="0", y="0", width=str(WIDTH), height=str(HEIGHT), fill="#ffffff",
+    )
+    return root
+
+
+def _text(parent: ET.Element, x: str, y: str, text: str, *, size: int, fill: str,
+          anchor: str | None = None, baseline: str | None = None) -> None:
+    """A sans-serif text label; attributes keep one order, so bytes do too."""
+    label = ET.SubElement(parent, "text", x=x, y=y, fill=fill)
+    if anchor:
+        label.set("text-anchor", anchor)
+    if baseline:
+        label.set("dominant-baseline", baseline)
+    label.set("font-size", str(size))
+    label.set("font-family", "sans-serif")
+    label.text = text
+
+
+def _polygon_element(parent: ET.Element, part) -> None:
+    poly = ET.SubElement(parent, "Polygon")
+    outer = ET.SubElement(poly, "outerBoundaryIs")
+    ring = ET.SubElement(outer, "LinearRing")
+    ET.SubElement(ring, "coordinates").text = _ring_text(part.exterior)
+    for hole in part.holes:
+        inner = ET.SubElement(poly, "innerBoundaryIs")
+        ring = ET.SubElement(inner, "LinearRing")
+        ET.SubElement(ring, "coordinates").text = _ring_text(hole)
+
+
+def emit_kml_etree(rows, index, out_path) -> None:
+    """The ElementTree emit_kml, which rejected a County 'unassigned' row."""
+    _single_bucket(rows, "kml")
+    shapes = []
+    for row in rows:
+        parts = index.parts(row.level, row.region)
+        if not parts:
+            raise VisualizeError(
+                f"kml: region {row.region!r} is not in the region file at level {row.level}"
+            )
+        shapes.append(parts)
+
+    root = ET.Element("kml", xmlns=KML_NS)
+    doc = ET.SubElement(root, "Document")
+    name = ET.SubElement(doc, "name")
+    name.text = (
+        f"{rows[0].approach} sentiment, {rows[0].level} level, "
+        f"{format_instant(rows[0].bucket_start)}"
+    )
+    for i, row in enumerate(rows):
+        style = ET.SubElement(doc, "Style", id=f"s{i}")
+        poly_style = ET.SubElement(style, "PolyStyle")
+        ET.SubElement(poly_style, "color").text = kml_color(_fill_for(row))
+        ET.SubElement(poly_style, "fill").text = "1"
+        ET.SubElement(poly_style, "outline").text = "1"
+        line_style = ET.SubElement(style, "LineStyle")
+        ET.SubElement(line_style, "color").text = "ff000000"
+        ET.SubElement(line_style, "width").text = "1"
+    for i, (row, parts) in enumerate(zip(rows, shapes)):
+        mark = ET.SubElement(doc, "Placemark")
+        ET.SubElement(mark, "name").text = row.region
+        ET.SubElement(mark, "description").text = (
+            f"pss={_fmt4_or_na(row.pss)} npss={_fmt4_or_na(row.npss)} "
+            f"positive={row.pos_count} negative={row.neg_count} tweets={row.tweet_count}"
+        )
+        ET.SubElement(mark, "styleUrl").text = f"#s{i}"
+        if len(parts) == 1:
+            _polygon_element(mark, parts[0])
+        else:
+            multi = ET.SubElement(mark, "MultiGeometry")
+            for part in parts:
+                _polygon_element(multi, part)
+    with staged(out_path) as staging:
+        write_xml_etree(root, staging)
+
+
+def emit_tilemap_etree(rows, out_path) -> None:
+    """The ElementTree emit_tilemap."""
+    _single_bucket(rows, "tilemap")
+    drawable = [row for row in rows if row.tweet_count > 0]
+    skipped = len(rows) - len(drawable)
+    if skipped:
+        log.warning("tilemap: skipped %d regions with no tweets", skipped)
+    if not drawable:
+        raise VisualizeError("tilemap: every region has zero tweets")
+    drawable.sort(key=lambda row: (-row.tweet_count, row.region))
+    total = sum(row.tweet_count for row in drawable)
+
+    root = _svg_canvas(f"County sentiment, {format_instant(drawable[0].bucket_start)}")
+    x = 0.0
+    for strip in _pack_strips(drawable, total):
+        strip_volume = sum(row.tweet_count for row in strip)
+        strip_width = strip_volume / total * WIDTH
+        y = 0.0
+        for row in strip:
+            tile_height = row.tweet_count / strip_volume * HEIGHT
+            group = ET.SubElement(root, "g")
+            rect = ET.SubElement(
+                group, "rect",
+                x=f"{x:.2f}", y=f"{y:.2f}",
+                width=f"{strip_width:.2f}", height=f"{tile_height:.2f}",
+                fill=svg_color(_fill_for(row)),
+                stroke="#ffffff",
+            )
+            rect.set("stroke-width", "1")
+            ET.SubElement(group, "title").text = (
+                f"{row.region}: npss={_fmt4_or_na(row.npss)} tweets={row.tweet_count}"
+            )
+            if strip_width >= 60 and tile_height >= 16:
+                _text(group, f"{x + strip_width / 2:.2f}", f"{y + tile_height / 2:.2f}",
+                      row.region, size=11, fill="#111111", anchor="middle", baseline="middle")
+            y += tile_height
+        x += strip_width
+    with staged(out_path) as staging:
+        write_xml_etree(root, staging)
+
+
+def emit_linegraph_etree(rows, out_prefix, display_tz_offset_minutes: int = 0):
+    """The ElementTree emit_linegraph: an SVG graph plus its CSV twin."""
+    if not rows:
+        raise VisualizeError("linegraph: no rows to render")
+    regions = {row.region for row in rows}
+    if len(regions) > 1:
+        raise VisualizeError(f"linegraph: rows mix regions {sorted(regions)}")
+    levels = {row.level for row in rows}
+    if len(levels) > 1:
+        raise VisualizeError(f"linegraph: rows mix levels {sorted(levels)}")
+    region = rows[0].region
+
+    by_approach: dict[str, dict] = {}
+    for row in rows:
+        bucket = by_approach.setdefault(row.approach, {})
+        if row.bucket_start in bucket:
+            raise VisualizeError(
+                f"linegraph: duplicate bucket {format_instant(row.bucket_start)} "
+                f"for approach {row.approach}"
+            )
+        bucket[row.bucket_start] = row
+    approaches = sorted(by_approach)
+    shared = set.intersection(*(set(v) for v in by_approach.values()))
+    if not shared:
+        raise VisualizeError("linegraph: approaches share no buckets")
+    buckets = sorted(shared)
+
+    out_prefix = Path(out_prefix)
+    svg_path = out_prefix.with_name(out_prefix.name + ".svg")
+    csv_path = out_prefix.with_name(out_prefix.name + ".csv")
+
+    svg = linegraph_svg_etree(region, approaches, by_approach, buckets,
+                              display_tz_offset_minutes)
+    # neither file is replaced unless both were written
+    with staged(svg_path) as svg_staging, staged(csv_path) as csv_staging:
+        with csv_staging.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["bucket_start", "region", "approach", "pss", "npss", "tweet_count"])
+            for bucket in buckets:
+                for approach in approaches:
+                    row = by_approach[approach][bucket]
+                    writer.writerow([format_instant(bucket), region, approach,
+                                     _format_score(row.pss), _format_score(row.npss),
+                                     row.tweet_count])
+        write_xml_etree(svg, svg_staging)
+    return svg_path, csv_path
+
+
+def linegraph_svg_etree(
+    region: str,
+    approaches: list[str],
+    by_approach: dict[str, dict],
+    buckets: list,
+    display_tz_offset_minutes: int,
+) -> ET.Element:
+    left, right, top, bottom = 70, 30, 50, 80
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
+
+    top_score = 0.0
+    for approach in approaches:
+        for bucket in buckets:
+            row = by_approach[approach][bucket]
+            if row.pss is not None:
+                top_score = max(top_score, row.pss)
+    if top_score == 0.0:
+        top_score = 1.0
+    y_max = top_score * 1.05
+
+    def x_of(i: int) -> float:
+        if len(buckets) == 1:
+            return left + plot_w / 2
+        span = (buckets[-1] - buckets[0]).total_seconds()
+        return left + (buckets[i] - buckets[0]).total_seconds() / span * plot_w
+
+    def y_of(score: float) -> float:
+        return top + plot_h - score / y_max * plot_h
+
+    root = _svg_canvas(f"Sentiment over time, {region}")
+    _text(root, f"{WIDTH / 2:.2f}", "28", f"{region}: positive-to-negative score per bucket",
+          size=16, fill="#111111", anchor="middle")
+
+    axes = ET.SubElement(root, "g")
+    axes.set("stroke", "#333333")
+    axes.set("stroke-width", "1")
+    ET.SubElement(
+        axes, "line",
+        x1=str(left), y1=str(top), x2=str(left), y2=str(top + plot_h),
+    )
+    ET.SubElement(
+        axes, "line",
+        x1=str(left), y1=str(top + plot_h), x2=str(left + plot_w), y2=str(top + plot_h),
+    )
+
+    for k in range(5):
+        value = y_max * k / 4
+        y = y_of(value)
+        grid = ET.SubElement(
+            root, "line",
+            x1=str(left), y1=f"{y:.2f}", x2=str(left + plot_w), y2=f"{y:.2f}",
+            stroke="#dddddd",
+        )
+        grid.set("stroke-width", "1")
+        _text(root, str(left - 8), f"{y + 4:.2f}", f"{value:.2f}",
+              size=11, fill="#333333", anchor="end")
+
+    shift = timedelta(minutes=display_tz_offset_minutes)
+    step = max(1, math.ceil(len(buckets) / 8))
+    for i in range(0, len(buckets), step):
+        x = x_of(i)
+        mark = ET.SubElement(
+            root, "line",
+            x1=f"{x:.2f}", y1=str(top + plot_h), x2=f"{x:.2f}", y2=str(top + plot_h + 5),
+            stroke="#333333",
+        )
+        mark.set("stroke-width", "1")
+        _text(root, f"{x:.2f}", str(top + plot_h + 22),
+              (buckets[i] + shift).strftime("%m-%d %H:%M"),
+              size=11, fill="#333333", anchor="middle")
+
+    for slot, approach in enumerate(approaches):
+        color = LINE_COLORS.get(approach, _FALLBACK_LINE_COLOR)
+        points = []
+        for i, bucket in enumerate(buckets):
+            row = by_approach[approach][bucket]
+            if row.pss is None:
+                continue
+            points.append(f"{x_of(i):.2f},{y_of(row.pss):.2f}")
+        if points:
+            line = ET.SubElement(root, "polyline", points=" ".join(points))
+            line.set("fill", "none")
+            line.set("stroke", color)
+            line.set("stroke-width", "2")
+        key_y = top + 16 * slot
+        swatch = ET.SubElement(
+            root, "line",
+            x1=str(left + plot_w - 150), y1=f"{key_y:.2f}",
+            x2=str(left + plot_w - 126), y2=f"{key_y:.2f}",
+            stroke=color,
+        )
+        swatch.set("stroke-width", "2")
+        _text(root, str(left + plot_w - 120), f"{key_y + 4:.2f}", approach,
+              size=12, fill="#111111")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import geosent
 from geosent.cli import build_parser, main, read_config
 from geosent.store import read_scores
 
+from conftest import grid_regions
+
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("collect", "parse", "train", "evaluate", "score", "correlate", "render",
             "gen-corpus", "pipeline")
@@ -161,6 +163,18 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: feature 0 (land) part 0 ring 0: bad position")
         assert out == ""
+
+    def test_lone_surrogate_region_name(self, capsys, tmp_path, corpus_file):
+        grid = grid_regions(2)
+        grid["features"][0]["properties"]["name"] = "county-\ud83d"
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps(grid), encoding="ascii")
+        code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                             "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: region file {regions}: feature 0: region name ")
+        assert out == ""
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_garbage_score_table(self, capsys, tmp_path):
         bad = tmp_path / "scores.tsv"

@@ -355,7 +355,8 @@ class TestFusedScan:
         def check(lines, job_args):
             _check_against_oracle(lines, job_args, threads=2)
 
-        with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+        with mock.patch.object(multiprocessing, "get_context",
+                               return_value=multiprocessing.get_context(method)):
             check()
 
     def test_shared_analyser_scores_each_tweet_once(self, tmp_path):
@@ -488,7 +489,8 @@ class TestOnePass:
         def check(data, job_args):
             _check_one_pass(data, job_args, threads=threads)
 
-        with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+        with mock.patch.object(multiprocessing, "get_context",
+                               return_value=multiprocessing.get_context(method)):
             check()
 
     def test_every_reject_path_is_taken(self):

@@ -128,6 +128,15 @@ class TestLoading:
         with pytest.raises(GeoError, match=f"^region file {re.escape(str(path))} is not UTF-8 text"):
             load_regions(path)
 
+    def test_lone_surrogate_name_named(self, tmp_path):
+        # JSON's \ud83d escape decodes to a str that no UTF-8 output table can hold
+        a = feature("a", "land-\ud83d", "Country", "", polygon(square(0, 0, 1, 1)))
+        path = write_regions(tmp_path, [a])
+        expected = (f"region file {path}: feature 0: region name 'land-\\ud83d' "
+                    f"is not valid UTF-8")
+        with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
+            load_regions(path)
+
     def test_overlong_integer_named(self, tmp_path):
         # more digits than Python converts to int by default (4,300)
         path = tmp_path / "long.geojson"

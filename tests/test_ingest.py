@@ -282,7 +282,8 @@ class TestParseCorpus:
         with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
                 mock.patch.object(store, "POOL_BLOCK_LINES", 7):
             stats_one = parse_corpus(raw, index, one, threads=1)
-            with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+            with mock.patch.object(multiprocessing, "get_context",
+                                   return_value=multiprocessing.get_context(method)):
                 stats_two = parse_corpus(raw, index, two, threads=2)
         assert one.read_bytes() == two.read_bytes()
         assert stats_one == stats_two
@@ -303,7 +304,8 @@ class TestParseCorpus:
         with mock.patch.object(store, "SERIAL_BLOCK_LINES", 40), \
                 mock.patch.object(store, "POOL_BLOCK_LINES", 40):
             stats_one = parse_corpus(raw, index, one, threads=1)
-            with mock.patch.object(store, "multiprocessing", multiprocessing.get_context(method)):
+            with mock.patch.object(multiprocessing, "get_context",
+                                   return_value=multiprocessing.get_context(method)):
                 stats_two = parse_corpus(raw, index, two, threads=2)
         assert one.read_bytes() == two.read_bytes()
         assert stats_one == stats_two

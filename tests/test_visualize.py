@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import json
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -7,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geosent import visualize
-from geosent.georesolve import load_regions
-from geosent.store import ScoreRow
+from geosent.georesolve import RegionIndex, RegionPolygon, load_regions
+from geosent.store import UNASSIGNED, ScoreRow
 from geosent.visualize import (
     VisualizeError,
-    _half_up,
     _pack_strips,
+    _write_xml,
     color_for,
     emit_kml,
     emit_linegraph,
@@ -22,7 +25,8 @@ from geosent.visualize import (
     svg_color,
 )
 
-from conftest import fail_on_call, utc
+import oracles
+from conftest import fail_on_call, square, utc
 from oracles import pack_strips_quadratic
 
 KML = "{http://www.opengis.net/kml/2.2}"
@@ -53,8 +57,8 @@ class TestColors:
 
     def test_midpoint_rounds_half_up(self):
         assert color_for(0.5) == (128, 128, 0)
-        # 2.5 must become 3, not banker's 2
-        assert _half_up(2.5) == 3
+        # channels of exactly 254.5 and 0.5 must become 255 and 1, not banker's 254 and 0
+        assert color_for(1 / 510) == (255, 1, 0)
 
     def test_interpolation(self):
         assert color_for(2 / 15) == (221, 34, 0)
@@ -164,6 +168,31 @@ class TestKml:
         with pytest.raises(VisualizeError, match="ghost"):
             emit_kml([row("ghost", 1, 1, npss=1.0)],
                      load_regions(regions_file), tmp_path / "map.kml")
+
+    def test_unassigned_county_skipped(self, tmp_path, caplog):
+        # one county covers half its country; points in the gap score as 'unassigned'
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature",
+             "properties": {"region_id": r, "name": name, "level": level, "parent": parent},
+             "geometry": {"type": "Polygon", "coordinates": [square(0, 0, right, 1)]}}
+            for r, name, level, parent, right in [("w", "west", "County", "land", 1),
+                                                  ("l", "land", "Country", "", 2)]
+        ]}))
+        index = load_regions(regions)
+        west = row("west", 3, 1, parent="land", npss=1.0)
+        gap = row("unassigned", 1, 2, parent="land", npss=0.0)
+        with caplog.at_level("WARNING"):
+            emit_kml([gap, west], index, tmp_path / "map.kml")
+        assert "unassigned" in caplog.text
+        emit_kml([west], index, tmp_path / "west.kml")
+        assert (tmp_path / "map.kml").read_bytes() == (tmp_path / "west.kml").read_bytes()
+        with pytest.raises(VisualizeError, match="no region to draw"):
+            emit_kml([gap], index, tmp_path / "gap.kml")
+        # only the synthetic county is skipped; a Country of that name is unknown
+        with pytest.raises(VisualizeError, match="not in the region file"):
+            emit_kml([row("unassigned", 1, 2, level="Country", parent="", npss=0.0)],
+                     index, tmp_path / "country.kml")
 
     def test_mixed_buckets_rejected(self, tmp_path, regions_file):
         rows = [row("happycounty", 1, 1, npss=1.0),
@@ -397,9 +426,12 @@ class TestLinegraph:
             assert pa.read_bytes() == pb.read_bytes()
 
 
-def _torn_xml_write(tree, path, *args, **kwargs):
-    Path(path).write_bytes(b"<?xml version=")
-    raise OSError("injected write failure")
+def _torn_xml_write(lines, path):
+    """The real writer, failing after the declaration and the first three lines."""
+    def torn():
+        yield from itertools.islice(lines, 3)
+        raise OSError("injected write failure")
+    _write_xml(torn(), path)
 
 
 @pytest.mark.parametrize("output", ["map.kml", "tiles.svg", "line.svg", "line.csv"])
@@ -414,7 +446,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, regions_file, monkeypatch, ou
         # the third score cell fails once the header and first row are out
         monkeypatch.setattr(visualize, "_format_score", fail_on_call(visualize._format_score, 3))
     else:
-        monkeypatch.setattr(ET.ElementTree, "write", _torn_xml_write)
+        monkeypatch.setattr(visualize, "_write_xml", _torn_xml_write)
     with pytest.raises(OSError):
         if output == "map.kml":
             emit_kml(TestKml().rows(), load_regions(regions_file), target)
@@ -476,3 +508,124 @@ def test_renderers_write_the_recorded_bytes(tmp_path, grid_regions_file):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the text renderers against the ElementTree renderers they replaced
+
+# markup and quote characters, CR, control characters, whitespace-only runs,
+# non-BMP characters and lone surrogates, among ordinary text
+TEXT = st.one_of(
+    st.sampled_from(["", " ", " \t ", "\r\n", "Dictionary", "MachineLearning"]),
+    st.text(st.one_of(
+        st.sampled_from("&<>\"' \t\r\n\x00\x01\x0b\x1f\x7f\x85"),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x1F9FF),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.characters(),
+    ), max_size=8),
+)
+NPSS = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0.5, 1 / 510, 2 / 15]))
+# a few large volumes and many small ones, so tiles fall into several strips
+VOLUME = st.one_of(st.integers(0, 9), st.integers(10, 10**6))
+
+
+def rendered(render):
+    """The bytes of every file render(path) wrote into a fresh directory, or the error it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            render(Path(tmp) / "out")
+        except (VisualizeError, UnicodeEncodeError) as exc:
+            return type(exc).__name__, str(exc)
+        return {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+
+def bucket_rows(cells, approach="Dictionary"):
+    return [ScoreRow(approach=approach, level="County", region=name, parent="land",
+                     bucket_start=B0, bucket_end=B1, pos_count=volume, neg_count=0,
+                     tweet_count=volume, pss=None if npss is None else float(volume),
+                     npss=npss)
+            for name, volume, npss in cells]
+
+
+CELLS = st.lists(st.tuples(TEXT, VOLUME, NPSS), min_size=1, max_size=40,
+                 unique_by=lambda cell: cell[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=CELLS, approach=TEXT)
+def test_tilemap_matches_elementtree(cells, approach):
+    rows = bucket_rows(cells, approach)
+    assert (rendered(lambda out: emit_tilemap(rows, out))
+            == rendered(lambda out: oracles.emit_tilemap_etree(rows, out)))
+
+
+def ring(x0, y0, side):
+    return [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=CELLS, approach=TEXT, data=st.data())
+def test_kml_matches_elementtree(cells, approach, data):
+    # each region: one to three parts, each part a square with zero to two square holes
+    polygons = [RegionPolygon("l", "land", "Country", "", ring(0.0, 0.0, 1e3), [],
+                              (0.0, 0.0, 1e3, 1e3))]
+    for k, (name, _, _) in enumerate(cells):
+        if name == UNASSIGNED:
+            continue
+        for p in range(data.draw(st.integers(1, 3))):
+            x0, y0 = 10.0 * k + 3.25 * p, data.draw(st.floats(-90, 80))
+            holes = [ring(x0 + 0.5 + h, y0 + 0.5, 0.25)
+                     for h in range(data.draw(st.integers(0, 2)))]
+            polygons.append(RegionPolygon(f"r{k}", name, "County", "land", ring(x0, y0, 3.0),
+                                          holes, (x0, y0, x0 + 3.0, y0 + 3.0)))
+    index = RegionIndex(polygons)
+    rows = bucket_rows(cells, approach)
+    # the synthetic county is skipped, as if its row were not there
+    drawn = [r for r in rows if r.region != UNASSIGNED]
+    if data.draw(st.booleans()) and len(drawn) == len(rows):
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    bucket_rows([(UNASSIGNED, 4, 0.5)], approach)[0])
+    if not drawn:
+        return
+    assert (rendered(lambda out: emit_kml(rows, index, out))
+            == rendered(lambda out: oracles.emit_kml_etree(drawn, index, out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(region=TEXT,
+       approaches=st.lists(TEXT, min_size=1, max_size=3, unique=True),
+       hours=st.sampled_from([1, 2, 5, 9, 30]),
+       data=st.data())
+def test_linegraph_matches_elementtree(region, approaches, hours, data):
+    rows = []
+    for approach in approaches:
+        for h in range(hours):
+            pss = data.draw(st.one_of(st.none(), st.floats(0.0, 1e6)))
+            rows.append(ScoreRow(approach=approach, level="Country", region=region, parent="",
+                                 bucket_start=B0 + timedelta(hours=h),
+                                 bucket_end=B0 + timedelta(hours=h + 1), pos_count=1,
+                                 neg_count=1, tweet_count=2, pss=pss,
+                                 npss=None if pss is None else 0.5))
+    # a bucket only the first approach has is dropped by both
+    rows.append(ScoreRow(approach=approaches[0], level="Country", region=region, parent="",
+                         bucket_start=B0 - timedelta(hours=1), bucket_end=B0, pos_count=1,
+                         neg_count=0, tweet_count=1, pss=1.0, npss=1.0))
+    tz = data.draw(st.integers(-720, 720))
+    assert (rendered(lambda out: emit_linegraph(rows, out, tz))
+            == rendered(lambda out: oracles.emit_linegraph_etree(rows, out, tz)))
+    # the SVG on its own, which the CSV cannot block: a lone surrogate fails the CSV
+    by_approach = {a: {r.bucket_start: r for r in rows if r.approach == a} for a in approaches}
+    buckets = [B0 + timedelta(hours=h) for h in range(hours)]
+    with tempfile.TemporaryDirectory() as tmp:
+        text, tree = Path(tmp) / "text.svg", Path(tmp) / "tree.svg"
+        _write_xml(visualize._linegraph_svg(
+            region, sorted(approaches), by_approach, buckets, tz), text)
+        oracles.write_xml_etree(oracles.linegraph_svg_etree(
+            region, sorted(approaches), by_approach, buckets, tz), tree)
+        assert text.read_bytes() == tree.read_bytes()
+
+
+@settings(max_examples=300)
+@given(NPSS.filter(lambda npss: npss is not None))
+def test_color_for_matches_generator_ramp(npss):
+    assert color_for(npss) == oracles.color_for_generator(npss)
