@@ -26,11 +26,10 @@ from .estimator import (
     aggregate_many,
     compute_pss,
     correlate,
-    parse_and_aggregate,
     series_from_rows,
 )
 from .georesolve import RegionIndex, load_regions, resolve
-from .ingest import CollectorStats, collect, parse_corpus, parse_record
+from .ingest import CollectorStats, collect, parse_and_aggregate, parse_corpus, parse_record
 from .lexicon import DictionaryAnalyser, Lexicon, load_lexicon, match_token
 from .store import (
     APPROACHES,

@@ -39,12 +39,11 @@ from .estimator import (
     EstimatorError,
     aggregate_many,
     correlate,
-    parse_and_aggregate,
     series_from_rows,
 )
 from .gencorpus import GenerateError, generate, parse_mix
 from .georesolve import GeoError, load_regions
-from .ingest import collect, parse_corpus
+from .ingest import collect, parse_and_aggregate, parse_corpus
 from .lexicon import DictionaryAnalyser, LexiconError, load_lexicon
 from .store import (
     StoreError,

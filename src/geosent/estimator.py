@@ -10,9 +10,9 @@ precision here; rounding happens at render time.
 aggregate_many() makes one scan of a parsed table for every requested
 (spec, analyser) job: it decodes the T2 lines and folds the rows.  A
 line that is not valid UTF-8 or not a valid row is skipped and counted.
-parse_and_aggregate() makes one pass over a raw table instead: the rows
-ingest produces are written to T2 and folded in the same block, so T2
-is never read back.  aggregate() is the single-job case.
+aggregate() is the single-job case.  The pipeline's one pass over a raw
+table, ingest.parse_and_aggregate(), folds the rows it writes to T2
+through the same _plan(), _fold_rows(), _merge_cells() and _score_rows().
 
 The fold is shared.  Each row's instant becomes an integer count of
 microseconds once, and its features (the tokenizer's lowercased words
@@ -34,8 +34,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .georesolve import RegionIndex
-from .ingest import CollectorStats, _batches, _parsed_rows, _t2_text, _write_parsed
 from .store import LEVELS, ParsedTweet, ScoreRow, _parse_parsed_line, map_blocks
 from .tokenizer import Features, _scan_features
 
@@ -97,16 +95,17 @@ class AggregationSpec:
             raise EstimatorError("window start must precede window end")
 
 
-def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet]) -> list[dict]:
-    """Fold rows into partial cell counts for every job.
+def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet],
+               cells: list[dict], memos: list[dict]) -> None:
+    """Fold rows into the partial cell counts of every job.
 
     plan holds one (start, end, bucket_seconds, country_level, analyser
-    slot) entry per job, its window in microseconds since the epoch.  A
-    row's instant is converted once, its features are scanned only when
-    some job's window holds it, and each analyser scores it at most once.
+    slot) entry per job, its window in microseconds since the epoch.
+    cells holds one dict per job and memos one per analyser; the caller
+    owns both and may fold more rows into them.  A row's instant is
+    converted once, its features are scanned only when some job's window
+    holds it, and each analyser scores it at most once.
     """
-    memos: list[dict] = [{} for _ in analysers]
-    cells: list[dict] = [{} for _ in plan]
     jobs = list(zip(cells, plan))
     for row in rows:
         instant = (row.timestamp - _EPOCH) // _MICROSECOND
@@ -135,14 +134,13 @@ def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet]) 
                 cell[0] += pos
                 cell[1] += neg
                 cell[2] += 1
-    return cells
 
 
 def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple[list[dict], int]:
     """Decode one block of T2 lines and fold its rows; returns cells and rows skipped.
 
-    Lines keep their LF: a last line without one was cut short, so it is
-    skipped even where what is left parses.
+    A last line without its LF was cut short, so it is skipped even where
+    what is left parses.
     """
     skipped = 0
 
@@ -161,26 +159,9 @@ def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple
                 continue
             yield row
 
-    cells = _fold_rows(analysers, plan, rows())
+    cells: list[dict] = [{} for _ in plan]
+    _fold_rows(analysers, plan, rows(), cells, [{} for _ in analysers])
     return cells, skipped
-
-
-def _parse_fold_block(index: RegionIndex, analysers: list, plan: list[tuple],
-                      lines: list[bytes]) -> tuple[list[str], CollectorStats, list[dict]]:
-    """Parse one block of raw lines into T2 text pieces, their counts and folded cells.
-
-    Rows reach the fold a batch at a time, as their T2 text is made.
-    """
-    stats = CollectorStats()
-    pieces: list[str] = []
-
-    def rows() -> Iterator[ParsedTweet]:
-        for batch in _batches(_parsed_rows(index, lines, stats)):
-            pieces.append(_t2_text(batch))
-            yield from batch
-
-    cells = _fold_rows(analysers, plan, rows())
-    return pieces, stats, cells
 
 
 def _merge_cells(cells: list[dict], part: list[dict]) -> None:
@@ -272,43 +253,13 @@ def aggregate_many(
     analysers, plan = _plan(jobs, threads)
     cells: list[dict] = [{} for _ in plan]
     skipped = 0
-    for part, bad in map_blocks(functools.partial(_fold_block, analysers, plan), parsed_path,
-                                threads, keep_newlines=True):
+    for part, bad in map_blocks(functools.partial(_fold_block, analysers, plan), parsed_path, threads):
         _merge_cells(cells, part)
         skipped += bad
     if skipped:
         log.warning("aggregate: skipped %d malformed parsed rows", skipped)
     return [_score_rows(spec, analyser.approach, part)
             for (spec, analyser), part in zip(jobs, cells)]
-
-
-def parse_and_aggregate(
-    raw_path: str | Path,
-    index: RegionIndex,
-    parsed_path: str | Path,
-    jobs: Sequence[tuple[AggregationSpec, Analyser]],
-    threads: int = 1,
-) -> tuple[CollectorStats, list[list[ScoreRow]]]:
-    """Parse a raw table into parsed_path and score every job, in one pass.
-
-    Gives the counts parse_corpus gives and the rows aggregate_many gives
-    on the table it writes, with the same bytes in that table, without
-    reading it back.  Every spec and the thread count are validated
-    before the parsed table is touched; it is replaced only once the
-    whole raw table has been read.
-    """
-    analysers, plan = _plan(jobs, threads)
-    cells: list[dict] = [{} for _ in plan]
-
-    def blocks() -> Iterator[tuple[list[str], CollectorStats]]:
-        fold = functools.partial(_parse_fold_block, index, analysers, plan)
-        for pieces, stats, part in map_blocks(fold, raw_path, threads):
-            _merge_cells(cells, part)
-            yield pieces, stats
-
-    stats = _write_parsed(parsed_path, blocks())
-    return stats, [_score_rows(spec, analyser.approach, part)
-                   for (spec, analyser), part in zip(jobs, cells)]
 
 
 def aggregate(

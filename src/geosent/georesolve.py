@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .store import LEVELS, UNASSIGNED
+from .store import LEVELS, UNASSIGNED, _utf8_text
 
 
 class GeoError(Exception):
@@ -211,11 +211,9 @@ def load_regions(path: str | Path) -> RegionIndex:
             raise GeoError(f"{where}: unknown level {level!r}")
         if not name or any(c in name for c in "\t\n\r"):
             raise GeoError(f"{where}: bad region name {name!r}")
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which no output table can hold
+        if not _utf8_text(name):  # a lone surrogate, which no output table can hold
             raise GeoError(f"region file {path}: {where}: region name {name!r} "
-                           f"is not valid UTF-8") from None
+                           f"is not valid UTF-8")
         if level == "County" and not parent:
             raise GeoError(f"{where}: county {name!r} has no parent")
         if name == UNASSIGNED:

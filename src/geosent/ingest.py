@@ -7,12 +7,14 @@ survives only if it carries an id, a creation time we can read, a geo
 point, and a text; the point must then land inside a known region.
 Everything else is counted and dropped, never silently.
 
-_parsed_rows() is the one row producer: it parses, resolves and
-validates a block of raw lines, counts each line's fate, and yields the
-rows that reach T2 one at a time.  parse_corpus() formats them into T2
-lines; estimator.parse_and_aggregate() also folds them into score cells
-in the same pass.  Both run on store.map_blocks and write T2 through
-_write_parsed(), in file order, whatever the thread count.
+This module holds the one pass over the raw table (T1).
+parse_and_aggregate() maps _parse_block() over T1's blocks with
+store.map_blocks: each block's lines are parsed, resolved and validated
+by _parsed_rows(), and every batch of ROWS_PER_BATCH rows is formatted
+into T2 text and folded into the score cells of every job (estimator's
+fold).  The pass writes T2 through store.staged() and merges counts and
+cells in file order, so its outputs are the same whatever the thread
+count.  parse_corpus() is that pass with no jobs.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
+from .estimator import AggregationSpec, Analyser, _fold_rows, _merge_cells, _plan, _score_rows
 from .georesolve import RegionIndex, resolve
-from .store import ParsedTweet, RawTable, format_parsed_line, map_blocks, parse_instant, staged
+from .store import (ParsedTweet, RawTable, ScoreRow, _utf8_text, format_parsed_line, map_blocks,
+                    parse_instant, staged)
 
 log = logging.getLogger(__name__)
 
@@ -169,17 +173,6 @@ def sanitize_text(text: str) -> str:
     )
 
 
-def _utf8_text(text: str) -> bool:
-    """Whether text encodes as UTF-8: JSON's \\u escapes can leave a lone surrogate."""
-    if text.isascii():
-        return True
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     """Parse one raw line; returns a candidate or a rejection reason."""
     try:
@@ -270,32 +263,58 @@ def _t2_text(rows: list[ParsedTweet]) -> str:
     return "\n".join([*map(format_parsed_line, rows), ""])
 
 
-def _parse_block(index: RegionIndex, lines: list[bytes]) -> tuple[list[str], CollectorStats]:
-    """Parse and resolve one block of raw lines into T2 text, one piece per batch, and counts."""
-    stats = CollectorStats()
-    return [_t2_text(batch) for batch in _batches(_parsed_rows(index, lines, stats))], stats
+def _parse_block(index: RegionIndex, analysers: list, plan: list[tuple],
+                 lines: list[bytes]) -> tuple[list[str], CollectorStats, list[dict]]:
+    """Parse one block of raw lines into T2 text pieces, their counts and folded cells.
 
-
-def _write_parsed(parsed_path: str | Path,
-                  blocks: Iterable[tuple[list[str], CollectorStats]]) -> CollectorStats:
-    """Write blocks of T2 text pieces to the parsed table in order; returns their merged counts.
-
-    The table is written to a temporary sibling that replaces parsed_path
-    only once every block is in, so a failed run leaves any earlier
-    parsed table as it was.  Progress is logged each time another
-    PROGRESS_LINES raw lines have been read, whatever the block size.
+    Each batch of rows is formatted into one piece of T2 text and folded
+    into the block's cells before the next batch is parsed.
     """
     stats = CollectorStats()
+    pieces: list[str] = []
+    cells: list[dict] = [{} for _ in plan]
+    memos: list[dict] = [{} for _ in analysers]
+    for batch in _batches(_parsed_rows(index, lines, stats)):
+        pieces.append(_t2_text(batch))
+        _fold_rows(analysers, plan, batch, cells, memos)
+    return pieces, stats, cells
+
+
+def parse_and_aggregate(
+    raw_path: str | Path,
+    index: RegionIndex,
+    parsed_path: str | Path,
+    jobs: Sequence[tuple[AggregationSpec, Analyser]],
+    threads: int = 1,
+) -> tuple[CollectorStats, list[list[ScoreRow]]]:
+    """Parse a raw table into parsed_path and score every job, in one pass.
+
+    Returns the line counts and, per job, the rows aggregate_many() gives
+    on the table written, without reading it back.  Output order follows
+    input order whatever the thread count, so runs are byte for byte
+    reproducible.  Every spec and the thread count are validated before
+    the parsed table is touched.  The table is written to a temporary
+    sibling that replaces parsed_path only once the whole raw table has
+    been read, so a failed run leaves any earlier parsed table as it was.
+    Progress is logged each time another PROGRESS_LINES raw lines have
+    been read, whatever the block size.
+    """
+    analysers, plan = _plan(jobs, threads)
+    stats = CollectorStats()
+    cells: list[dict] = [{} for _ in plan]
+    block = functools.partial(_parse_block, index, analysers, plan)
     with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as sink:
-        for pieces, counts in blocks:
+        for pieces, counts, part in map_blocks(block, raw_path, threads):
             before = stats.lines_read
             stats.merge(counts)
+            _merge_cells(cells, part)
             sink.writelines(pieces)
             if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
                 log.info("parse: %d lines in", stats.lines_read)
     if stats.rejected_malformed:
         log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
-    return stats
+    return stats, [_score_rows(spec, analyser.approach, part)
+                   for (spec, analyser), part in zip(jobs, cells)]
 
 
 def parse_corpus(
@@ -304,14 +323,7 @@ def parse_corpus(
     parsed_path: str | Path,
     threads: int = 1,
 ) -> CollectorStats:
-    """Parse the whole raw table into the parsed table.
-
-    Output order follows input order whatever the thread count, so runs
-    are byte for byte reproducible.  The table is written to a temporary
-    sibling that replaces parsed_path only once the whole raw table has
-    been read, so a failed run leaves any earlier parsed table as it was.
-    """
+    """Parse the whole raw table into the parsed table: parse_and_aggregate() with no jobs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    return _write_parsed(parsed_path, map_blocks(functools.partial(_parse_block, index),
-                                                 raw_path, threads))
+    return parse_and_aggregate(raw_path, index, parsed_path, [], threads)[0]

@@ -12,13 +12,14 @@ Three on-disk formats, all line-oriented and append-only:
    read back row compares equal.
 
 Appends never rewrite earlier bytes; writers validate before touching the
-file so a rejected batch leaves the table unchanged.  A whole table is
-written through staged(), so a failed write leaves the old table as it was.
+file so a rejected batch leaves the table unchanged, and an append to a
+table whose last row was cut short is refused.  A whole table is written
+through staged(), so a failed write leaves the old table as it was.
 
-map_blocks() is the one table scan: it reads a table's lines as bytes in
-blocks and maps a function over them, in-process or through a process
-pool, yielding results in file order.  Parsing T1, scoring T2 and the
-pipeline's one pass over T1 all run on it.
+map_blocks() is the one table scan: it reads a table's lines as bytes,
+each with its LF, in blocks and maps a function over them, in-process or
+through a process pool, yielding results in file order.  The one pass
+over T1 (ingest) and the scan of T2 (estimator) both run on it.
 """
 from __future__ import annotations
 
@@ -159,6 +160,17 @@ class ScoreRow:
         return None
 
 
+def _utf8_text(text: str) -> bool:
+    """Whether text encodes as UTF-8: JSON's \\u escapes can leave a lone surrogate."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _torn(fh) -> bool:
     """Whether a binary file's last line lacks its LF: a write cut short."""
     if fh.seek(0, os.SEEK_END) == 0:
@@ -218,27 +230,26 @@ def staged(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def _read_block(fh, lines: int, size: int, keep_newlines: bool) -> list[bytes]:
+def _read_block(fh, lines: int, size: int) -> list[bytes]:
     """The next block of a binary table's lines, closed at `lines` lines or `size` bytes."""
     block: list[bytes] = []
     held = 0
     for line in fh:
-        block.append(line if keep_newlines else line.rstrip(b"\n"))
+        block.append(line)
         held += len(line)
         if len(block) >= lines or held >= size:
             break
     return block
 
 
-def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int,
-               keep_newlines: bool = False) -> Iterator:
+def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int) -> Iterator:
     """Yield fn(block) for every block of a table's lines, in file order.
 
-    A block is a list of lines as bytes, split on LF only and without
-    it; with keep_newlines each line keeps its LF, so a last line cut
-    short shows as the one line without.  One thread maps blocks of
-    SERIAL_BLOCK_LINES in-process, and drops each block before its result
-    is yielded, so the caller's work on the result does not hold it.
+    A block is a list of lines as bytes, split on LF only.  Each line
+    keeps its LF, so a last line cut short shows as the one line
+    without.  One thread maps blocks of SERIAL_BLOCK_LINES in-process,
+    and drops each block before its result is yielded, so the caller's
+    work on the result does not hold it.
     More threads hand blocks to a pool of that many worker processes, so
     fn and everything bound to it must pickle.  Pool blocks are sized
     from the table: about POOL_BLOCKS_PER_WORKER blocks per worker by
@@ -248,14 +259,14 @@ def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, thre
     """
     with open(table_path, "rb") as fh:
         if threads == 1:
-            while block := _read_block(fh, SERIAL_BLOCK_LINES, sys.maxsize, keep_newlines):
+            while block := _read_block(fh, SERIAL_BLOCK_LINES, sys.maxsize):
                 result = fn(block)
                 del block
                 yield result
             return
         size = max(os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1,
                    POOL_BLOCK_MIN_BYTES)
-        blocks = iter(functools.partial(_read_block, fh, POOL_BLOCK_LINES, size, keep_newlines), [])
+        blocks = iter(functools.partial(_read_block, fh, POOL_BLOCK_LINES, size), [])
         import multiprocessing  # here, so a one-worker run and every import skip its cost
         with multiprocessing.get_context().Pool(threads) as pool:
             yield from pool.imap(fn, blocks)
@@ -302,11 +313,18 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     the offending indices and nothing is written.  A fresh table replaces
     table_path only once it is whole; an append writes in place, so a
     crash mid-append can leave part of the batch at the end of the table.
+    An append to a table whose last row was cut short raises StoreError
+    and writes nothing, as the new row would be glued onto the torn one.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
         detail = "; ".join(f"row {i}: {p}" for i, p in problems)
         raise ScoreRowError(f"rejected score rows: {detail}", [i for i, _ in problems])
+    if append and os.path.exists(table_path):
+        with open(table_path, "rb") as fh:
+            if _torn(fh):
+                raise StoreError(f"cannot append to {table_path}: its last row was cut short, "
+                                 "the table does not end in a newline")
 
     stamps: dict[datetime, str] = {}  # rows share a few bucket instants: format each once
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .georesolve import RegionIndex, RegionPolygon
-from .store import UNASSIGNED, ScoreRow, _format_score, format_instant, staged
+from .store import UNASSIGNED, ScoreRow, _format_score, _utf8_text, format_instant, staged
 
 log = logging.getLogger(__name__)
 
@@ -365,7 +365,8 @@ def emit_linegraph(
     Buckets present for every approach are drawn; the rest are dropped so
     the lines stay comparable.  The CSV carries full-precision scores;
     the graph shows the absolute score per bucket, one line per approach.
-    The timezone offset shifts axis labels only, never the data.
+    The timezone offset shifts axis labels only, never the data.  A
+    region or approach that is not valid UTF-8 raises VisualizeError.
     """
     if not rows:
         raise VisualizeError("linegraph: no rows to render")
@@ -391,6 +392,10 @@ def emit_linegraph(
     if not shared:
         raise VisualizeError("linegraph: approaches share no buckets")
     buckets = sorted(shared)
+    # the CSV twin is strict UTF-8, so a lone surrogate is refused before either file is staged
+    for name, value in [("region", region), *(("approach", a) for a in approaches)]:
+        if not _utf8_text(value):
+            raise VisualizeError(f"linegraph: {name} {value!r} is not valid UTF-8")
 
     out_prefix = Path(out_prefix)
     svg_path = out_prefix.with_name(out_prefix.name + ".svg")

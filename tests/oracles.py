@@ -3,7 +3,10 @@
 Most of this is written from first principles with exact arithmetic
 (fractions, or high-precision decimals where a square root is needed),
 deliberately sharing no code with the package, so agreement between the
-two is meaningful.  The rest keeps earlier package code that a rewrite
+two is meaningful.  The raw-table parser works one line at a time from
+the package's public record parser, resolver, row check and T2 line
+format, so it pins the pass's blocks, batches and merging, not those.
+The rest keeps earlier package code that a rewrite
 replaced: one T2 scan per aggregation spec, the stand-alone
 normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
@@ -33,9 +36,11 @@ from xml.etree import ElementTree as ET
 
 from geosent.classifier import LABELS, NEGATIVE, POSITIVE
 from geosent.estimator import EstimatorError, compute_pss
-from geosent.georesolve import _crossings
+from geosent.georesolve import _crossings, resolve
+from geosent.ingest import MALFORMED, NO_GEO, CollectorStats, parse_record
 from geosent.lexicon import DictionaryAnalyser, match_token
-from geosent.store import UNASSIGNED, ScoreRow, _format_score, _parse_parsed_line, format_instant, staged
+from geosent.store import (UNASSIGNED, ParsedTweet, ScoreRow, _format_score, _parse_parsed_line,
+                           format_instant, format_parsed_line, staged)
 from geosent import emoticons
 from geosent.tokenizer import EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
 from geosent.visualize import (
@@ -59,6 +64,46 @@ from geosent.visualize import (
 )
 
 getcontext().prec = 50
+
+
+# ---------------------------------------------------------------------------
+# a raw table parsed one line at a time
+
+
+def parse_raw_table(data: bytes, index) -> tuple[bytes, CollectorStats]:
+    """The T2 bytes and line counts for the bytes of a raw table.
+
+    Lines split on LF only, and a last line without its LF still counts.
+    Each line is parsed without its LF, resolved, and kept only if its
+    row validates.
+    """
+    stats = CollectorStats()
+    out = []
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for line in lines:
+        stats.lines_read += 1
+        got = parse_record(line)
+        if got == NO_GEO:
+            stats.rejected_no_geo += 1
+            continue
+        if got == MALFORMED:
+            stats.rejected_malformed += 1
+            continue
+        where = resolve(index, got.lat, got.lon)
+        if where is None:
+            stats.rejected_unresolved += 1
+            continue
+        row = ParsedTweet(got.tweet_id, got.timestamp, got.lat, got.lon, *where, got.text)
+        try:
+            row.validate()
+        except ValueError:
+            stats.rejected_malformed += 1
+            continue
+        stats.accepted += 1
+        out.append(format_parsed_line(row).encode("utf-8") + b"\n")
+    return b"".join(out), stats
 
 
 # ---------------------------------------------------------------------------

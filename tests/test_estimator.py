@@ -22,16 +22,15 @@ from geosent.estimator import (
     aggregate_many,
     compute_pss,
     correlate,
-    parse_and_aggregate,
     series_from_rows,
 )
 from geosent.georesolve import load_regions
-from geosent.ingest import parse_corpus
+from geosent.ingest import parse_and_aggregate, parse_corpus, parse_record
 from geosent.lexicon import DictionaryAnalyser, Lexicon
 from geosent.store import LEVELS, format_parsed_line, ParsedTweet
 
 from conftest import fail_on_call, utc, write_parsed
-from oracles import aggregate_per_pass, bucket_of, normalize, pearson_decimal
+from oracles import aggregate_per_pass, bucket_of, normalize, parse_raw_table, pearson_decimal
 
 LEX = Lexicon(
     exact={"good": 2, "fine": 1, "bad": -2, "grim": -1},
@@ -460,18 +459,20 @@ ONE_PASS_JOBS = st.lists(
 
 def _check_one_pass(data, job_args, threads):
     jobs = _jobs(job_args)
+    want_t2, want_stats = parse_raw_table(data, REGIONS)
     with tempfile.TemporaryDirectory() as tmp:
-        raw, two, one = Path(tmp) / "t1.jsonl", Path(tmp) / "two.tsv", Path(tmp) / "one.tsv"
+        raw, want, one, zero = (Path(tmp) / name for name in ("t1.jsonl", "want.tsv", "one.tsv", "zero.tsv"))
         raw.write_bytes(data)
+        want.write_bytes(want_t2)
         # small blocks, so cells and counts merge across many blocks
         with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
                 mock.patch.object(store, "POOL_BLOCK_LINES", 7):
-            want_stats = parse_corpus(raw, REGIONS, two, threads=threads)
-            want_rows = aggregate_many(jobs, two, threads=threads)
+            want_rows = aggregate_many(jobs, want, threads=threads)
             got_stats, got_rows = parse_and_aggregate(raw, REGIONS, one, jobs, threads=threads)
-        assert one.read_bytes() == two.read_bytes()
-        assert sorted(p.name for p in Path(tmp).iterdir()) == ["one.tsv", "t1.jsonl", "two.tsv"]
-    assert got_stats == want_stats
+            parse_stats = parse_corpus(raw, REGIONS, zero, threads=threads)
+        assert one.read_bytes() == zero.read_bytes() == want_t2
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["one.tsv", "t1.jsonl", "want.tsv", "zero.tsv"]
+    assert got_stats == parse_stats == want_stats
     assert got_rows == want_rows
 
 
@@ -492,6 +493,11 @@ class TestOnePass:
         with mock.patch.object(multiprocessing, "get_context",
                                return_value=multiprocessing.get_context(method)):
             check()
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.one_of(_RECORDS, _REJECTS, _RECORDS.map(lambda line: line + b"\r")))
+    def test_a_line_may_keep_its_lf(self, line):
+        assert parse_record(line + b"\n") == parse_record(line)
 
     def test_every_reject_path_is_taken(self):
         stats = ingest.CollectorStats()
@@ -515,7 +521,7 @@ class TestOnePass:
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
         monkeypatch.setattr(store, "SERIAL_BLOCK_LINES", 1)
-        monkeypatch.setattr(estimator, "_parse_fold_block", fail_on_call(estimator._parse_fold_block, 2))
+        monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
         with pytest.raises(OSError):
             parse_and_aggregate(raw, REGIONS, parsed, [(spec(), analyser())])
         assert parsed.read_bytes() == b"earlier\ttable\n"
@@ -542,18 +548,16 @@ class TestOnePass:
                 produced += 1
                 yield row
 
-        def fold(analysers, plan, rows):
-            def counted():
-                nonlocal folded
-                for row in rows:
-                    folded += 1
-                    ahead.append(produced - folded)
-                    yield row
-            return real_fold(analysers, plan, counted())
+        def fold(analysers, plan, rows, cells, memos):
+            nonlocal folded
+            for row in rows:
+                folded += 1
+                ahead.append(produced - folded)
+            real_fold(analysers, plan, rows, cells, memos)
 
-        real_producer, real_fold = estimator._parsed_rows, estimator._fold_rows
-        with mock.patch.object(estimator, "_parsed_rows", producer), \
-                mock.patch.object(estimator, "_fold_rows", fold), \
+        real_producer, real_fold = ingest._parsed_rows, ingest._fold_rows
+        with mock.patch.object(ingest, "_parsed_rows", producer), \
+                mock.patch.object(ingest, "_fold_rows", fold), \
                 mock.patch.object(ingest, "ROWS_PER_BATCH", 3):
             stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
         # the block is one of 10 lines: rows are parsed at most 3 ahead of the fold
@@ -584,7 +588,8 @@ class TestInstantArithmetic:
         jobs = [(AggregationSpec("Country", (start, end), bucket_seconds), analyser())]
         analysers, plan = estimator._plan(jobs, threads=1)
         row = ParsedTweet("1", ts, 1.0, 1.0, "volcania", "ashmoor", "good")
-        [cells] = estimator._fold_rows(analysers, plan, [row])
+        cells: dict = {}
+        estimator._fold_rows(analysers, plan, [row], [cells], [{}])
         if start <= ts < end:
             assert cells == {(bucket_of(ts, start, bucket_seconds), "volcania", ""): [1, 0, 1]}
         else:

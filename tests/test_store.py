@@ -173,7 +173,8 @@ class TestParsedTable:
 
 class TestMapBlocks:
     BYTES = b"one\ntwo\r\n\nfour\rstill four\n\xff bad\nlast, unterminated"
-    LINES = [b"one", b"two\r", b"", b"four\rstill four", b"\xff bad", b"last, unterminated"]
+    # every line keeps its LF, so the line cut short is the one without
+    LINES = [b"one\n", b"two\r\n", b"\n", b"four\rstill four\n", b"\xff bad\n", b"last, unterminated"]
 
     def test_lines_split_on_lf_only_in_file_order(self, tmp_path):
         path = tmp_path / "table"
@@ -216,8 +217,8 @@ class TestMapBlocks:
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
         with mock.patch.object(store, "POOL_BLOCK_LINES", 4):
-            blocks = list(map_blocks(list, path, threads=threads, keep_newlines=True))
-        assert [line for block in blocks for line in block] == [line + b"\n" for line in self.LINES[:-1]] + [self.LINES[-1]]
+            blocks = list(map_blocks(list, path, threads=threads))
+        assert [line for block in blocks for line in block] == self.LINES
 
 
 class TestScoreTable:
@@ -258,6 +259,16 @@ class TestScoreTable:
         write_scores(path, [score_row()], append=True)
         assert path.read_text().startswith("approach,level,region")
         assert [row.region for row in read_scores(path)] == [score_row().region]
+
+    @pytest.mark.parametrize("cut", [1, 20])
+    def test_append_to_a_torn_table_writes_nothing(self, tmp_path, cut):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row(), score_row(region="kent")])
+        torn = path.read_bytes()[:-cut]
+        path.write_bytes(torn)
+        with pytest.raises(StoreError, match="last row was cut short"):
+            write_scores(path, [score_row(region="fife")], append=True)
+        assert path.read_bytes() == torn
 
     def test_each_distinct_instant_formatted_once(self, tmp_path):
         # equal instants in distinct objects, as rows of separate jobs carry them
