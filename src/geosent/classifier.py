@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 
 from . import emoticons
 from .lexicon import TWEETS
+from .store import staged
 from .tokenizer import Features, _scan_features
 
 POSITIVE = "Positive"
@@ -240,14 +241,15 @@ class ModelAnalyser:
 
 
 def save_model(model: NBModel, path: str | Path) -> None:
-    """Write the versioned model file (deterministic ordering)."""
+    """Write the versioned model file (deterministic ordering), whole or not at all."""
     lines = [MODEL_HEADER]
     for label in LABELS:
         lines.append(f"prior {label} {model.doc_counts[label]}")
     for label in LABELS:
         for tok, count in sorted(model.token_counts[label].items()):
             lines.append(f"tok {label} {tok} {count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with staged(path) as staging:
+        staging.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> NBModel:

@@ -93,6 +93,9 @@ class AggregationSpec:
             raise EstimatorError("window endpoints must be timezone-aware instants")
         if not start < end:
             raise EstimatorError("window start must precede window end")
+        # T3 writes a year before 1000 without its leading zeros, which no reader takes back
+        if start < datetime(1000, 1, 1, tzinfo=timezone.utc):
+            raise EstimatorError("window start must not be before 1000-01-01T00:00:00Z")
 
 
 def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet],
@@ -187,7 +190,9 @@ def _score_rows(spec: AggregationSpec, approach: str, cells: dict) -> list[Score
         got = bounds.get(bucket)
         if got is None:
             bucket_start = start + bucket * delta
-            got = bounds[bucket] = (bucket_start, min(bucket_start + delta, end))
+            # the last bucket ends at end, and bucket_start + delta may be past datetime's range
+            got = bounds[bucket] = (bucket_start,
+                                    end if end - bucket_start <= delta else bucket_start + delta)
         bucket_start, bucket_end = got
         rows.append(ScoreRow(
             approach=approach,

@@ -130,16 +130,16 @@ class RegionIndex:
 
     def __init__(self, polygons: list[RegionPolygon]):
         self.polygons = polygons
-        self.counties = [p for p in polygons if p.level == "County"]
-        self.countries = [p for p in polygons if p.level == "Country"]
-        country_names = {p.name for p in self.countries}
-        for county in self.counties:
+        counties = [p for p in polygons if p.level == "County"]
+        countries = [p for p in polygons if p.level == "Country"]
+        country_names = {p.name for p in countries}
+        for county in counties:
             if county.parent not in country_names:
                 raise GeoError(f"county {county.name!r} has unknown parent {county.parent!r}")
         self._parts: dict[str, dict[str, list[RegionPolygon]]] = {}
         for p in polygons:
             self._parts.setdefault(p.level, {}).setdefault(p.name, []).append(p)
-        self._rows = self.counties + self.countries  # resolve tries counties first
+        self._rows = counties + countries  # resolve tries counties first
         self._build_grid()
 
     def _build_grid(self) -> None:

@@ -86,17 +86,6 @@ class CollectorStats:
         )
 
 
-@dataclass(frozen=True)
-class ParsedCandidate:
-    """A record that parsed cleanly but has not been region-resolved yet."""
-
-    tweet_id: str
-    timestamp: datetime
-    lat: float
-    lon: float
-    text: str
-
-
 def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, bytes]:
     """Append complete lines from a byte stream to the raw table.
 
@@ -140,7 +129,7 @@ def _parse_created_at(value: str) -> datetime | None:
     else:
         try:
             stamp = parse_instant(value).replace(microsecond=0)
-        except (ValueError, OverflowError):
+        except ValueError:
             return None
     # T2 writes a year before 1000 without its leading zeros, which no reader takes back
     return stamp if stamp.year >= 1000 else None
@@ -173,8 +162,12 @@ def sanitize_text(text: str) -> str:
     )
 
 
-def parse_record(payload: bytes | str) -> ParsedCandidate | str:
-    """Parse one raw line; returns a candidate or a rejection reason."""
+def parse_record(payload: bytes | str) -> ParsedTweet | str:
+    """Parse one raw line; returns an unresolved row or a rejection reason.
+
+    The row's country and county are empty, which validate() refuses,
+    until the caller resolves its point.
+    """
     try:
         if isinstance(payload, bytes):
             payload = payload.decode("utf-8")
@@ -210,7 +203,7 @@ def parse_record(payload: bytes | str) -> ParsedCandidate | str:
     if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
         return MALFORMED
 
-    return ParsedCandidate(tweet_id, stamp, lat, lon, sanitize_text(text))
+    return ParsedTweet(tweet_id, stamp, lat, lon, "", "", sanitize_text(text))
 
 
 def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) -> Iterator[ParsedTweet]:
@@ -221,28 +214,18 @@ def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) 
     """
     stats.lines_read += len(lines)
     for payload in lines:
-        got = parse_record(payload)
-        if got == NO_GEO:
+        row = parse_record(payload)
+        if row == NO_GEO:
             stats.rejected_no_geo += 1
             continue
-        if got == MALFORMED:
+        if row == MALFORMED:
             stats.rejected_malformed += 1
             continue
-        assert isinstance(got, ParsedCandidate)
-        where = resolve(index, got.lat, got.lon)
+        where = resolve(index, row.lat, row.lon)
         if where is None:
             stats.rejected_unresolved += 1
             continue
-        country, county = where
-        row = ParsedTweet(
-            tweet_id=got.tweet_id,
-            timestamp=got.timestamp,
-            lat=got.lat,
-            lon=got.lon,
-            country=country,
-            county=county,
-            text=got.text,
-        )
+        row.country, row.county = where
         try:
             row.validate()
         except ValueError:

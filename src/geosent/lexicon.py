@@ -56,9 +56,6 @@ class Lexicon:
         self._shortest = min(lengths, default=1)
         self._longest = max(lengths, default=0)
 
-    def __len__(self) -> int:
-        return len(self.exact) + len(self.wildcards)
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a lexicon file; duplicate patterns keep the last entry."""

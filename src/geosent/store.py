@@ -11,10 +11,13 @@ Three on-disk formats, all line-oriented and append-only:
    npss is serialised as NA.  Floats are written at full precision so a
    read back row compares equal.
 
-Appends never rewrite earlier bytes; writers validate before touching the
-file so a rejected batch leaves the table unchanged, and an append to a
-table whose last row was cut short is refused.  A whole table is written
-through staged(), so a failed write leaves the old table as it was.
+T1 is appended in place, one whole line at a time.  T2 and T3 are
+written through staged(), so a failed write leaves the old table as it
+was: an append to T3 copies the old bytes and writes the new rows after
+them in the staged file.  Writers validate before touching the file so a
+rejected batch leaves the table unchanged, and an append to a score
+table whose last row was cut short, or whose first line is not the
+score header, is refused.
 
 map_blocks() is the one table scan: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
@@ -28,6 +31,7 @@ import csv
 import functools
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -46,8 +50,7 @@ SCORE_COLUMNS = (
 )
 
 # table lines per block: mapped in turn in-process, or handed to a pool worker
-SERIAL_BLOCK_LINES = 50_000
-POOL_BLOCK_LINES = 20_000
+BLOCK_LINES = 20_000
 # a pool cuts the table into about this many blocks per worker, so no worker waits
 # on one big block, but no smaller than POOL_BLOCK_MIN_BYTES, which are not worth a task
 POOL_BLOCKS_PER_WORKER = 4
@@ -85,7 +88,10 @@ def parse_instant(text: str) -> datetime:
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{text!r} has no UTC instant in datetime's range") from None
 
 
 @dataclass
@@ -245,28 +251,27 @@ def _read_block(fh, lines: int, size: int) -> list[bytes]:
 def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int) -> Iterator:
     """Yield fn(block) for every block of a table's lines, in file order.
 
-    A block is a list of lines as bytes, split on LF only.  Each line
-    keeps its LF, so a last line cut short shows as the one line
-    without.  One thread maps blocks of SERIAL_BLOCK_LINES in-process,
-    and drops each block before its result is yielded, so the caller's
-    work on the result does not hold it.
-    More threads hand blocks to a pool of that many worker processes, so
-    fn and everything bound to it must pickle.  Pool blocks are sized
-    from the table: about POOL_BLOCKS_PER_WORKER blocks per worker by
-    bytes, though at least POOL_BLOCK_MIN_BYTES, and at most
-    POOL_BLOCK_LINES lines.  So a small table still keeps every worker
-    busy, and a large one is not held in memory at once.
+    A block is a list of lines as bytes, split on LF only, of at most
+    BLOCK_LINES lines.  Each line keeps its LF, so a last line cut short
+    shows as the one line without.  One thread maps the blocks
+    in-process.  More threads hand them to a pool of that many worker
+    processes, so fn and everything bound to it must pickle.  Pool
+    blocks are also capped by bytes: about POOL_BLOCKS_PER_WORKER blocks
+    per worker, though at least POOL_BLOCK_MIN_BYTES.  So a small table
+    still keeps every worker busy, and a large one is not held in memory
+    at once.
     """
     with open(table_path, "rb") as fh:
+        size = sys.maxsize
+        if threads > 1:
+            size = max(os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1,
+                       POOL_BLOCK_MIN_BYTES)
+        blocks = iter(functools.partial(_read_block, fh, BLOCK_LINES, size), [])
         if threads == 1:
-            while block := _read_block(fh, SERIAL_BLOCK_LINES, sys.maxsize):
-                result = fn(block)
-                del block
-                yield result
+            # the built-in map drops each block before it yields the block's result,
+            # so the caller's work on the result does not hold the block
+            yield from map(fn, blocks)
             return
-        size = max(os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1,
-                   POOL_BLOCK_MIN_BYTES)
-        blocks = iter(functools.partial(_read_block, fh, POOL_BLOCK_LINES, size), [])
         import multiprocessing  # here, so a one-worker run and every import skip its cost
         with multiprocessing.get_context().Pool(threads) as pool:
             yield from pool.imap(fn, blocks)
@@ -310,21 +315,28 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     """Write T3 rows after validating the whole batch.
 
     On any invalid row the batch is rejected with a ScoreRowError naming
-    the offending indices and nothing is written.  A fresh table replaces
-    table_path only once it is whole; an append writes in place, so a
-    crash mid-append can leave part of the batch at the end of the table.
-    An append to a table whose last row was cut short raises StoreError
-    and writes nothing, as the new row would be glued onto the torn one.
+    the offending indices and nothing is written.  The table is written
+    through staged(), so it replaces table_path only once it is whole.
+    An append copies the old table's bytes and writes the new rows after
+    them; a missing or empty table gets the header first.  An append to
+    a table whose last row was cut short, or whose first line is not the
+    score header, raises StoreError and writes nothing: the new rows
+    would be glued onto the torn one, or land where read_scores fails.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
         detail = "; ".join(f"row {i}: {p}" for i, p in problems)
         raise ScoreRowError(f"rejected score rows: {detail}", [i for i, _ in problems])
-    if append and os.path.exists(table_path):
+    append = append and os.path.exists(table_path)
+    if append:
         with open(table_path, "rb") as fh:
             if _torn(fh):
                 raise StoreError(f"cannot append to {table_path}: its last row was cut short, "
                                  "the table does not end in a newline")
+            fh.seek(0)
+            first = fh.readline()
+        if first and next(csv.reader([first.decode("utf-8", "replace")]), None) != list(SCORE_COLUMNS):
+            raise StoreError(f"cannot append to {table_path}: its first line is not the scores header")
 
     stamps: dict[datetime, str] = {}  # rows share a few bucket instants: format each once
 
@@ -336,8 +348,10 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
             text = stamps[ts] = format_instant(ts)
         return text
 
-    def write(path: str | Path, mode: str) -> None:
-        with open(path, mode, encoding="utf-8", newline="") as fh:
+    with staged(table_path) as staging:
+        if append:
+            shutil.copyfile(table_path, staging)
+        with open(staging, "a" if append else "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if fh.tell() == 0:  # a new or empty table gets the header
                 writer.writerow(SCORE_COLUMNS)
@@ -348,12 +362,6 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
                     row.pos_count, row.neg_count, row.tweet_count,
                     _format_score(row.pss), _format_score(row.npss),
                 ])
-
-    if append:
-        write(table_path, "a")
-    else:
-        with staged(table_path) as staging:
-            write(staging, "w")
     return len(rows)
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +174,22 @@ class TestPersistence:
         save_model(model, a)
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.nb"
+        save_model(train(TWO_DOCS), path)
+        old = path.read_bytes()
+
+        def torn_write(self, text, *args, **kwargs):
+            # half the file is out when the disk fills up: cut at a line, it would load as another model
+            Path.write_bytes(self, text[:text.index("\ntok Negative") + 1].encode())
+            raise OSError("injected write failure")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            save_model(train(TWO_DOCS + [LabeledTweet("more joy", "Positive")]), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.nb"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "model.nb"

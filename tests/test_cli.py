@@ -308,6 +308,27 @@ class TestScore:
                         *WINDOW)
         assert keyvals(out)["rows"] == "2"
 
+    def test_window_before_the_year_1000_is_a_data_error(self, capsys, parsed_table, tmp_path):
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(tmp_path / "s.tsv"), "--approach", "dictionary",
+                             "--level", "country", "--start", "0999-01-01T00:00:00Z",
+                             "--end", "2014-01-01T00:00:00Z", "--bucket", "40000000000")
+        assert code == 2
+        assert err.startswith("error: window start must not be before 1000-01-01")
+        assert out == ""
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_end_with_no_utc_instant_is_a_usage_error(self, capsys, parsed_table, tmp_path):
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(tmp_path / "s.tsv"), "--approach", "dictionary",
+                             "--level", "country", "--start", "2013-07-22T00:00:00Z",
+                             "--end", "9999-12-31T23:30:00-01:00")
+        assert code == 1
+        assert "no UTC instant" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_append_grows_table(self, daily_scores):
         rows = read_scores(daily_scores)
         assert len(rows) == 6
@@ -620,6 +641,7 @@ class TestPipeline:
         "approaches = ,",
         "bucket_start = 2013-07-23T00:00:00Z",
         "bucket_start = 2013-07-22T06:00:00Z",
+        "start = 0999-01-01T00:00:00Z",
     ])
     def test_bad_setting_fails_before_the_parsed_table_is_touched(
             self, capsys, corpus_file, regions_file, tmp_path, setting):

@@ -13,12 +13,12 @@ from geosent.georesolve import load_regions
 from geosent.ingest import (
     MALFORMED,
     NO_GEO,
-    ParsedCandidate,
     collect,
     parse_corpus,
     parse_record,
     sanitize_text,
 )
+from geosent.store import ParsedTweet
 
 from conftest import fail_on_call, utc
 
@@ -99,10 +99,14 @@ class TestCollect:
 class TestParseRecord:
     def test_valid_classic_timestamp(self):
         got = parse_record(record())
-        assert isinstance(got, ParsedCandidate)
+        assert isinstance(got, ParsedTweet)
         assert got.tweet_id == "42"
         assert got.timestamp == utc(2013, 7, 22, 16, 24, 0)
         assert (got.lat, got.lon) == (3.0, 2.5)
+        # not resolved yet: validate() refuses the row until its region is set
+        assert (got.country, got.county) == ("", "")
+        with pytest.raises(ValueError, match="empty country"):
+            got.validate()
 
     def test_offset_timestamp_normalised(self):
         got = parse_record(record(created_at="Mon Jul 22 12:00:00 +0100 2013"))
@@ -279,8 +283,7 @@ class TestParseCorpus:
         one = tmp_path / "one.tsv"
         two = tmp_path / "two.tsv"
         # small blocks, so many tasks each carry the bound region index
-        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
-                mock.patch.object(store, "POOL_BLOCK_LINES", 7):
+        with mock.patch.object(store, "BLOCK_LINES", 7):
             stats_one = parse_corpus(raw, index, one, threads=1)
             with mock.patch.object(multiprocessing, "get_context",
                                    return_value=multiprocessing.get_context(method)):
@@ -301,8 +304,7 @@ class TestParseCorpus:
         index = load_regions(grid_regions_file(56))
         one = tmp_path / "one.tsv"
         two = tmp_path / "two.tsv"
-        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 40), \
-                mock.patch.object(store, "POOL_BLOCK_LINES", 40):
+        with mock.patch.object(store, "BLOCK_LINES", 40):
             stats_one = parse_corpus(raw, index, one, threads=1)
             with mock.patch.object(multiprocessing, "get_context",
                                    return_value=multiprocessing.get_context(method)):
@@ -327,7 +329,7 @@ class TestParseCorpus:
         raw = self.write_raw(tmp_path, [record(id_str=str(i), coordinates=[2.0, 2.0])
                                         for i in range(23)])
         # blocks of 7 lines never end on a multiple of 5: a block that passes one logs once
-        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 7), \
+        with mock.patch.object(store, "BLOCK_LINES", 7), \
                 mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level("INFO"):
             parse_corpus(raw, load_regions(regions_file), tmp_path / "t2.tsv")
         assert [r.getMessage() for r in caplog.records] == [
@@ -361,7 +363,7 @@ class TestParseCorpus:
         parsed = tmp_path / "t2.tsv"
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
-        monkeypatch.setattr(store, "SERIAL_BLOCK_LINES", 1)
+        monkeypatch.setattr(store, "BLOCK_LINES", 1)
         monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
         with pytest.raises(OSError):
             parse_corpus(raw, load_regions(regions_file), parsed)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 
@@ -179,7 +180,7 @@ class TestMapBlocks:
     def test_lines_split_on_lf_only_in_file_order(self, tmp_path):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "SERIAL_BLOCK_LINES", 4):
+        with mock.patch.object(store, "BLOCK_LINES", 4):
             blocks = list(map_blocks(list, path, threads=1))
         assert blocks == [self.LINES[:4], self.LINES[4:]]
 
@@ -187,8 +188,7 @@ class TestMapBlocks:
     def test_pool_gives_the_same_blocks(self, tmp_path, size):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "SERIAL_BLOCK_LINES", size), \
-                mock.patch.object(store, "POOL_BLOCK_LINES", size):
+        with mock.patch.object(store, "BLOCK_LINES", size):
             one = list(map_blocks(list, path, threads=1))
             two = list(map_blocks(list, path, threads=2))
         assert one == two
@@ -200,7 +200,7 @@ class TestMapBlocks:
         path.write_bytes(b"".join(b"%09d\n" % i for i in range(1200)))
         with mock.patch.object(store, "POOL_BLOCK_MIN_BYTES", 1):
             sizes = list(map_blocks(len, path, threads=threads))
-            with mock.patch.object(store, "POOL_BLOCK_LINES", 70):
+            with mock.patch.object(store, "BLOCK_LINES", 70):
                 capped = list(map_blocks(len, path, threads=threads))
         # about POOL_BLOCKS_PER_WORKER blocks per worker, and never over the line cap
         assert sum(sizes) == sum(capped) == 1200
@@ -216,7 +216,7 @@ class TestMapBlocks:
     def test_keep_newlines_shows_the_line_cut_short(self, tmp_path, threads):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "POOL_BLOCK_LINES", 4):
+        with mock.patch.object(store, "BLOCK_LINES", 4):
             blocks = list(map_blocks(list, path, threads=threads))
         assert [line for block in blocks for line in block] == self.LINES
 
@@ -259,6 +259,40 @@ class TestScoreTable:
         write_scores(path, [score_row()], append=True)
         assert path.read_text().startswith("approach,level,region")
         assert [row.region for row in read_scores(path)] == [score_row().region]
+
+    def test_append_is_the_old_bytes_then_the_new_rows(self, tmp_path):
+        path, fresh = tmp_path / "t3.csv", tmp_path / "fresh.csv"
+        write_scores(path, [score_row(), score_row(region="kent")])
+        old = path.read_bytes()
+        new = [score_row(region="fife"), score_row(region="mull", pos_count=0, neg_count=0,
+                                                   tweet_count=3, pss=None, npss=None)]
+        assert write_scores(path, new, append=True) == 2
+        write_scores(fresh, new)
+        _, rows = fresh.read_bytes().split(b"\n", 1)
+        assert path.read_bytes() == old + rows
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "t3.csv"]
+
+    def test_failed_append_keeps_the_old_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row()])
+        old = path.read_bytes()
+        # the second new row's pss fails after the first new row is out
+        monkeypatch.setattr(store, "_format_score", fail_on_call(store._format_score, 3))
+        with pytest.raises(OSError):
+            write_scores(path, [score_row(region="kent"), score_row(region="fife")], append=True)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t3.csv"]
+
+    @pytest.mark.parametrize("existing", [b"who,what\n1,2\n", b"\n", b"approach,level\n"])
+    def test_append_to_a_table_without_the_header_writes_nothing(self, tmp_path, monkeypatch,
+                                                                  existing):
+        path = tmp_path / "t3.csv"
+        path.write_bytes(existing)
+        monkeypatch.setattr(store, "staged", fail_on_call(store.staged, 1))  # refused before staging
+        with pytest.raises(StoreError, match=f"^cannot append to {re.escape(str(path))}: .* header"):
+            write_scores(path, [score_row()], append=True)
+        assert path.read_bytes() == existing
+        assert [p.name for p in tmp_path.iterdir()] == ["t3.csv"]
 
     @pytest.mark.parametrize("cut", [1, 20])
     def test_append_to_a_torn_table_writes_nothing(self, tmp_path, cut):
@@ -329,7 +363,8 @@ class TestScoreTable:
         (",2.0,0.5", ",2.0", "scores row has 10 fields"),
         (",2.0,0.5", ",nan,0.5", "pss nan does not equal"),
         (",2.0,0.5", ",2.0,1.5", "npss 1.5 outside"),
-    ], ids=["bad-int", "bad-instant", "short-row", "nan-pss", "npss-above-1"])
+        ("2013-07-22T00:00:00Z", "9999-12-31T23:30:00-01:00", "'9999-12-31T23:30:00-01:00' has no UTC"),
+    ], ids=["bad-int", "bad-instant", "short-row", "nan-pss", "npss-above-1", "past-utc-range"])
     def test_read_names_the_bad_line(self, tmp_path, old, new, message):
         path = tmp_path / "t3.csv"
         write_scores(path, [score_row(), score_row(region="kent"), score_row(region="fife")])
