@@ -96,7 +96,7 @@ def parse_instant(text: str) -> datetime:
 
 @dataclass
 class ParsedTweet:
-    """One geolocated tweet, already resolved to a country and county."""
+    """One geolocated tweet; validate() refuses it until country and county are set."""
 
     tweet_id: str
     timestamp: datetime
@@ -317,11 +317,13 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     On any invalid row the batch is rejected with a ScoreRowError naming
     the offending indices and nothing is written.  The table is written
     through staged(), so it replaces table_path only once it is whole.
-    An append copies the old table's bytes and writes the new rows after
-    them; a missing or empty table gets the header first.  An append to
-    a table whose last row was cut short, or whose first line is not the
-    score header, raises StoreError and writes nothing: the new rows
-    would be glued onto the torn one, or land where read_scores fails.
+    An append copies the old table (bytes and mode, in O(table)) and
+    writes the new rows after it; two appends at once to one table drop
+    the batch of the first to finish.  A missing or empty table gets the
+    header first.  An append to a table whose last row was cut short, or
+    whose first line is not the score header, raises StoreError and
+    writes nothing: the new rows would be glued onto the torn one, or
+    land where read_scores fails.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
@@ -350,7 +352,7 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
 
     with staged(table_path) as staging:
         if append:
-            shutil.copyfile(table_path, staging)
+            shutil.copy(table_path, staging)  # the bytes and the permission bits
         with open(staging, "a" if append else "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if fh.tell() == 0:  # a new or empty table gets the header

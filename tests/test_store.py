@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import stat
 from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 
@@ -271,6 +272,13 @@ class TestScoreTable:
         _, rows = fresh.read_bytes().split(b"\n", 1)
         assert path.read_bytes() == old + rows
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "t3.csv"]
+
+    def test_append_keeps_the_tables_permission_bits(self, tmp_path):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row()])
+        path.chmod(0o640)
+        write_scores(path, [score_row(region="kent")], append=True)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
     def test_failed_append_keeps_the_old_table(self, tmp_path, monkeypatch):
         path = tmp_path / "t3.csv"
