@@ -311,6 +311,21 @@ def _parse_score(text: str) -> float | None:
     return None if text == "NA" else float(text)
 
 
+def _check_utf8(table_path: str | Path) -> None:
+    """Raise StoreError naming the file and line unless a score table is UTF-8."""
+    lines = 0
+    with open(table_path, "rb") as fh:
+        # each block ends at an LF, so no character is cut in two
+        while block := fh.read(1 << 20) + fh.readline():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = lines + block.count(b"\n", 0, exc.start) + 1
+                raise StoreError(f"scores file {table_path} is not UTF-8 text: "
+                                 f"line {line}: {exc.reason}") from None
+            lines += block.count(b"\n")
+
+
 def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = False) -> int:
     """Write T3 rows after validating the whole batch.
 
@@ -320,10 +335,10 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     An append copies the old table (bytes and mode, in O(table)) and
     writes the new rows after it; two appends at once to one table drop
     the batch of the first to finish.  A missing or empty table gets the
-    header first.  An append to a table whose last row was cut short, or
-    whose first line is not the score header, raises StoreError and
-    writes nothing: the new rows would be glued onto the torn one, or
-    land where read_scores fails.
+    header first.  An append to a table whose last row was cut short,
+    that is not UTF-8, or whose first line is not the score header,
+    raises StoreError and writes nothing: the new rows would be glued
+    onto the torn one, or land where read_scores fails.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
@@ -337,7 +352,8 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
                                  "the table does not end in a newline")
             fh.seek(0)
             first = fh.readline()
-        if first and next(csv.reader([first.decode("utf-8", "replace")]), None) != list(SCORE_COLUMNS):
+        _check_utf8(table_path)
+        if first and next(csv.reader([first.decode("utf-8")]), None) != list(SCORE_COLUMNS):
             raise StoreError(f"cannot append to {table_path}: its first line is not the scores header")
 
     stamps: dict[datetime, str] = {}  # rows share a few bucket instants: format each once
@@ -373,14 +389,16 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
     A row that does not convert, or that write_scores would reject, raises
     StoreError naming its line.  So does a last row without its newline:
     every row is written whole, so it was cut short, and what is left of
-    it may still convert.
+    it may still convert.  A table that is not UTF-8, or whose header is
+    not the score header, raises StoreError naming the file.
     """
+    _check_utf8(table_path)
     rows = []
     with open(table_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(SCORE_COLUMNS):
-            raise StoreError(f"unexpected scores header {header!r}")
+            raise StoreError(f"{table_path}: unexpected scores header {header!r}")
         for record in reader:
             if len(record) != len(SCORE_COLUMNS):
                 raise StoreError(f"line {reader.line_num}: scores row has {len(record)} fields")

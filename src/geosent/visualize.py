@@ -48,6 +48,8 @@ LINE_COLORS = {
     "MachineLearning": "#d62728",
 }
 _FALLBACK_LINE_COLOR = "#555555"
+# days in 400 Gregorian years, after which dates repeat
+_GREGORIAN_CYCLE_DAYS = 146_097
 
 
 class VisualizeError(Exception):
@@ -464,14 +466,18 @@ def _linegraph_svg(
         yield "  " + _text(str(left - 8), f"{y + 4:.2f}", f"{value:.2f}",
                            size=11, fill="#333333", anchor="end")
 
-    shift = timedelta(minutes=display_tz_offset_minutes)
+    # Labels repeat every 400 years, so the shift is taken modulo that cycle
+    # and a start after 5000 is read one cycle earlier: start + shift then
+    # stays inside datetime's years 1 to 9999 whatever the offset.
+    shift = timedelta(minutes=display_tz_offset_minutes % (_GREGORIAN_CYCLE_DAYS * 1440))
     step = max(1, math.ceil(len(buckets) / 8))
     for i in range(0, len(buckets), step):
         x = x_of(i)
+        start = buckets[i] if buckets[i].year <= 5000 else buckets[i] - timedelta(days=_GREGORIAN_CYCLE_DAYS)
         yield (f'  <line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 5}" '
                f'stroke="#333333" stroke-width="1" />')
         yield "  " + _text(f"{x:.2f}", str(top + plot_h + 22),
-                           (buckets[i] + shift).strftime("%m-%d %H:%M"),
+                           (start + shift).strftime("%m-%d %H:%M"),
                            size=11, fill="#333333", anchor="middle")
 
     for slot, approach in enumerate(approaches):

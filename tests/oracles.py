@@ -10,9 +10,9 @@ The rest keeps earlier package code that a rewrite
 replaced: one T2 scan per aggregation spec, the stand-alone
 normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
-class), the region resolver's scan of every polygon, the per-chunk
-tokenizer, the tile-map strip packer that re-measured every strip, the
-timedelta bucket rule, the strftime instant formatter, the colour ramp
+class), the feature scan of the whole text in one findall, the region
+resolver's scan of every polygon, the per-chunk tokenizer, the tile-map
+strip packer that re-measured every strip, the timedelta bucket rule, the strftime instant formatter, the colour ramp
 built from a generator of rounded channels, and the three renderers as
 they were drawn through ElementTree.
 Those are references for differential tests; they reuse the package's
@@ -42,7 +42,7 @@ from geosent.lexicon import DictionaryAnalyser, match_token
 from geosent.store import (UNASSIGNED, ParsedTweet, ScoreRow, _format_score, _parse_parsed_line,
                            format_instant, format_parsed_line, staged)
 from geosent import emoticons
-from geosent.tokenizer import EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
+from geosent.tokenizer import _SCANNER, EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
 from geosent.visualize import (
     _FALLBACK_LINE_COLOR,
     HEIGHT,
@@ -293,6 +293,26 @@ def margin_per_class(model, feats):
             score += math.log((counts.get(tok, 0) + 1) / denom)
         scores[label] = score
     return scores[POSITIVE] - scores[NEGATIVE]
+
+
+# ---------------------------------------------------------------------------
+# the feature scan before the chunk shortcuts
+
+
+def scan_features_whole_text(text):
+    """The Features of a text, from the same scan as tokenize."""
+    out = []
+    append = out.append
+    # findall gives each match's groups in pattern order; a group that
+    # took no part in the match is empty
+    for _url, _emoticon, _mention, hashtag, _punct, word, contraction, _tail in _SCANNER.findall(text):
+        if word:
+            append((word.lower(), False))
+            if contraction:
+                append((contraction.lower(), False))
+        elif hashtag:
+            append((hashtag[1:].lower(), True))
+    return out
 
 
 # ---------------------------------------------------------------------------

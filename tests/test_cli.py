@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 
 import geosent
 from geosent.cli import build_parser, main, read_config
-from geosent.store import read_scores
+from geosent.store import ScoreRow, format_instant, read_scores, write_scores
 
 from conftest import grid_regions
 
@@ -70,6 +71,21 @@ def hourly_scores(tmp_path_factory, parsed_table):
                      *WINDOW, *flags])
         assert code == 0
     return path
+
+
+@pytest.fixture
+def latin1_scores(tmp_path, hourly_scores):
+    """The hourly score table with its region renamed caf\xe9, written as Latin-1."""
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(hourly_scores.read_text(encoding="utf-8").replace("mycountry", "caf\xe9")
+                     .encode("latin-1"))
+    return path
+
+
+def assert_names_line_2_of(path, code, out, err):
+    assert code == 2
+    assert err.startswith(f"error: scores file {path} is not UTF-8 text: line 2: ")
+    assert out == ""
 
 
 class TestExitCodes:
@@ -329,6 +345,15 @@ class TestScore:
         assert out == ""
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_append_refuses_a_table_that_is_not_utf8(self, capsys, parsed_table, latin1_scores):
+        before = latin1_scores.read_bytes()
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(latin1_scores), "--approach", "dictionary",
+                             "--level", "country", *WINDOW, "--append")
+        assert_names_line_2_of(latin1_scores, code, out, err)
+        assert latin1_scores.read_bytes() == before
+        assert [p.name for p in latin1_scores.parent.iterdir()] == [latin1_scores.name]
+
     def test_append_grows_table(self, daily_scores):
         rows = read_scores(daily_scores)
         assert len(rows) == 6
@@ -483,6 +508,11 @@ class TestCorrelate:
         assert result.returncode == 0, result.stderr
         assert "pearson=" in result.stdout
 
+    def test_table_that_is_not_utf8(self, capsys, latin1_scores):
+        code, out, err = run(capsys, "correlate", "--scores", str(latin1_scores),
+                             "--region", "caf\xe9", "--level", "country")
+        assert_names_line_2_of(latin1_scores, code, out, err)
+
     def test_too_few_points(self, capsys, daily_scores):
         code, _, err = run(capsys, "correlate", "--scores", str(daily_scores),
                       "--region", "mycountry", "--level", "country")
@@ -518,6 +548,36 @@ class TestRender:
         assert got["linegraph_svg"].endswith("line.svg")
         assert got["linegraph_csv"].endswith("line.csv")
         assert (tmp_path / "line.csv").exists()
+
+    def test_table_that_is_not_utf8(self, capsys, latin1_scores, tmp_path):
+        code, out, err = run(capsys, "render", "--kind", "linegraph", "--scores", str(latin1_scores),
+                             "--region", "caf\xe9", "--out", str(tmp_path / "line"))
+        assert_names_line_2_of(latin1_scores, code, out, err)
+        assert not (tmp_path / "line.svg").exists()
+
+    def test_wrong_header_names_the_file(self, capsys, tmp_path):
+        table = tmp_path / "scores.tsv"
+        table.write_text("who,what\n1,2\n")
+        code, out, err = run(capsys, "render", "--kind", "tilemap", "--scores", str(table),
+                             "--out", str(tmp_path / "tiles.svg"))
+        assert code == 2
+        assert err.startswith(f"error: {table}: unexpected scores header ['who', 'what']")
+
+    def test_linegraph_offset_past_the_year_9999(self, capsys, tmp_path):
+        # the shifted labels fall in the year 10000, which datetime cannot hold
+        table = tmp_path / "scores.tsv"
+        starts = [datetime(9999, 12, 31, hour, tzinfo=timezone.utc) for hour in (22, 23)]
+        write_scores(table, [ScoreRow("Dictionary", "Country", "mycountry", "", start,
+                                      start + timedelta(minutes=59, seconds=59), 2, 1, 3, 2.0, 1.0)
+                             for start in starts])
+        code, _, err = run(capsys, "render", "--kind", "linegraph", "--scores", str(table),
+                           "--region", "mycountry", "--tz-offset", "120",
+                           "--out", str(tmp_path / "line"))
+        assert code == 0, err
+        svg = (tmp_path / "line.svg").read_text(encoding="utf-8")
+        assert ">01-01 00:00<" in svg and ">01-01 01:00<" in svg
+        csv_lines = (tmp_path / "line.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in csv_lines[1:]] == [format_instant(s) for s in starts]
 
     def test_kind_required(self, capsys, daily_scores, tmp_path):
         code, _, err = run(capsys, "render", "--scores", str(daily_scores),

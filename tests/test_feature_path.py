@@ -4,8 +4,14 @@ Both analysers once scored a tweet's Token list: the lexicon counter
 matched every token with match_token, and Naive Bayes summed each class's
 log score on its own.  They now score the scanner's lowercased features,
 and Naive Bayes adds one log-ratio weight per feature.  The Token path
-lives on in oracles.token_counts and oracles.margin_per_class.
+lives on in oracles.token_counts and oracles.margin_per_class.  The
+features were once scanned in one findall over the whole text; they are
+now read chunk by chunk, and oracles.scan_features_whole_text keeps the
+whole-text scan.
 """
+import string
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geosent.classifier import (
@@ -16,10 +22,11 @@ from geosent.classifier import (
     features,
     train,
 )
+from geosent import emoticons
 from geosent.lexicon import DictionaryAnalyser, Lexicon
 from geosent.tokenizer import HASHTAG, WORD, _scan_features, tokenize
 
-from oracles import margin_per_class, nb_label, nb_posteriors, token_counts
+from oracles import margin_per_class, nb_label, nb_posteriors, scan_features_whole_text, token_counts
 
 # mixed case, hashtags, contractions, and tokens the scorers must ignore;
 # "İ" lowercases to two characters
@@ -52,6 +59,68 @@ def token_features(text):
 @given(st.one_of(st.text(), TEXTS))
 def test_scan_features_are_the_word_and_hashtag_tokens(text):
     assert _scan_features(text) == token_features(text)
+
+
+# pieces that sit on the edges of the chunk shortcuts: "_" is punctuation
+# but also \w; URL stems before ".", "://" and "!"; whitespace that
+# str.split and \s must agree on; characters whose case or class is odd
+TRAPS = [
+    "_", "#", "@", "#_", "@_", "abc", "Z", "x1", "www", "WwW", "http", "HTTP", "https", "hTtPs",
+    ".", "://", ":/", "!", "\x1c", "\x85", "\xa0", "\u3000", " ", "\t", "\u0661", "\u017f",
+    "\u0130", "\u212a", "...", "!?", "-",
+    *emoticons.ALL,
+    "n't", "N'T", "'s", "'S", "'re", "'RE", "'ve", "'ll", "'d", "'m", "'M",
+    *string.punctuation,
+]
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(TRAPS), max_size=16).map("".join)))
+def test_chunk_scan_matches_the_whole_text_scan(text):
+    assert _scan_features(text) == scan_features_whole_text(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a plain word, and a word with a punctuation tail, which takes "_" and "#_" too
+    ("Good", [("good", False)]),
+    ("Good!!", [("good", False)]),
+    ("good_", [("good", False)]),
+    ("good#_", [("good", False)]),
+    ("good:)", [("good", False)]),
+    ("\u0130stanbul", [("i\u0307stanbul", False)]),
+    ("\u0661\u0662", [("\u0661\u0662", False)]),
+    # a URL stem is a word unless its tail starts the URL
+    ("www", [("www", False)]),
+    ("www!", [("www", False)]),
+    ("www.", []),
+    ("http:/", [("http", False)]),
+    ("https!", [("https", False)]),
+    ("hTtP://x", []),
+    ("WwW.x", []),
+    # a hashtag body is its whole \w run
+    ("#Tag!", [("tag", True)]),
+    ("#abc_", [("abc_", True)]),
+    ("#abc!_", [("abc", True)]),
+    ("#abc!#_", [("abc", True), ("_", True)]),
+    ("##tag", [("tag", True)]),
+    # a mention gives nothing, but what follows its \w run is scanned
+    ("@kate_1!", []),
+    ("@__x", []),
+    ("@kate's", [("s", False)]),
+    ("@kate!#_", [("_", True)]),
+    # only punctuation
+    ("...", []),
+    (":)", []),
+    ("#_", [("_", True)]),
+    ("@#_", [("_", True)]),
+    # the scanner's chunks
+    ("DON'T!", [("do", False), ("n't", False)]),
+    ("state-of-the-art", [("state-of-the-art", False)]),
+    ("a\x1cb\x85c\xa0d\u3000e", [("a", False), ("b", False), ("c", False), ("d", False), ("e", False)]),
+])
+def test_chunk_shortcut_boundaries(text, expected):
+    assert _scan_features(text) == expected
+    assert scan_features_whole_text(text) == expected
 
 
 def test_classifier_features_drop_the_flags():

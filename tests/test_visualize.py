@@ -401,6 +401,19 @@ class TestLinegraph:
                                      display_tz_offset_minutes=60)
         assert "2013-07-22T00:00:00Z" in csv_path.read_text()
 
+    @pytest.mark.parametrize("first, offset, labels", [
+        (utc(9999, 12, 31, 22), 120, ["01-01 00:00", "01-01 01:00"]),
+        (utc(1, 1, 1, 0), -120, ["12-31 22:00", "12-31 23:00"]),
+        # whole 400-year cycles of minutes, which timedelta cannot hold
+        (B0, 10**13 * 146_097 * 1440 + 60, ["07-22 01:00", "07-22 02:00"]),
+    ], ids=["after-9999", "before-year-1", "huge-offset"])
+    def test_axis_labels_past_datetimes_range(self, tmp_path, first, offset, labels):
+        rows = [row("mycountry", 2, 1, level="Country", parent="", start=start,
+                    end=start + timedelta(minutes=59)) for start in (first, first + timedelta(hours=1))]
+        svg_path, _ = emit_linegraph(rows, tmp_path / "line", display_tz_offset_minutes=offset)
+        text = svg_path.read_text()
+        assert all(f">{label}<" in text for label in labels)
+
     def test_single_approach_works(self, tmp_path):
         rows = [r for r in self.rows() if r.approach == "Dictionary"]
         svg_path, csv_path = emit_linegraph(rows, tmp_path / "line")
