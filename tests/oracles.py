@@ -12,9 +12,10 @@ normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
 class), the feature scan of the whole text in one findall, the region
 resolver's scan of every polygon, the per-chunk tokenizer, the tile-map
-strip packer that re-measured every strip, the timedelta bucket rule, the strftime instant formatter, the colour ramp
-built from a generator of rounded channels, and the three renderers as
-they were drawn through ElementTree.
+strip packer that re-measured every strip, the timedelta bucket rule,
+the strftime instant formatter, the colour ramp built from a generator
+of rounded channels, and the three renderers as they were drawn through
+ElementTree.
 Those are references for differential tests; they reuse the package's
 row parser, tokenizer, row type, crossing count and the renderers'
 number formatting and layout, because what they pin is the scan, fold
