@@ -34,7 +34,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .store import LEVELS, ParsedTweet, ScoreRow, _parse_parsed_line, map_blocks
+from .store import LEVELS, MIN_YEAR, ParsedTweet, ScoreRow, _parse_parsed_line, map_blocks
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
@@ -93,9 +93,8 @@ class AggregationSpec:
             raise EstimatorError("window endpoints must be timezone-aware instants")
         if not start < end:
             raise EstimatorError("window start must precede window end")
-        # T3 writes a year before 1000 without its leading zeros, which no reader takes back
-        if start < datetime(1000, 1, 1, tzinfo=timezone.utc):
-            raise EstimatorError("window start must not be before 1000-01-01T00:00:00Z")
+        if start < datetime(MIN_YEAR, 1, 1, tzinfo=timezone.utc):
+            raise EstimatorError(f"window start must not be before {MIN_YEAR}-01-01T00:00:00Z")
 
 
 def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet],

@@ -31,8 +31,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 from .estimator import AggregationSpec, Analyser, _fold_rows, _merge_cells, _plan, _score_rows
 from .georesolve import RegionIndex, resolve
-from .store import (ParsedTweet, RawTable, ScoreRow, _utf8_text, format_parsed_line, map_blocks,
-                    parse_instant, staged)
+from .store import (MIN_YEAR, ParsedTweet, RawTable, ScoreRow, _utf8_text, format_parsed_line,
+                    map_blocks, parse_instant, staged)
 
 log = logging.getLogger(__name__)
 
@@ -76,14 +76,6 @@ class CollectorStats:
         self.rejected_no_geo += other.rejected_no_geo
         self.rejected_malformed += other.rejected_malformed
         self.rejected_unresolved += other.rejected_unresolved
-
-    def consistent(self) -> bool:
-        return self.lines_read == (
-            self.accepted
-            + self.rejected_no_geo
-            + self.rejected_malformed
-            + self.rejected_unresolved
-        )
 
 
 def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, bytes]:
@@ -131,8 +123,7 @@ def _parse_created_at(value: str) -> datetime | None:
             stamp = parse_instant(value).replace(microsecond=0)
         except ValueError:
             return None
-    # T2 writes a year before 1000 without its leading zeros, which no reader takes back
-    return stamp if stamp.year >= 1000 else None
+    return stamp if stamp.year >= MIN_YEAR else None
 
 
 def _coordinates_of(record: dict) -> tuple[float, float] | None:

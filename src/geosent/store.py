@@ -13,13 +13,13 @@ Three on-disk formats, all line-oriented and append-only:
 
 T1 is appended in place, one whole line at a time.  T2 and T3 are
 written through staged(), so a failed write leaves the old table as it
-was: an append to T3 copies the old bytes and writes the new rows after
-them in the staged file.  Writers validate before touching the file so a
-rejected batch leaves the table unchanged, and an append to a score
-table whose last row was cut short, or whose first line is not the
-score header, is refused.
+was.  Writers validate before touching the file so a rejected batch
+leaves the table unchanged.  _score_blocks() is the one reader of an
+existing T3, for read_scores and for an append, which writes the old
+text and then the new rows to the staged file.  It checks the torn
+tail, then UTF-8, then the header; read_scores then checks the rows.
 
-map_blocks() is the one table scan: it reads a table's lines as bytes,
+map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
 through a process pool, yielding results in file order.  The one pass
 over T1 (ingest) and the scan of T2 (estimator) both run on it.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
 import math
 import os
 import shutil
@@ -55,6 +56,12 @@ BLOCK_LINES = 20_000
 # on one big block, but no smaller than POOL_BLOCK_MIN_BYTES, which are not worth a task
 POOL_BLOCKS_PER_WORKER = 4
 POOL_BLOCK_MIN_BYTES = 1 << 16
+# bytes per block of an existing score table, read on to the next LF
+SCORE_BLOCK_BYTES = 1 << 20
+
+# format_instant writes a year before 1000 without its leading zeros, which
+# parse_instant does not read back, so no table holds an instant before this year
+MIN_YEAR = 1000
 
 
 class StoreError(Exception):
@@ -152,6 +159,8 @@ class ScoreRow:
             return "empty region"
         if not self.bucket_start < self.bucket_end:
             return "bucket_start must precede bucket_end"
+        if self.bucket_start.astimezone(timezone.utc).year < MIN_YEAR:
+            return f"bucket_start before {MIN_YEAR}-01-01T00:00:00Z"
         if min(self.pos_count, self.neg_count, self.tweet_count) < 0:
             return "negative count"
         if self.pss is None:
@@ -311,19 +320,34 @@ def _parse_score(text: str) -> float | None:
     return None if text == "NA" else float(text)
 
 
-def _check_utf8(table_path: str | Path) -> None:
-    """Raise StoreError naming the file and line unless a score table is UTF-8."""
-    lines = 0
+def _score_blocks(table_path: str | Path) -> Iterator[str]:
+    """Yield an existing score table as text blocks that each end at an LF.
+
+    The table is opened once.  A last row without its LF was cut short
+    and is refused first; then each block is refused unless it is UTF-8,
+    and the first block unless it starts with the score header.  An empty
+    table yields nothing.  Every StoreError names the file and the line.
+    """
     with open(table_path, "rb") as fh:
+        torn = _torn(fh)
+        fh.seek(0)
+        if torn:  # named at the line the csv reader gives the torn row
+            line = sum(1 for _ in io.TextIOWrapper(fh, "latin-1", newline=""))
+            raise StoreError(f"{table_path}: line {line}: last row was cut short, no newline ends it")
+        lines = 0
         # each block ends at an LF, so no character is cut in two
-        while block := fh.read(1 << 20) + fh.readline():
+        while block := fh.read(SCORE_BLOCK_BYTES) + fh.readline():
             try:
-                block.decode("utf-8")
+                text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line = lines + block.count(b"\n", 0, exc.start) + 1
-                raise StoreError(f"scores file {table_path} is not UTF-8 text: "
-                                 f"line {line}: {exc.reason}") from None
+                raise StoreError(f"{table_path}: line {line}: not UTF-8 text: {exc.reason}") from None
+            if not lines:
+                header = next(csv.reader(io.StringIO(text, newline="")))
+                if header != list(SCORE_COLUMNS):
+                    raise StoreError(f"{table_path}: line 1: unexpected scores header {header!r}")
             lines += block.count(b"\n")
+            yield text
 
 
 def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = False) -> int:
@@ -332,29 +356,17 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
     On any invalid row the batch is rejected with a ScoreRowError naming
     the offending indices and nothing is written.  The table is written
     through staged(), so it replaces table_path only once it is whole.
-    An append copies the old table (bytes and mode, in O(table)) and
-    writes the new rows after it; two appends at once to one table drop
+    An append writes the old table from _score_blocks, then the new rows,
+    and keeps its permission bits; two appends at once to one table drop
     the batch of the first to finish.  A missing or empty table gets the
-    header first.  An append to a table whose last row was cut short,
-    that is not UTF-8, or whose first line is not the score header,
-    raises StoreError and writes nothing: the new rows would be glued
-    onto the torn one, or land where read_scores fails.
+    header first.  A table that _score_blocks refuses raises StoreError.
     """
     problems = [(i, p) for i, p in ((i, row.problem()) for i, row in enumerate(rows)) if p]
     if problems:
         detail = "; ".join(f"row {i}: {p}" for i, p in problems)
         raise ScoreRowError(f"rejected score rows: {detail}", [i for i, _ in problems])
     append = append and os.path.exists(table_path)
-    if append:
-        with open(table_path, "rb") as fh:
-            if _torn(fh):
-                raise StoreError(f"cannot append to {table_path}: its last row was cut short, "
-                                 "the table does not end in a newline")
-            fh.seek(0)
-            first = fh.readline()
-        _check_utf8(table_path)
-        if first and next(csv.reader([first.decode("utf-8")]), None) != list(SCORE_COLUMNS):
-            raise StoreError(f"cannot append to {table_path}: its first line is not the scores header")
+    old = _score_blocks(table_path) if append else iter(())
 
     stamps: dict[datetime, str] = {}  # rows share a few bucket instants: format each once
 
@@ -366,12 +378,15 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
             text = stamps[ts] = format_instant(ts)
         return text
 
-    with staged(table_path) as staging:
-        if append:
-            shutil.copy(table_path, staging)  # the bytes and the permission bits
-        with open(staging, "a" if append else "w", encoding="utf-8", newline="") as fh:
+    try:
+        first = next(old, "")
+        with staged(table_path) as staging, staging.open("w", encoding="utf-8", newline="") as fh:
+            if append:
+                shutil.copymode(table_path, staging)
+            fh.write(first)
+            fh.writelines(old)
             writer = csv.writer(fh, lineterminator="\n")
-            if fh.tell() == 0:  # a new or empty table gets the header
+            if not first:  # a new or empty table gets the header
                 writer.writerow(SCORE_COLUMNS)
             for row in rows:
                 writer.writerow([
@@ -380,50 +395,44 @@ def write_scores(table_path: str | Path, rows: list[ScoreRow], append: bool = Fa
                     row.pos_count, row.neg_count, row.tweet_count,
                     _format_score(row.pss), _format_score(row.npss),
                 ])
+    except StoreError as err:  # only _score_blocks raises it here
+        raise StoreError(f"cannot append to {err}") from None
     return len(rows)
 
 
 def read_scores(table_path: str | Path) -> list[ScoreRow]:
     """Read a T3 table back into ScoreRow values.
 
-    A row that does not convert, or that write_scores would reject, raises
-    StoreError naming its line.  So does a last row without its newline:
-    every row is written whole, so it was cut short, and what is left of
-    it may still convert.  A table that is not UTF-8, or whose header is
-    not the score header, raises StoreError naming the file.
+    Errors are those of _score_blocks, an empty table, and a row that
+    does not convert or that write_scores would reject.
     """
-    _check_utf8(table_path)
+    # csv splits lines as open(..., newline="") does, across the blocks too
+    reader = csv.reader(line for block in _score_blocks(table_path)
+                        for line in io.StringIO(block, newline=""))
+    if next(reader, None) is None:  # _score_blocks checked any header there is
+        raise StoreError(f"{table_path}: line 1: unexpected scores header None")
     rows = []
-    with open(table_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(SCORE_COLUMNS):
-            raise StoreError(f"{table_path}: unexpected scores header {header!r}")
-        for record in reader:
-            if len(record) != len(SCORE_COLUMNS):
-                raise StoreError(f"line {reader.line_num}: scores row has {len(record)} fields")
-            try:
-                row = ScoreRow(
-                    approach=record[0],
-                    level=record[1],
-                    region=record[2],
-                    parent=record[3],
-                    bucket_start=parse_instant(record[4]),
-                    bucket_end=parse_instant(record[5]),
-                    pos_count=int(record[6]),
-                    neg_count=int(record[7]),
-                    tweet_count=int(record[8]),
-                    pss=_parse_score(record[9]),
-                    npss=_parse_score(record[10]),
-                )
-            except ValueError as err:
-                raise StoreError(f"line {reader.line_num}: {err}") from None
-            problem = row.problem()
-            if problem:
-                raise StoreError(f"line {reader.line_num}: {problem}")
-            rows.append(row)
-        last_line = reader.line_num
-    with open(table_path, "rb") as fh:
-        if _torn(fh):
-            raise StoreError(f"line {last_line}: row cut short, the table does not end in a newline")
+    for record in reader:
+        if len(record) != len(SCORE_COLUMNS):
+            raise StoreError(f"{table_path}: line {reader.line_num}: scores row has {len(record)} fields")
+        try:
+            row = ScoreRow(
+                approach=record[0],
+                level=record[1],
+                region=record[2],
+                parent=record[3],
+                bucket_start=parse_instant(record[4]),
+                bucket_end=parse_instant(record[5]),
+                pos_count=int(record[6]),
+                neg_count=int(record[7]),
+                tweet_count=int(record[8]),
+                pss=_parse_score(record[9]),
+                npss=_parse_score(record[10]),
+            )
+        except ValueError as err:
+            raise StoreError(f"{table_path}: line {reader.line_num}: {err}") from None
+        problem = row.problem()
+        if problem:
+            raise StoreError(f"{table_path}: line {reader.line_num}: {problem}")
+        rows.append(row)
     return rows

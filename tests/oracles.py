@@ -13,6 +13,8 @@ scoring of Token lists (match_token per token, Naive Bayes summed per
 class), the feature scan of the whole text in one findall, the region
 resolver's scan of every polygon, the per-chunk tokenizer, the tile-map
 strip packer that re-measured every strip, the timedelta bucket rule,
+the score-table reader that checked UTF-8, the rows and the torn tail
+in three passes,
 the strftime instant formatter, the colour ramp built from a generator
 of rounded channels, and the three renderers as they were drawn through
 ElementTree.
@@ -40,8 +42,9 @@ from geosent.estimator import EstimatorError, compute_pss
 from geosent.georesolve import _crossings, resolve
 from geosent.ingest import MALFORMED, NO_GEO, CollectorStats, parse_record
 from geosent.lexicon import DictionaryAnalyser, match_token
-from geosent.store import (UNASSIGNED, ParsedTweet, ScoreRow, _format_score, _parse_parsed_line,
-                           format_instant, format_parsed_line, staged)
+from geosent.store import (SCORE_COLUMNS, UNASSIGNED, ParsedTweet, ScoreRow, StoreError, _format_score,
+                           _parse_parsed_line, _parse_score, _torn, format_instant, format_parsed_line,
+                           parse_instant, staged)
 from geosent import emoticons
 from geosent.tokenizer import _SCANNER, EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
 from geosent.visualize import (
@@ -105,6 +108,64 @@ def parse_raw_table(data: bytes, index) -> tuple[bytes, CollectorStats]:
         stats.accepted += 1
         out.append(format_parsed_line(row).encode("utf-8") + b"\n")
     return b"".join(out), stats
+
+
+# ---------------------------------------------------------------------------
+# the score-table reader in three passes: UTF-8, then the csv rows, then the torn tail
+
+
+def check_utf8_scores(table_path) -> None:
+    """Raise StoreError naming the file and line unless a score table is UTF-8."""
+    lines = 0
+    with open(table_path, "rb") as fh:
+        # each block ends at an LF, so no character is cut in two
+        while block := fh.read(1 << 20) + fh.readline():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = lines + block.count(b"\n", 0, exc.start) + 1
+                raise StoreError(f"scores file {table_path} is not UTF-8 text: "
+                                 f"line {line}: {exc.reason}") from None
+            lines += block.count(b"\n")
+
+
+def read_scores_three_pass(table_path) -> list[ScoreRow]:
+    """store.read_scores before one reader shared the table's checks with an append."""
+    check_utf8_scores(table_path)
+    rows = []
+    with open(table_path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(SCORE_COLUMNS):
+            raise StoreError(f"{table_path}: unexpected scores header {header!r}")
+        for record in reader:
+            if len(record) != len(SCORE_COLUMNS):
+                raise StoreError(f"line {reader.line_num}: scores row has {len(record)} fields")
+            try:
+                row = ScoreRow(
+                    approach=record[0],
+                    level=record[1],
+                    region=record[2],
+                    parent=record[3],
+                    bucket_start=parse_instant(record[4]),
+                    bucket_end=parse_instant(record[5]),
+                    pos_count=int(record[6]),
+                    neg_count=int(record[7]),
+                    tweet_count=int(record[8]),
+                    pss=_parse_score(record[9]),
+                    npss=_parse_score(record[10]),
+                )
+            except ValueError as err:
+                raise StoreError(f"line {reader.line_num}: {err}") from None
+            problem = row.problem()
+            if problem:
+                raise StoreError(f"line {reader.line_num}: {problem}")
+            rows.append(row)
+        last_line = reader.line_num
+    with open(table_path, "rb") as fh:
+        if _torn(fh):
+            raise StoreError(f"line {last_line}: row cut short, the table does not end in a newline")
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,9 @@ def latin1_scores(tmp_path, hourly_scores):
     return path
 
 
-def assert_names_line_2_of(path, code, out, err):
+def assert_names_line_2_of(path, code, out, err, prefix=""):
     assert code == 2
-    assert err.startswith(f"error: scores file {path} is not UTF-8 text: line 2: ")
+    assert err.startswith(f"error: {prefix}{path}: line 2: not UTF-8 text: ")
     assert out == ""
 
 
@@ -209,7 +209,7 @@ class TestExitCodes:
         bad.write_text(header + first.rsplit(",", 2)[0] + ",nan,NA\n" + "".join(rest))
         code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in command), "--scores", str(bad))
         assert code == 2
-        assert err.startswith("error: line 2: pss nan")
+        assert err.startswith(f"error: {bad}: line 2: pss nan")
         assert not (tmp_path / "tiles.svg").exists()
 
     @pytest.mark.parametrize("drop", [1, 2, 10, -1], ids=["newline", "last-digit", "mid-row", "first-byte"])
@@ -221,7 +221,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "render", "--kind", "tilemap", "--scores", str(bad),
                              "--out", str(tmp_path / "tiles.svg"))
         assert code == 2
-        assert err.startswith(f"error: line {len(lines)}: ")
+        assert err.startswith(f"error: {bad}: line {len(lines)}: ")
         assert out == ""
         assert not (tmp_path / "tiles.svg").exists()
 
@@ -350,7 +350,7 @@ class TestScore:
         code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
                              "--scores", str(latin1_scores), "--approach", "dictionary",
                              "--level", "country", *WINDOW, "--append")
-        assert_names_line_2_of(latin1_scores, code, out, err)
+        assert_names_line_2_of(latin1_scores, code, out, err, prefix="cannot append to ")
         assert latin1_scores.read_bytes() == before
         assert [p.name for p in latin1_scores.parent.iterdir()] == [latin1_scores.name]
 
@@ -561,7 +561,7 @@ class TestRender:
         code, out, err = run(capsys, "render", "--kind", "tilemap", "--scores", str(table),
                              "--out", str(tmp_path / "tiles.svg"))
         assert code == 2
-        assert err.startswith(f"error: {table}: unexpected scores header ['who', 'what']")
+        assert err.startswith(f"error: {table}: line 1: unexpected scores header ['who', 'what']")
 
     def test_linegraph_offset_past_the_year_9999(self, capsys, tmp_path):
         # the shifted labels fall in the year 10000, which datetime cannot hold

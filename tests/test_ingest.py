@@ -213,7 +213,8 @@ class TestParseCorpus:
         assert stats.rejected_unresolved == 1
         assert stats.rejected_no_geo == 1
         assert stats.rejected_malformed == 1
-        assert stats.consistent()
+        assert stats.lines_read == (stats.accepted + stats.rejected_no_geo
+                                    + stats.rejected_malformed + stats.rejected_unresolved)
 
     def test_region_assignment(self, tmp_path, regions_file):
         raw = self.write_raw(tmp_path, [

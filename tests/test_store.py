@@ -24,6 +24,7 @@ from geosent.store import (
     write_scores,
 )
 
+import oracles
 from conftest import fail_on_call, utc, write_parsed
 from oracles import format_instant_strftime
 
@@ -352,6 +353,20 @@ class TestScoreTable:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["t3.csv"]
 
+    @pytest.mark.parametrize("start", [utc(999, 12, 31, 22),
+                                       datetime(1000, 1, 1, tzinfo=timezone(timedelta(hours=2)))],
+                             ids=["utc", "local-year-1000"])
+    def test_bucket_before_the_year_1000_writes_nothing(self, tmp_path, start):
+        # format_instant would write 999-12-31T22:00:00Z, which read_scores cannot take back
+        path = tmp_path / "t3.csv"
+        with pytest.raises(ScoreRowError, match="row 1: bucket_start before 1000-01-01T00:00:00Z") as err:
+            write_scores(path, [score_row(), score_row(bucket_start=start,
+                                                       bucket_end=start + timedelta(hours=1))])
+        assert err.value.indices == [1]
+        assert not path.exists()
+        write_scores(path, [score_row(bucket_start=utc(1000, 1, 1), bucket_end=utc(1000, 1, 2))])
+        assert read_scores(path)[0].bucket_start == utc(1000, 1, 1)
+
     def test_inconsistent_pss_detected(self):
         row = score_row(pss=2.5)
         assert row.problem() is not None
@@ -378,7 +393,7 @@ class TestScoreTable:
         write_scores(path, [score_row(), score_row(region="kent"), score_row(region="fife")])
         header, first, second, third = path.read_text().splitlines(keepends=True)
         path.write_text(header + first + second.replace(old, new, 1) + third)
-        with pytest.raises(StoreError, match=f"^line 3: {message}"):
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line 3: {message}"):
             read_scores(path)
 
     @pytest.mark.parametrize("row", [0, 1, 2])
@@ -390,8 +405,97 @@ class TestScoreTable:
         kept, cut_row = b"".join(lines[:row + 1]), lines[row + 1]
         for cut in range(1, len(cut_row)):
             path.write_bytes(kept + cut_row[:cut])
-            with pytest.raises(StoreError, match=f"^line {row + 2}: "):
+            with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line {row + 2}: "):
                 read_scores(path)
+
+
+# quoted CR and LF, the line breaks that str.splitlines adds, and the csv quote and separator
+_REGION_CHARS = ["a", "\u00e9", " ", ",", '"', "\r", "\n", "\r\n", "\u2028", "\u0085", "\x1c"]
+# the writer quotes a field for an LF, a quote or a comma, but not for a lone CR
+_REGIONS = st.lists(st.sampled_from(_REGION_CHARS), min_size=1, max_size=5).map("".join).filter(
+    lambda region: "\r" not in region or any(c in region for c in '\n",'))
+
+
+@st.composite
+def _score_rows(draw):
+    pos, neg = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pss = draw(st.sampled_from([None, pos / max(neg, 1)]))
+    start = utc(2013, 7, 22) + timedelta(hours=draw(st.integers(0, 3)))
+    return score_row(region=draw(_REGIONS), parent=draw(_REGIONS | st.just("")),
+                     bucket_start=start, bucket_end=start + timedelta(hours=1),
+                     pos_count=pos, neg_count=neg, tweet_count=pos + neg,
+                     pss=pss, npss=None if pss is None else draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+def _line_named(error, path):
+    """The line a score-table error names; a header error names line 1 or none."""
+    message = str(error).replace(str(path), "")
+    found = re.search(r"\bline (\d+): ", message)
+    if found:
+        return int(found.group(1))
+    assert "unexpected scores header" in message, message
+    return 1
+
+
+class TestScoreReader:
+    """read_scores against the three-pass reader it replaced, with blocks that split rows."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader") / "t3.csv"
+
+    @staticmethod
+    def table(path, rows) -> bytes:
+        write_scores(path, rows)
+        return path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_score_rows(), min_size=1, max_size=6),
+           fault=st.sampled_from([None, "utf8", "torn", "header", "empty-header", "empty", "row"]),
+           where=st.integers(0, 10**6), block=st.integers(1, 64), data=st.data())
+    def test_matches_the_three_pass_reader(self, path, rows, fault, where, block, data):
+        whole = self.table(path, rows)
+        before = self.table(path, rows[:-1])  # the header and every row but the last
+        header, last = whole[:whole.index(b"\n") + 1], whole[len(before):].decode("utf-8")
+        if fault == "utf8":  # any byte but the final LF
+            at = where % (len(whole) - 1)
+            whole = whole[:at] + b"\xff" + whole[at:]
+        elif fault == "torn":  # the last row cut at a character, never at its end
+            whole = before + last[:1 + where % (len(last) - 1)].encode("utf-8")
+        elif fault in ("header", "empty-header"):
+            wrong = data.draw(st.sampled_from(["who,what\n", "approach,level\n", "approach\n"]))
+            whole = (wrong if fault == "header" else "\n").encode() + whole[len(header):]
+        elif fault == "empty":
+            whole = b""
+        elif fault == "row":  # the last row keeps its LF; nan fails the row check, x the float
+            tail = data.draw(st.sampled_from([",nan,NA\n", ",x,NA\n", "\n"]))
+            whole = before + (last.rsplit(",", 2)[0] + tail).encode("utf-8")
+        path.write_bytes(whole)
+        with mock.patch.object(store, "SCORE_BLOCK_BYTES", block):
+            if fault is None:
+                assert read_scores(path) == oracles.read_scores_three_pass(path) == rows
+                return
+            with pytest.raises(StoreError) as got:
+                read_scores(path)
+        with pytest.raises(StoreError) as want:
+            oracles.read_scores_three_pass(path)
+        assert str(got.value).startswith(f"{path}: line ")
+        assert _line_named(got.value, path) == _line_named(want.value, path)
+
+    def test_read_opens_the_table_once(self, tmp_path):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row(), score_row(region="kent")])
+        with mock.patch("builtins.open", wraps=open) as opened:
+            assert len(read_scores(path)) == 2
+        assert [call.args[0] for call in opened.call_args_list] == [path]
+
+    def test_append_opens_the_old_table_once(self, tmp_path):
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row()])
+        with mock.patch("builtins.open", wraps=open) as opened:
+            write_scores(path, [score_row(region="kent")], append=True)
+        assert [call.args[0] for call in opened.call_args_list].count(path) == 1
+        assert len(read_scores(path)) == 2
 
 
 def test_score_row_pss_tolerance_is_relative():
