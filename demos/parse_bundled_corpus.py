@@ -17,10 +17,10 @@ from geosent import bundled, collect, load_regions, parse_corpus
 OUT = Path(__file__).resolve().parent / "out"
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
-    raw = OUT / "demo.t1.jsonl"
-    parsed = OUT / "demo.t2.tsv"
+def main(out: Path = OUT) -> None:
+    out.mkdir(exist_ok=True)
+    raw = out / "demo.t1.jsonl"
+    parsed = out / "demo.t2.tsv"
     raw.unlink(missing_ok=True)
 
     print("== stage 1: collect ==")

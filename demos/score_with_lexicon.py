@@ -36,9 +36,9 @@ def show(rows) -> None:
               f"pss={pss:<10} npss={npss}")
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
-    parsed = OUT / "demo.t2.tsv"
+def main(out: Path = OUT) -> None:
+    out.mkdir(exist_ok=True)
+    parsed = out / "demo.t2.tsv"
     if not parsed.exists():
         index = load_regions(bundled.regions_path())
         parse_corpus(bundled.corpus_path(), index, parsed)

@@ -17,8 +17,8 @@ from geosent.classifier import load_labeled
 OUT = Path(__file__).resolve().parent / "out"
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
+def main(out: Path = OUT) -> None:
+    out.mkdir(exist_ok=True)
 
     print("== distant labelling ==")
     raw_texts = [
@@ -56,7 +56,7 @@ def main() -> None:
     for (truth, predicted), n in sorted(report.confusion.items()):
         print(f"  true={truth:<8} predicted={predicted:<8} count={n}")
 
-    saved = OUT / "demo-model.nb"
+    saved = out / "demo-model.nb"
     save_model(model, saved)
     again = load_model(saved)
     print()

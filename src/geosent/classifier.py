@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 
 from . import emoticons
 from .lexicon import TWEETS
-from .store import staged
+from .store import _read_text, staged
 from .tokenizer import Features, _scan_features
 
 POSITIVE = "Positive"
@@ -254,13 +254,7 @@ def save_model(model: NBModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> NBModel:
     """Read a model file back; version or structure problems raise."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc.reason}") from None
-    lines = raw.splitlines()
+    lines = _read_text(path, "model", ModelFormatError).splitlines()
     if not lines or lines[0] != MODEL_HEADER:
         head = lines[0] if lines else ""
         raise ModelFormatError(f"{path}: bad model header {head!r}, expected {MODEL_HEADER!r}")
@@ -290,16 +284,15 @@ def load_labeled(path: str | Path) -> list[LabeledTweet]:
     """Read a label<TAB>text corpus; labels are case-insensitive."""
     canonical = {label.lower(): label for label in LABELS}
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ClassifierError(f"corpus line {number}: expected label<TAB>text")
-            label = canonical.get(parts[0].strip().lower())
-            if label is None:
-                raise ClassifierError(f"corpus line {number}: unknown label {parts[0]!r}")
-            rows.append(LabeledTweet(text=parts[1], label=label))
+    text = _read_text(path, "labelled corpus", ClassifierError)
+    for number, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise ClassifierError(f"{path}: line {number}: expected label<TAB>text")
+        label = canonical.get(parts[0].strip().lower())
+        if label is None:
+            raise ClassifierError(f"{path}: line {number}: unknown label {parts[0]!r}")
+        rows.append(LabeledTweet(text=parts[1], label=label))
     return rows

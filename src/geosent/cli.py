@@ -8,10 +8,11 @@ same converter, so flags win over the config file, which wins over the
 declared defaults.  There a switch takes a boolean (`append=1`) and `mix`
 a whitespace-separated list.  A key the subcommand lacks is a usage error.
 
-Exit codes: 0 on success, 1 for usage problems (bad options or config keys,
-`pipeline` settings that cannot work), 2 for data problems (unreadable
-files, malformed content, impossible requests).  Progress and warnings go
-to stderr; stdout carries only machine-readable key=value lines and paths.
+Exit codes: 0 on success, 1 for usage problems (bad options, an unreadable
+config file or a bad key in it, `pipeline` settings that cannot work), 2 for
+data problems (other unreadable files, malformed content, impossible
+requests).  Progress and warnings go to stderr; stdout carries only
+machine-readable key=value lines and paths.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .ingest import collect, parse_and_aggregate, parse_corpus
 from .lexicon import DictionaryAnalyser, LexiconError, load_lexicon
 from .store import (
     StoreError,
+    _read_text,
     format_instant,
     parse_instant,
     read_scores,
@@ -173,11 +175,7 @@ def _mix_arg(text: str) -> list:
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse a key=value config file; # starts a comment line."""
     settings: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise UsageError(f"cannot read config file: {err}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config", UsageError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -262,7 +260,7 @@ def _cmd_train(args):
     if args.labeled is not None:
         corpus = load_labeled(args.labeled)
     else:
-        texts = Path(args.distant).read_text(encoding="utf-8").splitlines()
+        texts = _read_text(args.distant, "distant text", ClassifierError).splitlines()
         corpus = list(distant_label(texts))
         log.info("distant labelling kept %d of %d texts", len(corpus), len(texts))
     model = train(corpus)

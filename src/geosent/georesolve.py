@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .store import LEVELS, UNASSIGNED, _utf8_text
+from .store import LEVELS, UNASSIGNED, _read_text, _utf8_text
 
 
 class GeoError(Exception):
@@ -179,12 +179,7 @@ def load_regions(path: str | Path) -> RegionIndex:
     across features are rejected since region names key the parsed table.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GeoError(f"cannot read region file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise GeoError(f"region file {path} is not UTF-8 text: {exc.reason}") from None
+        doc = json.loads(_read_text(path, "region", GeoError))
     except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise GeoError(f"region file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":

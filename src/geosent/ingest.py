@@ -46,7 +46,6 @@ ROWS_PER_BATCH = 256
 
 NO_GEO = "no_geo"
 MALFORMED = "malformed"
-UNRESOLVED = "unresolved"
 
 _CLASSIC_TIME_RE = re.compile(
     r"^[A-Za-z]{3} (?P<mon>[A-Za-z]{3}) (?P<day>\d{1,2}) "
@@ -185,7 +184,7 @@ def parse_record(payload: bytes | str) -> ParsedTweet | str:
     if not isinstance(text, str) or not _utf8_text(text):
         return MALFORMED
 
-    if "coordinates" not in record or record.get("coordinates") is None:
+    if record.get("coordinates") is None:
         return NO_GEO
     point = _coordinates_of(record)
     if point is None:

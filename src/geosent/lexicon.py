@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .store import _read_text
 from .tokenizer import HASHTAG, WORD, Features, Token
 
 log = logging.getLogger(__name__)
@@ -61,12 +62,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """Read a lexicon file; duplicate patterns keep the last entry."""
     exact: dict[str, int] = {}
     wild: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise LexiconError(f"lexicon file {path} is not UTF-8 text: {exc.reason}") from None
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(_read_text(path, "lexicon", LexiconError).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

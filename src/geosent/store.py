@@ -23,6 +23,7 @@ map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
 through a process pool, yielding results in file order.  The one pass
 over T1 (ingest) and the scan of T2 (estimator) both run on it.
+_read_text() reads each whole input file (lexicon, model, regions...) as UTF-8.
 """
 from __future__ import annotations
 
@@ -157,6 +158,8 @@ class ScoreRow:
             return f"unknown level {self.level!r}"
         if not self.region:
             return "empty region"
+        if "\r" in self.region or "\r" in self.parent:  # csv writes a lone CR unquoted
+            return "raw CR in region or parent"
         if not self.bucket_start < self.bucket_end:
             return "bucket_start must precede bucket_end"
         if self.bucket_start.astimezone(timezone.utc).year < MIN_YEAR:
@@ -184,6 +187,23 @@ def _utf8_text(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """A whole input file's text as open(path, encoding="utf-8").read() gives it,
+    CRLF and CR read as LF.  An unreadable file or a byte that is not UTF-8
+    raises error naming the kind of file, its path and the line."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(f"{what} file {path} is not UTF-8 text: line {line}: {exc.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _torn(fh) -> bool:
@@ -343,7 +363,10 @@ def _score_blocks(table_path: str | Path) -> Iterator[str]:
                 line = lines + block.count(b"\n", 0, exc.start) + 1
                 raise StoreError(f"{table_path}: line {line}: not UTF-8 text: {exc.reason}") from None
             if not lines:
-                header = next(csv.reader(io.StringIO(text, newline="")))
+                try:
+                    header = next(csv.reader(io.StringIO(text, newline="")))
+                except csv.Error as exc:  # a field over csv's size limit
+                    raise StoreError(f"{table_path}: line 1: {exc}") from None
                 if header != list(SCORE_COLUMNS):
                     raise StoreError(f"{table_path}: line 1: unexpected scores header {header!r}")
             lines += block.count(b"\n")
@@ -412,10 +435,10 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
     if next(reader, None) is None:  # _score_blocks checked any header there is
         raise StoreError(f"{table_path}: line 1: unexpected scores header None")
     rows = []
-    for record in reader:
-        if len(record) != len(SCORE_COLUMNS):
-            raise StoreError(f"{table_path}: line {reader.line_num}: scores row has {len(record)} fields")
-        try:
+    try:
+        for record in reader:
+            if len(record) != len(SCORE_COLUMNS):
+                raise ValueError(f"scores row has {len(record)} fields")
             row = ScoreRow(
                 approach=record[0],
                 level=record[1],
@@ -429,10 +452,10 @@ def read_scores(table_path: str | Path) -> list[ScoreRow]:
                 pss=_parse_score(record[9]),
                 npss=_parse_score(record[10]),
             )
-        except ValueError as err:
-            raise StoreError(f"{table_path}: line {reader.line_num}: {err}") from None
-        problem = row.problem()
-        if problem:
-            raise StoreError(f"{table_path}: line {reader.line_num}: {problem}")
-        rows.append(row)
+            problem = row.problem()
+            if problem:
+                raise ValueError(problem)
+            rows.append(row)
+    except (ValueError, csv.Error) as err:  # csv.Error: a field over csv's size limit
+        raise StoreError(f"{table_path}: line {reader.line_num}: {err}") from None
     return rows

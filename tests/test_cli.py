@@ -166,6 +166,35 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: {problem}")
         assert out == ""
 
+    @pytest.mark.parametrize("kind, argv", [
+        ("config", ["parse", "--config", "{input}"]),
+        ("lexicon", ["score", "--parsed", "{parsed}", "--scores", "{out}", "--approach",
+                     "dictionary", "--lexicon", "{input}", "--level", "country", *WINDOW]),
+        ("model", ["score", "--parsed", "{parsed}", "--scores", "{out}", "--approach", "ml",
+                   "--model", "{input}", "--level", "country", *WINDOW]),
+        ("labelled corpus", ["train", "--model", "{out}", "--labeled", "{input}"]),
+        ("labelled corpus", ["evaluate", "--model", "{model}", "--test", "{input}"]),
+        ("distant text", ["train", "--model", "{out}", "--distant", "{input}"]),
+        ("region", ["parse", "--raw", "{parsed}", "--regions", "{input}", "--parsed", "{out}"]),
+    ], ids=["config", "lexicon", "model", "labeled", "test", "distant", "regions"])
+    @pytest.mark.parametrize("fault", ["missing", "bad-byte"])
+    def test_unreadable_input_file_is_named(self, capsys, tmp_path, parsed_table, kind, argv, fault):
+        path = tmp_path / "input"
+        if fault == "bad-byte":
+            path.write_bytes(b"first line\nsecond \xff line\n")
+        paths = dict(input=path, parsed=parsed_table, out=tmp_path / "out",
+                     model=geosent.bundled.model_path())
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        # a config file is a usage problem (exit 1), every other file a data problem (exit 2)
+        prefix = "usage error: " if kind == "config" else "error: "
+        assert code == (1 if kind == "config" else 2)
+        if fault == "missing":
+            assert err.startswith(f"{prefix}cannot read {kind} file {path}: ")
+        else:
+            assert err == f"{prefix}{kind} file {path} is not UTF-8 text: line 2: invalid start byte\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_huge_integer_region_coordinate(self, capsys, tmp_path, corpus_file):
         ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
         regions = tmp_path / "regions.geojson"
@@ -210,6 +239,18 @@ class TestExitCodes:
         code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in command), "--scores", str(bad))
         assert code == 2
         assert err.startswith(f"error: {bad}: line 2: pss nan")
+        assert not (tmp_path / "tiles.svg").exists()
+
+    def test_score_field_over_the_csv_limit_names_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "scores.tsv"
+        write_scores(bad, [ScoreRow("Dictionary", "County", "x" * 200_000, "england",
+                                    datetime(2013, 7, 22, tzinfo=timezone.utc),
+                                    datetime(2013, 7, 23, tzinfo=timezone.utc), 1, 0, 1, 1.0, 1.0)])
+        code, out, err = run(capsys, "render", "--kind", "tilemap", "--scores", str(bad),
+                             "--out", str(tmp_path / "tiles.svg"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: line 2: field larger than field limit")
+        assert out == ""
         assert not (tmp_path / "tiles.svg").exists()
 
     @pytest.mark.parametrize("drop", [1, 2, 10, -1], ids=["newline", "last-digit", "mid-row", "first-byte"])

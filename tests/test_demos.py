@@ -37,3 +37,15 @@ def test_draw_maps_reproduces_committed_outputs(tmp_path):
     for name in ("demo.t2.tsv", "demo.kml", "demo-tiles.svg", "demo-series.svg",
                  "demo-series.csv"):
         assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("demo, names", [
+    ("parse_bundled_corpus", ["demo.t1.jsonl", "demo.t2.tsv"]),
+    ("score_with_lexicon", ["demo.t2.tsv"]),
+    ("train_and_classify", ["demo-model.nb"]),
+])
+def test_demo_reproduces_committed_outputs(tmp_path, demo, names):
+    _load_demo(demo).main(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (DEMOS / "out" / name).read_bytes(), name

@@ -367,6 +367,23 @@ class TestScoreTable:
         write_scores(path, [score_row(bucket_start=utc(1000, 1, 1), bucket_end=utc(1000, 1, 2))])
         assert read_scores(path)[0].bucket_start == utc(1000, 1, 1)
 
+    @pytest.mark.parametrize("field", ["region", "parent"])
+    def test_lone_cr_writes_nothing(self, tmp_path, field):
+        # the csv writer leaves a lone CR unquoted, and the reader splits the row there
+        path = tmp_path / "t3.csv"
+        with pytest.raises(ScoreRowError, match="row 1: raw CR in region or parent") as err:
+            write_scores(path, [score_row(), score_row(**{field: "a\rb"})])
+        assert err.value.indices == [1]
+        assert not path.exists()
+
+    def test_read_names_a_header_field_over_the_csv_limit(self, tmp_path):
+        # a row's over-long field is checked through the CLI, in tests/test_cli.py
+        path = tmp_path / "t3.csv"
+        write_scores(path, [score_row()])
+        path.write_bytes(b"x" * 200_000 + path.read_bytes())
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line 1: field larger"):
+            read_scores(path)
+
     def test_inconsistent_pss_detected(self):
         row = score_row(pss=2.5)
         assert row.problem() is not None
@@ -409,11 +426,10 @@ class TestScoreTable:
                 read_scores(path)
 
 
-# quoted CR and LF, the line breaks that str.splitlines adds, and the csv quote and separator
+# CR (which write_scores refuses), quoted LF, the line breaks that str.splitlines
+# adds, and the csv quote and separator
 _REGION_CHARS = ["a", "\u00e9", " ", ",", '"', "\r", "\n", "\r\n", "\u2028", "\u0085", "\x1c"]
-# the writer quotes a field for an LF, a quote or a comma, but not for a lone CR
-_REGIONS = st.lists(st.sampled_from(_REGION_CHARS), min_size=1, max_size=5).map("".join).filter(
-    lambda region: "\r" not in region or any(c in region for c in '\n",'))
+_REGIONS = st.lists(st.sampled_from(_REGION_CHARS), min_size=1, max_size=5).map("".join)
 
 
 @st.composite
@@ -454,6 +470,12 @@ class TestScoreReader:
            fault=st.sampled_from([None, "utf8", "torn", "header", "empty-header", "empty", "row"]),
            where=st.integers(0, 10**6), block=st.integers(1, 64), data=st.data())
     def test_matches_the_three_pass_reader(self, path, rows, fault, where, block, data):
+        if any("\r" in row.region + row.parent for row in rows):
+            path.write_bytes(b"old")
+            with pytest.raises(ScoreRowError):
+                write_scores(path, rows)
+            assert path.read_bytes() == b"old"
+            return
         whole = self.table(path, rows)
         before = self.table(path, rows[:-1])  # the header and every row but the last
         header, last = whole[:whole.index(b"\n") + 1], whole[len(before):].decode("utf-8")
@@ -504,3 +526,41 @@ def test_score_row_pss_tolerance_is_relative():
                     pss=float.fromhex("0x1.5555555555555p-2"), npss=None)
     assert math.isclose(row.pss, 1 / 3)
     assert row.problem() is None
+
+
+# every line end that open() translates or keeps: LF, CR, CRLF, and what str.splitlines adds
+_TEXTS = st.lists(st.sampled_from(["a", "\u00e9", "\t", "\n", "\r", "\r\n", "\u2028", "\u0085", "\x1c"]),
+                  max_size=30).map("".join)
+
+
+class TestReadText:
+    """store._read_text against a text-mode read of the same file."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("text") / "input.txt"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXTS)
+    def test_matches_a_text_mode_read(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert store._read_text(path, "sample", StoreError) == fh.read()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TEXTS, bad=st.sampled_from([b"\x80", b"\xbf", b"\xc0", b"\xff"]), data=st.data())
+    def test_names_the_line_of_a_bad_byte(self, path, text, bad, data):
+        cut = data.draw(st.integers(0, len(text)))
+        head, tail = text[:cut].encode("utf-8"), text[cut:].encode("utf-8")
+        path.write_bytes(head)
+        with open(path, encoding="utf-8") as fh:
+            line = fh.read().count("\n") + 1  # 1 plus the line ends before the bad byte
+        path.write_bytes(head + bad + tail)
+        with pytest.raises(StoreError, match=f"^sample file {re.escape(str(path))} is not UTF-8 "
+                                             f"text: line {line}: "):
+            store._read_text(path, "sample", StoreError)
+
+    def test_names_a_file_it_cannot_read(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(StoreError, match=f"^cannot read sample file {re.escape(str(path))}: "):
+            store._read_text(path, "sample", StoreError)
