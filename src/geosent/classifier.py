@@ -254,7 +254,7 @@ def save_model(model: NBModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> NBModel:
     """Read a model file back; version or structure problems raise."""
-    lines = _read_text(path, "model", ModelFormatError).splitlines()
+    lines = _read_text(path, "model", ModelFormatError).split("\n")
     if not lines or lines[0] != MODEL_HEADER:
         head = lines[0] if lines else ""
         raise ModelFormatError(f"{path}: bad model header {head!r}, expected {MODEL_HEADER!r}")

@@ -9,8 +9,9 @@ declared defaults.  There a switch takes a boolean (`append=1`) and `mix`
 a whitespace-separated list.  A key the subcommand lacks is a usage error.
 
 Exit codes: 0 on success, 1 for usage problems (bad options, an unreadable
-config file or a bad key in it, `pipeline` settings that cannot work), 2 for
-data problems (other unreadable files, malformed content, impossible
+config file or a bad key in it, `pipeline` settings that cannot work, an
+output that names a file the command reads or writes under another option),
+2 for data problems (other unreadable files, malformed content, impossible
 requests).  Progress and warnings go to stderr; stdout carries only
 machine-readable key=value lines and paths.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -54,7 +56,7 @@ from .store import (
     read_scores,
     write_scores,
 )
-from .visualize import VisualizeError, emit_kml, emit_linegraph, emit_tilemap
+from .visualize import VisualizeError, emit_kml, emit_linegraph, emit_tilemap, linegraph_paths
 
 log = logging.getLogger(__name__)
 
@@ -175,13 +177,13 @@ def _mix_arg(text: str) -> list:
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse a key=value config file; # starts a comment line."""
     settings: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_text(path, "config", UsageError).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "config", UsageError).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise UsageError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         settings[key.strip()] = value.strip()
     return settings
 
@@ -190,6 +192,30 @@ def _require(args, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"missing --{name.replace('_', '-')} (or {name}= in config)")
+
+
+def _named(args, keys: str) -> list[tuple[str, str]]:
+    """(flag, path) for each of keys that names a file: set, and not - for stdin."""
+    paths = ((key, getattr(args, key)) for key in keys.split())
+    return [("--" + key.replace("_", "-"), path) for key, path in paths if path not in (None, "-")]
+
+
+def _refuse_clashes(reads: list[tuple[str, str]], writes: list[tuple[str, str]]) -> None:
+    """Refuse a file written that is also read, or written twice, before either is opened.
+
+    Paths clash when they resolve to one path, or when both exist and
+    os.path.samefile holds, as for a hard link.
+    """
+    seen = list(reads)
+    for flag, path in writes:
+        for other, known in seen:
+            try:
+                same = os.path.realpath(path) == os.path.realpath(known) or os.path.samefile(path, known)
+            except OSError:  # one of them does not exist yet
+                same = False
+            if same:
+                raise UsageError(f"{flag} names the same file as {other}: {path}")
+        seen.append((flag, path))
 
 
 def _analyser(approach: str, lexicon: str, model: str, hashtag_match: bool):
@@ -232,6 +258,7 @@ def _draw(kind: str, rows, out: str, *, index=None, approach=None, level=None,
 
 def _cmd_collect(args):
     _require(args, "raw")
+    _refuse_clashes(_named(args, "config input"), _named(args, "raw"))
     if args.input == "-":
         stats, fragment = collect(sys.stdin.buffer, args.raw)
     else:
@@ -244,6 +271,7 @@ def _cmd_collect(args):
 
 def _cmd_parse(args):
     _require(args, "raw", "regions", "parsed")
+    _refuse_clashes(_named(args, "config raw regions"), _named(args, "parsed"))
     index = load_regions(args.regions)
     log.info("parsing %s", args.raw)
     stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
@@ -257,10 +285,13 @@ def _cmd_train(args):
     _require(args, "model")
     if (args.labeled is None) == (args.distant is None):
         raise UsageError("give exactly one of --labeled or --distant")
+    _refuse_clashes(_named(args, "config labeled distant"), _named(args, "model"))
     if args.labeled is not None:
         corpus = load_labeled(args.labeled)
     else:
-        texts = _read_text(args.distant, "distant text", ClassifierError).splitlines()
+        texts = _read_text(args.distant, "distant text", ClassifierError).split("\n")
+        if not texts[-1]:  # the text after the last LF, empty unless that line lacks its LF
+            texts.pop()
         corpus = list(distant_label(texts))
         log.info("distant labelling kept %d of %d texts", len(corpus), len(texts))
     model = train(corpus)
@@ -283,6 +314,7 @@ def _cmd_evaluate(args):
 
 def _cmd_score(args):
     _require(args, "parsed", "scores", "approach", "level", "start", "end")
+    _refuse_clashes(_named(args, "config parsed lexicon model"), _named(args, "scores"))
     spec = AggregationSpec(level=args.level, window=(args.start, args.end),
                            bucket_seconds=args.bucket, norm_scope=args.norm_scope)
     analyser = _analyser(args.approach, args.lexicon, args.model, args.hashtag_match)
@@ -305,6 +337,10 @@ def _cmd_correlate(args):
 
 def _cmd_render(args):
     _require(args, "kind", "scores", "out")
+    writes = _named(args, "out")
+    if args.kind == "linegraph":
+        writes = [("--out", str(path)) for path in linegraph_paths(args.out)]
+    _refuse_clashes(_named(args, "config scores regions"), writes)
     index = None
     if args.kind == "kml":
         _require(args, "regions")
@@ -319,6 +355,7 @@ def _cmd_render(args):
 
 def _cmd_gen_corpus(args):
     _require(args, "regions", "out", "seed", "start")
+    _refuse_clashes(_named(args, "config regions"), _named(args, "out"))
     if not args.mix:
         raise UsageError("give at least one --mix region:positives:negatives")
     index = load_regions(args.regions)
@@ -332,6 +369,12 @@ def _cmd_pipeline(args):
     # Every setting is checked before the parsed table is replaced.
     if args.line_out and not args.line_region:
         raise UsageError("line_out needs line_region")
+    line_scores = args.line_scores or args.scores + ".hourly"
+    writes = _named(args, "parsed scores kml_out tilemap_out")
+    if args.line_out:
+        writes += [("--line-scores", line_scores)]
+        writes += [("--line-out", str(path)) for path in linegraph_paths(args.line_out)]
+    _refuse_clashes(_named(args, "config raw regions lexicon model"), writes)
     for out, level in ((args.kml_out, "Country"), (args.tilemap_out, "County")):
         if out and (level not in args.levels or args.render_approach not in args.approaches):
             raise UsageError(f"{out} draws {args.render_approach} {level} rows, "
@@ -371,7 +414,6 @@ def _cmd_pipeline(args):
     write_scores(args.scores, table)
     print(f"scores={args.scores}")
     if args.line_out:
-        line_scores = args.line_scores or args.scores + ".hourly"
         write_scores(line_scores, line_table)
         print(f"line_scores={line_scores}")
     if args.kml_out:

@@ -21,9 +21,10 @@ counter or classifier) scores those features once, and the counts fold
 into the cells of every job whose window holds the row.  Buckets count
 from the window start (the final bucket may be truncated).  Window
 endpoints are timezone-aware instants and may carry microseconds.  Both
-scans run on store.map_blocks, in-process or over a process pool; block
-results merge by addition in file order, so the output is identical
-whatever the thread count.
+scans run on store.map_blocks, in-process or over a process pool, in
+blocks of whole lines of about store.BLOCK_BYTES bytes, so a block's memo
+holds no more features than its lines; block results merge by addition
+in file order, so the output is identical whatever the thread count.
 """
 from __future__ import annotations
 

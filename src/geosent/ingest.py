@@ -9,7 +9,9 @@ Everything else is counted and dropped, never silently.
 
 This module holds the one pass over the raw table (T1).
 parse_and_aggregate() maps _parse_block() over T1's blocks with
-store.map_blocks: each block's lines are parsed, resolved and validated
+store.map_blocks, whole lines of about store.BLOCK_BYTES bytes a block,
+so the pass holds no more than that of T1 however long its lines are:
+each block's lines are parsed, resolved and validated
 by _parsed_rows(), and every batch of ROWS_PER_BATCH rows is formatted
 into T2 text and folded into the score cells of every job (estimator's
 fold).  The pass writes T2 through store.staged() and merges counts and

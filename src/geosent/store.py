@@ -22,8 +22,11 @@ tail, then UTF-8, then the header; read_scores then checks the rows.
 map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
 through a process pool, yielding results in file order.  The one pass
-over T1 (ingest) and the scan of T2 (estimator) both run on it.
-_read_text() reads each whole input file (lexicon, model, regions...) as UTF-8.
+over T1 (ingest) and the scan of T2 (estimator) both run on it.  Every
+block, of T1, T2 or T3, is whole lines, closed at the first line that
+takes it past BLOCK_BYTES bytes (a pool's blocks may be smaller).
+_read_text() reads each whole input file (lexicon, model, regions...) as
+UTF-8, without a leading byte-order mark.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ import io
 import math
 import os
 import shutil
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,14 +53,13 @@ SCORE_COLUMNS = (
     "pos_count", "neg_count", "tweet_count", "pss", "npss",
 )
 
-# table lines per block: mapped in turn in-process, or handed to a pool worker
-BLOCK_LINES = 20_000
+# a block of any table is whole lines, closed at the first line that takes it
+# past this many bytes: mapped in turn in-process, or handed to a pool worker
+BLOCK_BYTES = 1 << 22
 # a pool cuts the table into about this many blocks per worker, so no worker waits
 # on one big block, but no smaller than POOL_BLOCK_MIN_BYTES, which are not worth a task
 POOL_BLOCKS_PER_WORKER = 4
 POOL_BLOCK_MIN_BYTES = 1 << 16
-# bytes per block of an existing score table, read on to the next LF
-SCORE_BLOCK_BYTES = 1 << 20
 
 # format_instant writes a year before 1000 without its leading zeros, which
 # parse_instant does not read back, so no table holds an instant before this year
@@ -190,13 +191,15 @@ def _utf8_text(text: str) -> bool:
 
 
 def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
-    """A whole input file's text as open(path, encoding="utf-8").read() gives it,
-    CRLF and CR read as LF.  An unreadable file or a byte that is not UTF-8
-    raises error naming the kind of file, its path and the line."""
+    """A whole input file's text as open(path, encoding="utf-8-sig").read() gives it:
+    a leading byte-order mark dropped, CRLF and CR read as LF.  An unreadable
+    file or a byte that is not UTF-8 raises error naming the kind of file, its
+    path and the line."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        # not decode("utf-8-sig"), whose error offsets skip the mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -265,37 +268,25 @@ def staged(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def _read_block(fh, lines: int, size: int) -> list[bytes]:
-    """The next block of a binary table's lines, closed at `lines` lines or `size` bytes."""
-    block: list[bytes] = []
-    held = 0
-    for line in fh:
-        block.append(line)
-        held += len(line)
-        if len(block) >= lines or held >= size:
-            break
-    return block
-
-
 def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, threads: int) -> Iterator:
     """Yield fn(block) for every block of a table's lines, in file order.
 
-    A block is a list of lines as bytes, split on LF only, of at most
-    BLOCK_LINES lines.  Each line keeps its LF, so a last line cut short
-    shows as the one line without.  One thread maps the blocks
-    in-process.  More threads hand them to a pool of that many worker
-    processes, so fn and everything bound to it must pickle.  Pool
-    blocks are also capped by bytes: about POOL_BLOCKS_PER_WORKER blocks
-    per worker, though at least POOL_BLOCK_MIN_BYTES.  So a small table
-    still keeps every worker busy, and a large one is not held in memory
-    at once.
+    A block is a list of lines as bytes, split on LF only, closed at the
+    first line that takes it past BLOCK_BYTES bytes.  Each line keeps its
+    LF, so a last line cut short shows as the one line without.  One
+    thread maps the blocks in-process.  More threads hand them to a pool
+    of that many worker processes, so fn and everything bound to it must
+    pickle.  Pool blocks are sized from the table: about
+    POOL_BLOCKS_PER_WORKER blocks per worker, though at least
+    POOL_BLOCK_MIN_BYTES and at most BLOCK_BYTES.  So a small table still
+    keeps every worker busy, and no table is held in memory at once.
     """
     with open(table_path, "rb") as fh:
-        size = sys.maxsize
+        size = BLOCK_BYTES
         if threads > 1:
-            size = max(os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1,
-                       POOL_BLOCK_MIN_BYTES)
-        blocks = iter(functools.partial(_read_block, fh, BLOCK_LINES, size), [])
+            share = os.fstat(fh.fileno()).st_size // (threads * POOL_BLOCKS_PER_WORKER) + 1
+            size = min(size, max(share, POOL_BLOCK_MIN_BYTES))
+        blocks = iter(functools.partial(fh.readlines, size), [])
         if threads == 1:
             # the built-in map drops each block before it yields the block's result,
             # so the caller's work on the result does not hold the block
@@ -355,8 +346,9 @@ def _score_blocks(table_path: str | Path) -> Iterator[str]:
             line = sum(1 for _ in io.TextIOWrapper(fh, "latin-1", newline=""))
             raise StoreError(f"{table_path}: line {line}: last row was cut short, no newline ends it")
         lines = 0
-        # each block ends at an LF, so no character is cut in two
-        while block := fh.read(SCORE_BLOCK_BYTES) + fh.readline():
+        # map_blocks' rule: each block closes at the first line that takes it
+        # past BLOCK_BYTES, so it ends at an LF and no character is cut in two
+        while block := fh.read(BLOCK_BYTES) + fh.readline():
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:

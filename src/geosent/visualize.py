@@ -356,6 +356,13 @@ def _tilemap_lines(drawable: list[ScoreRow]) -> Iterator[str]:
 # Line graph
 
 
+def linegraph_paths(out_prefix: str | Path) -> tuple[Path, Path]:
+    """The .svg and .csv paths emit_linegraph writes for out_prefix."""
+    out_prefix = Path(out_prefix)
+    return (out_prefix.with_name(out_prefix.name + ".svg"),
+            out_prefix.with_name(out_prefix.name + ".csv"))
+
+
 def emit_linegraph(
     rows: list[ScoreRow],
     out_prefix: str | Path,
@@ -399,9 +406,7 @@ def emit_linegraph(
         if not _utf8_text(value):
             raise VisualizeError(f"linegraph: {name} {value!r} is not valid UTF-8")
 
-    out_prefix = Path(out_prefix)
-    svg_path = out_prefix.with_name(out_prefix.name + ".svg")
-    csv_path = out_prefix.with_name(out_prefix.name + ".csv")
+    svg_path, csv_path = linegraph_paths(out_prefix)
 
     svg = _linegraph_svg(region, approaches, by_approach, buckets, display_tz_offset_minutes)
     # neither file is replaced unless both were written

@@ -209,6 +209,12 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="line 4"):
             load_model(path)
 
+    def test_lines_break_at_lf_only(self, tmp_path):
+        path = tmp_path / "model.nb"
+        path.write_text("geosent-nb v1\nprior Positive 1\nprior Negative 1\n"
+                        "tok Positive caf\u2028\u0085e 1\n", encoding="utf-8")
+        assert load_model(path).token_counts["Positive"] == {"caf\u2028\u0085e": 1}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.nb")

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -267,6 +268,71 @@ class TestExitCodes:
         assert not (tmp_path / "tiles.svg").exists()
 
 
+class TestPathClashes:
+    """An output that names an input, or another output, is refused before anything is written."""
+
+    @pytest.fixture
+    def files(self, tmp_path, corpus_file, regions_file, training_file, parsed_table, hourly_scores):
+        for name, source in [("t1.jsonl", corpus_file), ("regions.geojson", regions_file),
+                             ("train.tsv", training_file), ("t2.tsv", parsed_table),
+                             ("t3.csv", hourly_scores)]:
+            shutil.copyfile(source, tmp_path / name)
+        (tmp_path / "run.cfg").write_text(f"raw = {tmp_path / 't1.jsonl'}\n"
+                                          f"regions = {tmp_path / 'regions.geojson'}\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, written, read", [
+        (["collect", "--input", "{d}/t1.jsonl", "--raw", "{d}/t1.jsonl"], "--raw", "--input"),
+        (["parse", "--raw", "{d}/t1.jsonl", "--regions", "{d}/regions.geojson",
+          "--parsed", "{d}/t1.jsonl"], "--parsed", "--raw"),
+        (["parse", "--config", "{d}/run.cfg", "--parsed", "{d}/run.cfg"], "--parsed", "--config"),
+        (["train", "--labeled", "{d}/train.tsv", "--model", "{d}/train.tsv"], "--model", "--labeled"),
+        (["score", "--parsed", "{d}/t2.tsv", "--scores", "{d}/t2.tsv", "--approach", "dictionary",
+          "--level", "country", *WINDOW], "--scores", "--parsed"),
+        (["render", "--kind", "kml", "--scores", "{d}/t3.csv", "--regions", "{d}/regions.geojson",
+          "--out", "{d}/t3.csv"], "--out", "--scores"),
+        (["render", "--kind", "linegraph", "--scores", "{d}/t3.csv", "--region", "mycountry",
+          "--out", "{d}/t3"], "--out", "--scores"),  # writes t3.svg and t3.csv
+        (["gen-corpus", "--regions", "{d}/regions.geojson", "--out", "{d}/regions.geojson",
+          "--seed", "5", "--start", "2013-07-22T00:00:00Z", "--mix", "happycounty:3:1"],
+         "--out", "--regions"),
+        (["pipeline", "--raw", "{d}/t1.jsonl", "--regions", "{d}/regions.geojson",
+          "--parsed", "{d}/t1.jsonl", "--scores", "{d}/t3.csv", *WINDOW], "--parsed", "--raw"),
+        (["pipeline", "--raw", "{d}/t1.jsonl", "--regions", "{d}/regions.geojson",
+          "--parsed", "{d}/t2.tsv", "--scores", "{d}/t2.tsv", *WINDOW], "--scores", "--parsed"),
+        (["pipeline", "--raw", "{d}/t1.jsonl", "--regions", "{d}/regions.geojson",
+          "--parsed", "{d}/t2.tsv", "--scores", "{d}/t3.csv", "--line-out", "{d}/line",
+          "--line-region", "mycountry", "--line-scores", "{d}/line.csv", *WINDOW],
+         "--line-out", "--line-scores"),
+    ], ids=["collect", "parse", "parse-config", "train", "score", "render", "render-linegraph",
+            "gen-corpus", "pipeline-input", "pipeline-outputs", "pipeline-line-graph"])
+    def test_clash_is_a_usage_error(self, capsys, files, argv, written, read):
+        before = {p.name: p.read_bytes() for p in files.iterdir()}
+        code, out, err = run(capsys, *[arg.format(d=files) for arg in argv])
+        assert code == 1
+        assert err.startswith(f"usage error: {written} names the same file as {read}: ")
+        assert out == ""
+        assert {p.name: p.read_bytes() for p in files.iterdir()} == before
+
+    @pytest.mark.parametrize("link", ["hard", "symbolic", "relative"])
+    def test_another_name_of_the_file_clashes(self, capsys, files, monkeypatch, link):
+        raw = files / "t1.jsonl"
+        if link == "hard":
+            os.link(raw, files / "other.jsonl")
+        elif link == "symbolic":
+            os.symlink(raw, files / "other.jsonl")
+        parsed = str(files / "other.jsonl")
+        if link == "relative":
+            monkeypatch.chdir(files)
+            parsed = "./t1.jsonl"
+        before = raw.read_bytes()
+        code, _, err = run(capsys, "parse", "--raw", str(raw), "--regions",
+                           str(files / "regions.geojson"), "--parsed", parsed)
+        assert code == 1
+        assert err == f"usage error: --parsed names the same file as --raw: {parsed}\n"
+        assert raw.read_bytes() == before
+
+
 class TestCollect:
     def test_from_file(self, capsys, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -324,6 +390,17 @@ class TestTrain:
         got = keyvals(out)
         assert got["documents_positive"] == "1"
         assert got["documents_negative"] == "1"
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_distant_lines_break_at_lf_only(self, capsys, caplog, tmp_path, end):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("lovely\u2028morning :)\nwhat a mess :(" + end, encoding="utf-8")
+        with caplog.at_level(logging.INFO):
+            code, out, _ = run(capsys, "train", "--model", str(tmp_path / "m.nb"),
+                               "--distant", str(texts))
+        assert code == 0
+        assert "distant labelling kept 2 of 2 texts" in caplog.messages
+        assert keyvals(out)["documents_positive"] == "1"
 
     def test_both_sources_rejected(self, capsys, training_file, tmp_path):
         code, _, err = run(capsys, "train", "--model", str(tmp_path / "m.nb"),
@@ -450,6 +527,12 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         code, _, err = run(capsys, "score", "--config", str(cfg))
         assert code == 1
+        assert err == f"usage error: {cfg}: line 1: expected key=value, got 'just some words'\n"
+
+    def test_config_lines_break_at_lf_only(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("raw = /data/a\u0085b\u2028c\x1cd\nregions = r\n", encoding="utf-8")
+        assert read_config(cfg) == {"raw": "/data/a\u0085b\u2028c\x1cd", "regions": "r"}
 
     def test_read_config_shape(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -355,7 +355,7 @@ def _check_against_oracle(lines, job_args, threads):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         expected = [aggregate_per_pass(spec, path, analyser) for spec, analyser in jobs]
         # small blocks, so the fold merges many partial cell maps
-        with mock.patch.object(store, "BLOCK_LINES", 7):
+        with mock.patch.object(store, "BLOCK_BYTES", 512):
             assert aggregate_many(jobs, path, threads=threads) == expected
 
 
@@ -483,7 +483,7 @@ def _check_one_pass(data, job_args, threads):
         raw.write_bytes(data)
         want.write_bytes(want_t2)
         # small blocks, so cells and counts merge across many blocks
-        with mock.patch.object(store, "BLOCK_LINES", 7):
+        with mock.patch.object(store, "BLOCK_BYTES", 512):
             want_rows = aggregate_many(jobs, want, threads=threads)
             got_stats, got_rows = parse_and_aggregate(raw, REGIONS, one, jobs, threads=threads)
             parse_stats = parse_corpus(raw, REGIONS, zero, threads=threads)
@@ -537,7 +537,7 @@ class TestOnePass:
         parsed = tmp_path / "t2.tsv"
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
-        monkeypatch.setattr(store, "BLOCK_LINES", 1)
+        monkeypatch.setattr(store, "BLOCK_BYTES", 1)
         monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
         with pytest.raises(OSError):
             parse_and_aggregate(raw, REGIONS, parsed, [(spec(), analyser())])
@@ -547,7 +547,9 @@ class TestOnePass:
     def test_progress_logged_as_parse_logs_it(self, tmp_path, caplog):
         raw = tmp_path / "t1.jsonl"
         raw.write_bytes(b"".join(_raw(id_str=str(i)) + b"\n" for i in range(12)))
-        with mock.patch.object(store, "BLOCK_LINES", 7), \
+        # the ids differ in length by a byte, so the seventh line of a block passes this cap
+        cap = 7 * min(map(len, raw.read_bytes().splitlines(keepends=True))) - 1
+        with mock.patch.object(store, "BLOCK_BYTES", cap), \
                 mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level(logging.INFO):
             stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
         assert stats.accepted == 12

@@ -284,7 +284,7 @@ class TestParseCorpus:
         one = tmp_path / "one.tsv"
         two = tmp_path / "two.tsv"
         # small blocks, so many tasks each carry the bound region index
-        with mock.patch.object(store, "BLOCK_LINES", 7):
+        with mock.patch.object(store, "BLOCK_BYTES", 700):
             stats_one = parse_corpus(raw, index, one, threads=1)
             with mock.patch.object(multiprocessing, "get_context",
                                    return_value=multiprocessing.get_context(method)):
@@ -305,7 +305,7 @@ class TestParseCorpus:
         index = load_regions(grid_regions_file(56))
         one = tmp_path / "one.tsv"
         two = tmp_path / "two.tsv"
-        with mock.patch.object(store, "BLOCK_LINES", 40):
+        with mock.patch.object(store, "BLOCK_BYTES", 4000):
             stats_one = parse_corpus(raw, index, one, threads=1)
             with mock.patch.object(multiprocessing, "get_context",
                                    return_value=multiprocessing.get_context(method)):
@@ -329,8 +329,10 @@ class TestParseCorpus:
     def test_progress_logged_each_time_more_lines_are_read(self, tmp_path, regions_file, caplog):
         raw = self.write_raw(tmp_path, [record(id_str=str(i), coordinates=[2.0, 2.0])
                                         for i in range(23)])
-        # blocks of 7 lines never end on a multiple of 5: a block that passes one logs once
-        with mock.patch.object(store, "BLOCK_LINES", 7), \
+        # blocks of 7 lines never end on a multiple of 5: a block that passes one logs once;
+        # the ids differ in length by a byte, so the seventh line of each passes this cap
+        cap = 7 * min(map(len, raw.read_bytes().splitlines(keepends=True))) - 1
+        with mock.patch.object(store, "BLOCK_BYTES", cap), \
                 mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level("INFO"):
             parse_corpus(raw, load_regions(regions_file), tmp_path / "t2.tsv")
         assert [r.getMessage() for r in caplog.records] == [
@@ -364,7 +366,7 @@ class TestParseCorpus:
         parsed = tmp_path / "t2.tsv"
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
-        monkeypatch.setattr(store, "BLOCK_LINES", 1)
+        monkeypatch.setattr(store, "BLOCK_BYTES", 1)
         monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
         with pytest.raises(OSError):
             parse_corpus(raw, load_regions(regions_file), parsed)

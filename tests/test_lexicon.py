@@ -71,6 +71,13 @@ class TestLoading:
         assert lex.exact["happy"] == -1
         assert any("duplicate" in r.message for r in caplog.records)
 
+    def test_byte_order_mark_is_not_part_of_the_first_pattern(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"\xef\xbb\xbfhappy\t3\nsad\t-2\n")
+        lex = load_lexicon(path)
+        assert lex.exact == {"happy": 3, "sad": -2}
+        assert DictionaryAnalyser(lex).counts(_scan_features("so happy and sad")) == (1, 1)
+
     def test_non_utf8_file_named(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"happy\t3\nsad\xff\t-2\n")

@@ -182,7 +182,8 @@ class TestMapBlocks:
     def test_lines_split_on_lf_only_in_file_order(self, tmp_path):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "BLOCK_LINES", 4):
+        # the fourth line takes the first block from 10 bytes past 20
+        with mock.patch.object(store, "BLOCK_BYTES", 20):
             blocks = list(map_blocks(list, path, threads=1))
         assert blocks == [self.LINES[:4], self.LINES[4:]]
 
@@ -190,7 +191,7 @@ class TestMapBlocks:
     def test_pool_gives_the_same_blocks(self, tmp_path, size):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "BLOCK_LINES", size):
+        with mock.patch.object(store, "BLOCK_BYTES", size):
             one = list(map_blocks(list, path, threads=1))
             two = list(map_blocks(list, path, threads=2))
         assert one == two
@@ -202,9 +203,10 @@ class TestMapBlocks:
         path.write_bytes(b"".join(b"%09d\n" % i for i in range(1200)))
         with mock.patch.object(store, "POOL_BLOCK_MIN_BYTES", 1):
             sizes = list(map_blocks(len, path, threads=threads))
-            with mock.patch.object(store, "BLOCK_LINES", 70):
+            # 10-byte lines: the 70th takes a block past 699 bytes
+            with mock.patch.object(store, "BLOCK_BYTES", 699):
                 capped = list(map_blocks(len, path, threads=threads))
-        # about POOL_BLOCKS_PER_WORKER blocks per worker, and never over the line cap
+        # about POOL_BLOCKS_PER_WORKER blocks per worker, and never over the byte cap
         assert sum(sizes) == sum(capped) == 1200
         assert len(sizes) == threads * store.POOL_BLOCKS_PER_WORKER
         assert max(capped) == 70
@@ -215,10 +217,43 @@ class TestMapBlocks:
         assert list(map_blocks(list, path, threads=1)) == []
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_block_closes_at_the_line_that_passes_the_cap(self, tmp_path, threads):
+        path = tmp_path / "table"
+
+        # CR, CRLF, empty lines, no final LF, and lines longer than any cap drawn
+        @settings(max_examples=150 if threads == 1 else 25, deadline=None)
+        @given(data=st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n", b"x" * 150, b"\xff"]),
+                             max_size=40).map(b"".join),
+               cap=st.integers(1, 300))
+        def check(data, cap):
+            path.write_bytes(data)
+            with mock.patch.object(store, "BLOCK_BYTES", cap), \
+                    mock.patch.object(store, "POOL_BLOCK_MIN_BYTES", 1):
+                blocks = list(map_blocks(list, path, threads=threads))
+            *whole, last = data.split(b"\n")
+            assert [line for block in blocks for line in block] == \
+                [line + b"\n" for line in whole] + ([last] if last else [])
+            if threads > 1:
+                cap = min(cap, len(data) // (threads * store.POOL_BLOCKS_PER_WORKER) + 1)
+            sizes = [[len(line) for line in block] for block in blocks]
+            assert all(sum(block[:-1]) <= cap for block in sizes)
+            assert all(sum(block) > cap for block in sizes[:-1])
+
+        check()
+
+    def test_one_worker_blocks_are_capped_by_bytes(self, tmp_path):
+        path = tmp_path / "table"
+        line = b"x" * 2047 + b"\n"
+        path.write_bytes(line * 3000)
+        sizes = list(map_blocks(lambda block: sum(map(len, block)), path, threads=1))
+        assert sum(sizes) == 3000 * len(line)
+        assert len(sizes) == 2 and max(sizes) <= store.BLOCK_BYTES + len(line)
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_keep_newlines_shows_the_line_cut_short(self, tmp_path, threads):
         path = tmp_path / "table"
         path.write_bytes(self.BYTES)
-        with mock.patch.object(store, "BLOCK_LINES", 4):
+        with mock.patch.object(store, "BLOCK_BYTES", 20):
             blocks = list(map_blocks(list, path, threads=threads))
         assert [line for block in blocks for line in block] == self.LINES
 
@@ -493,7 +528,7 @@ class TestScoreReader:
             tail = data.draw(st.sampled_from([",nan,NA\n", ",x,NA\n", "\n"]))
             whole = before + (last.rsplit(",", 2)[0] + tail).encode("utf-8")
         path.write_bytes(whole)
-        with mock.patch.object(store, "SCORE_BLOCK_BYTES", block):
+        with mock.patch.object(store, "BLOCK_BYTES", block):
             if fault is None:
                 assert read_scores(path) == oracles.read_scores_three_pass(path) == rows
                 return
@@ -528,8 +563,10 @@ def test_score_row_pss_tolerance_is_relative():
     assert row.problem() is None
 
 
-# every line end that open() translates or keeps: LF, CR, CRLF, and what str.splitlines adds
-_TEXTS = st.lists(st.sampled_from(["a", "\u00e9", "\t", "\n", "\r", "\r\n", "\u2028", "\u0085", "\x1c"]),
+# every line end that open() translates or keeps: LF, CR, CRLF, and what str.splitlines adds;
+# and the byte-order mark, which utf-8-sig drops only at the start
+_TEXTS = st.lists(st.sampled_from(["a", "\u00e9", "\t", "\n", "\r", "\r\n", "\u2028", "\u0085", "\x1c",
+                                  "\ufeff"]),
                   max_size=30).map("".join)
 
 
@@ -544,7 +581,7 @@ class TestReadText:
     @given(text=_TEXTS)
     def test_matches_a_text_mode_read(self, path, text):
         path.write_bytes(text.encode("utf-8"))
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             assert store._read_text(path, "sample", StoreError) == fh.read()
 
     @settings(max_examples=300, deadline=None)
