@@ -528,7 +528,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     command("render", _cmd_render, "draw a score table as kml, tilemap, or linegraph",
             "kind scores out regions approach level region bucket_start tz_offset",
             approach="Dictionary", level="Country")
-    command("gen-corpus", _cmd_gen_corpus, "write a seeded synthetic raw table",
+    command("gen-corpus", _cmd_gen_corpus, "write a seeded synthetic raw table in place of --out",
             "regions out seed mix start duration")
     command("pipeline", _cmd_pipeline, "parse, score, and render in one deterministic run",
             f"raw regions parsed scores {scoring} approaches levels kml_out tilemap_out "

@@ -7,7 +7,9 @@ lexicon knows and with a trailing emoticon, so the same corpus exercises
 the word-counting path, distant labelling, and the trained classifier.
 
 Everything is driven by one `random.Random(seed)`, so a given seed and
-mix always produce byte-identical output.
+mix always produce byte-identical output.  The table is written whole
+through store.staged: a rerun replaces it, and a failed run leaves the
+old file, or none.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .georesolve import RegionIndex, resolve
-from .store import LEVELS, RawTable
+from .store import LEVELS, staged
 
 POSITIVE_WORDS = ("happy", "joy", "love", "great", "excited", "wonderful")
 NEGATIVE_WORDS = ("sad", "awful", "gloomy", "worst", "terrible")
@@ -122,7 +124,11 @@ def generate(
     start: datetime,
     duration_seconds: int = 86_400,
 ) -> int:
-    """Write a synthetic raw table; returns the record count."""
+    """Write a synthetic raw table in place of out_path; returns the record count.
+
+    Every setting, the last record's stamp included, is checked before
+    anything is written.
+    """
     if start.tzinfo is None:
         raise GenerateError("start time must be timezone-aware")
     if duration_seconds <= 0:
@@ -130,6 +136,13 @@ def generate(
     total = sum(entry.positive + entry.negative for entry in mix)
     if total == 0:
         raise GenerateError("mix adds up to zero tweets")
+    step = duration_seconds / total
+    try:  # stamps only grow, so the first and last bound them all
+        start.astimezone(timezone.utc)
+        (start + timedelta(seconds=int((total - 1) * step))).astimezone(timezone.utc)
+    except OverflowError:
+        raise GenerateError(f"a corpus of {duration_seconds} s from {start.isoformat()} "
+                            "leaves the years 1 to 9999") from None
 
     rng = random.Random(seed)
     jobs: list[tuple[MixEntry, bool]] = []
@@ -138,8 +151,7 @@ def generate(
         jobs.extend((entry, False) for _ in range(entry.negative))
     rng.shuffle(jobs)
 
-    step = duration_seconds / total
-    with RawTable(out_path) as table:
+    with staged(out_path) as staging, staging.open("w", encoding="utf-8", newline="") as fh:
         for i, (entry, positive) in enumerate(jobs):
             stamp = start + timedelta(seconds=int(i * step))
             lat, lon = _point_in(rng, index, entry)
@@ -152,5 +164,5 @@ def generate(
                 },
                 "text": _text_for(rng, positive),
             }
-            table.append(json.dumps(record, separators=(",", ":")))
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     return total

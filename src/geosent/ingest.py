@@ -5,18 +5,19 @@ byte for byte, one line per record, so a bad day at the firehose can always
 be re-processed later.  Parsing is where judgement happens.  A record
 survives only if it carries an id, a creation time we can read, a geo
 point, and a text; the point must then land inside a known region.
-Everything else is counted and dropped, never silently.
+Everything else is counted and dropped, never silently.  collect() is
+the one writer that appends to the raw table (T1), through store.open_raw.
 
 This module holds the one pass over the raw table (T1).
 parse_and_aggregate() maps _parse_block() over T1's blocks with
 store.map_blocks, whole lines of about store.BLOCK_BYTES bytes a block,
 so the pass holds no more than that of T1 however long its lines are:
-each block's lines are parsed, resolved and validated
-by _parsed_rows(), and every batch of ROWS_PER_BATCH rows is formatted
-into T2 text and folded into the score cells of every job (estimator's
-fold).  The pass writes T2 through store.staged() and merges counts and
-cells in file order, so its outputs are the same whatever the thread
-count.  parse_corpus() is that pass with no jobs.
+each block's lines are parsed and resolved by _parsed_rows(), and every
+batch of ROWS_PER_BATCH rows is formatted into T2 text and folded into
+the score cells of every job (estimator's fold).  The pass writes T2
+through store.staged() and merges counts and cells in file order, so its
+outputs are the same whatever the thread count.  parse_corpus() is that
+pass with no jobs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 from .estimator import AggregationSpec, Analyser, _fold_rows, _merge_cells, _plan, _score_rows
 from .georesolve import RegionIndex, resolve
-from .store import (MIN_YEAR, ParsedTweet, RawTable, ScoreRow, _utf8_text, format_parsed_line,
-                    map_blocks, parse_instant, staged)
+from .store import (MIN_YEAR, ParsedTweet, ScoreRow, _utf8_text, format_parsed_line, map_blocks,
+                    open_raw, parse_instant, staged)
 
 log = logging.getLogger(__name__)
 
@@ -82,21 +83,21 @@ class CollectorStats:
 def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, bytes]:
     """Append complete lines from a byte stream to the raw table.
 
-    Returns the stats and any trailing fragment that was not terminated by
-    a newline.  The fragment is NOT written; the caller decides whether to
-    keep it for a resumed stream or to drop it.
+    The only append to T1: each chunk read is written up to its last LF
+    in one call, through store.open_raw.  Returns the stats and any
+    trailing fragment that was not terminated by a newline.  The fragment
+    is NOT written; the caller decides whether to keep it for a resumed
+    stream or to drop it.
     """
     stats = CollectorStats()
     buffer = b""
-    with RawTable(raw_path) as table:
-        while True:
-            chunk = source.read(65536)
-            if not chunk:
-                break
-            *lines, buffer = (buffer + chunk).split(b"\n")
-            for line in lines:
-                table.append_bytes(line)
-            stats.lines_read += len(lines)
+    with open_raw(raw_path) as table:
+        while chunk := source.read(65536):
+            data = buffer + chunk
+            kept = data.rfind(b"\n") + 1
+            table.write(data[:kept])
+            stats.lines_read += data.count(b"\n")
+            buffer = data[kept:]
     if buffer:
         log.warning("collect: %d trailing bytes without newline were not stored", len(buffer))
     return stats, buffer
@@ -158,7 +159,8 @@ def parse_record(payload: bytes | str) -> ParsedTweet | str:
     """Parse one raw line; returns an unresolved row or a rejection reason.
 
     The row's country and county are empty, which validate() refuses,
-    until the caller resolves its point.
+    until the caller resolves its point.  Once they are set from a
+    region, the row passes validate(): every other field is checked here.
     """
     try:
         if isinstance(payload, bytes):
@@ -173,6 +175,8 @@ def parse_record(payload: bytes | str) -> ParsedTweet | str:
     if tweet_id is None and "id" in record:
         tweet_id = str(record["id"])
     if not isinstance(tweet_id, str) or not tweet_id or not _utf8_text(tweet_id):
+        return MALFORMED
+    if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:  # no T2 field holds one
         return MALFORMED
 
     created = record.get("created_at")
@@ -201,8 +205,8 @@ def parse_record(payload: bytes | str) -> ParsedTweet | str:
 def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) -> Iterator[ParsedTweet]:
     """Yield the rows of a block of raw lines that reach T2, in order.
 
-    Each line is parsed, resolved and validated; its fate is counted in
-    stats.  Rows are yielded one at a time, so no block of them is held.
+    Each line is parsed and resolved; its fate is counted in stats.
+    Rows are yielded one at a time, so no block of them is held.
     """
     stats.lines_read += len(lines)
     for payload in lines:
@@ -218,11 +222,6 @@ def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) 
             stats.rejected_unresolved += 1
             continue
         row.country, row.county = where
-        try:
-            row.validate()
-        except ValueError:
-            stats.rejected_malformed += 1
-            continue
         stats.accepted += 1
         yield row
 

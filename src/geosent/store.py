@@ -11,13 +11,14 @@ Three on-disk formats, all line-oriented and append-only:
    npss is serialised as NA.  Floats are written at full precision so a
    read back row compares equal.
 
-T1 is appended in place, one whole line at a time.  T2 and T3 are
-written through staged(), so a failed write leaves the old table as it
-was.  Writers validate before touching the file so a rejected batch
-leaves the table unchanged.  _score_blocks() is the one reader of an
-existing T3, for read_scores and for an append, which writes the old
-text and then the new rows to the staged file.  It checks the torn
-tail, then UTF-8, then the header; read_scores then checks the rows.
+T1 is appended in place, whole lines at a time, by collect alone,
+through open_raw().  A generated T1, T2 and T3 are written through
+staged(), so a failed write leaves the old table as it was.  Writers
+validate before touching the file so a rejected batch leaves the table
+unchanged.  _score_blocks() is the one reader of an existing T3, for
+read_scores and for an append, which writes the old text and then the
+new rows to the staged file.  It checks the torn tail, then UTF-8, then
+the header; read_scores then checks the rows.
 
 map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
@@ -40,7 +41,7 @@ import shutil
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 APPROACHES = ("Dictionary", "MachineLearning")
 LEVELS = ("Country", "County")
@@ -217,37 +218,18 @@ def _torn(fh) -> bool:
     return fh.read(1) != b"\n"
 
 
-class RawTable:
-    """Append handle for a T1 file.
+@contextlib.contextmanager
+def open_raw(path: str | Path) -> Iterator[BinaryIO]:
+    """Yield a T1 file opened to append bytes, the one writer of an existing T1.
 
-    A table whose last line has no newline (a write torn by a crash) gets
-    one on open, so the torn record stays one malformed line and the next
-    append starts a line of its own.
+    A table whose last line has no LF (a write torn by a crash) gets one
+    first, so the torn record stays one malformed line and the next line
+    written starts a line of its own.  Only the last byte is read.
     """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "a+b")
-        if _torn(self._fh):
-            self._fh.write(b"\n")
-
-    def append(self, payload: str) -> None:
-        if "\n" in payload or "\r" in payload:
-            raise StoreError("raw payload must be a single line")
-        self.append_bytes(payload.encode("utf-8"))
-
-    def append_bytes(self, payload: bytes) -> None:
-        """Append one verbatim line (no trailing newline in payload)."""
-        self._fh.write(payload + b"\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "RawTable":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    with open(path, "a+b") as fh:
+        if _torn(fh):
+            fh.write(b"\n")
+        yield fh
 
 
 @contextlib.contextmanager

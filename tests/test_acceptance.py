@@ -566,7 +566,59 @@ def _setup_inputs(tmp_path, corpus_file, regions_file):
         assert main(["score", "--parsed", str(parsed), "--scores", str(hourly),
                      "--approach", approach, "--level", "country",
                      "--bucket", "3600", *window, *flags]) == 0
-    return parsed, daily, hourly
+
+
+def _rerun_argv(command, tag, tmp_path, corpus_file, regions_file, training_file):
+    """One run of command, its outputs named by tag: the argv and the files it writes.
+
+    score and the renders read the tables _setup_inputs writes.
+    """
+    window = ["--start", "2013-07-22T00:00:00Z", "--end", "2013-07-23T00:00:00Z"]
+    if command == "collect":
+        out = tmp_path / f"raw-{tag}.jsonl"
+        return ["collect", "--raw", str(out), "--input", str(corpus_file)], [out]
+    if command == "parse":
+        out = tmp_path / f"parsed-{tag}.tsv"
+        return ["parse", "--raw", str(corpus_file),
+                "--regions", str(regions_file), "--parsed", str(out)], [out]
+    if command == "score":
+        out = tmp_path / f"scores-{tag}.tsv"
+        return ["score", "--parsed", str(tmp_path / "parsed.tsv"), "--scores", str(out),
+                "--approach", "dictionary", "--level", "county", *window], [out]
+    if command == "train":
+        out = tmp_path / f"model-{tag}.nb"
+        return ["train", "--model", str(out), "--labeled", str(training_file)], [out]
+    if command == "gen-corpus":
+        out = tmp_path / f"gen-{tag}.jsonl"
+        return ["gen-corpus", "--regions", str(regions_file), "--out", str(out),
+                "--seed", "12", "--start", "2013-07-22T00:00:00Z",
+                "--mix", "happycounty:20:5", "--mix", "sadcounty:5:20"], [out]
+    if command == "render-kml":
+        out = tmp_path / f"map-{tag}.kml"
+        return ["render", "--kind", "kml", "--scores", str(tmp_path / "daily.tsv"),
+                "--regions", str(regions_file), "--out", str(out)], [out]
+    if command == "render-tilemap":
+        out = tmp_path / f"tiles-{tag}.svg"
+        return ["render", "--kind", "tilemap", "--scores", str(tmp_path / "daily.tsv"),
+                "--out", str(out)], [out]
+    if command == "render-linegraph":
+        prefix = tmp_path / f"line-{tag}"
+        return ["render", "--kind", "linegraph", "--scores", str(tmp_path / "hourly.tsv"),
+                "--region", "mycountry", "--out", str(prefix)], \
+            [prefix.with_name(prefix.name + ".svg"), prefix.with_name(prefix.name + ".csv")]
+    assert command == "pipeline"
+    outs = [tmp_path / f"{name}-{tag}{ext}" for name, ext in
+            (("p-parsed", ".tsv"), ("p-scores", ".tsv"), ("p-map", ".kml"), ("p-tiles", ".svg"))]
+    line = tmp_path / f"p-line-{tag}"
+    argv = ["pipeline", "--raw", str(corpus_file), "--regions", str(regions_file),
+            "--parsed", str(outs[0]), "--scores", str(outs[1]), *window,
+            "--kml-out", str(outs[2]), "--tilemap-out", str(outs[3]),
+            "--line-out", str(line), "--line-region", "mycountry"]
+    return argv, [*outs, outs[1].with_name(outs[1].name + ".hourly"),
+                  line.with_name(line.name + ".svg"), line.with_name(line.name + ".csv")]
+
+
+_READS_TABLES = ("score", "render-kml", "render-tilemap", "render-linegraph")
 
 
 @pytest.mark.parametrize("command", [
@@ -577,59 +629,31 @@ def test_criterion_9_reruns_are_byte_identical(command, tmp_path, corpus_file,
                                                regions_file, training_file):
     from geosent.cli import main
 
-    window = ["--start", "2013-07-22T00:00:00Z", "--end", "2013-07-23T00:00:00Z"]
-    needs_tables = command.startswith("render")
-    if needs_tables:
-        parsed, daily, hourly = _setup_inputs(tmp_path, corpus_file, regions_file)
-
+    if command in _READS_TABLES:
+        _setup_inputs(tmp_path, corpus_file, regions_file)
     outputs = []
     for tag in ("one", "two"):
-        if command == "collect":
-            out = tmp_path / f"raw-{tag}.jsonl"
-            argv = ["collect", "--raw", str(out), "--input", str(corpus_file)]
-            paths = [out]
-        elif command == "parse":
-            out = tmp_path / f"parsed-{tag}.tsv"
-            argv = ["parse", "--raw", str(corpus_file),
-                    "--regions", str(regions_file), "--parsed", str(out)]
-            paths = [out]
-        elif command == "score":
-            out = tmp_path / f"scores-{tag}.tsv"
-            parsed = tmp_path / "parsed.tsv"
-            if not parsed.exists():
-                assert main(["parse", "--raw", str(corpus_file),
-                             "--regions", str(regions_file),
-                             "--parsed", str(parsed)]) == 0
-            argv = ["score", "--parsed", str(parsed), "--scores", str(out),
-                    "--approach", "dictionary", "--level", "county", *window]
-            paths = [out]
-        elif command == "train":
-            out = tmp_path / f"model-{tag}.nb"
-            argv = ["train", "--model", str(out), "--labeled", str(training_file)]
-            paths = [out]
-        elif command == "gen-corpus":
-            out = tmp_path / f"gen-{tag}.jsonl"
-            argv = ["gen-corpus", "--regions", str(regions_file), "--out", str(out),
-                    "--seed", "12", "--start", "2013-07-22T00:00:00Z",
-                    "--mix", "happycounty:20:5", "--mix", "sadcounty:5:20"]
-            paths = [out]
-        elif command == "render-kml":
-            out = tmp_path / f"map-{tag}.kml"
-            argv = ["render", "--kind", "kml", "--scores", str(daily),
-                    "--regions", str(regions_file), "--out", str(out)]
-            paths = [out]
-        elif command == "render-tilemap":
-            out = tmp_path / f"tiles-{tag}.svg"
-            argv = ["render", "--kind", "tilemap", "--scores", str(daily),
-                    "--out", str(out)]
-            paths = [out]
-        else:
-            prefix = tmp_path / f"line-{tag}"
-            argv = ["render", "--kind", "linegraph", "--scores", str(hourly),
-                    "--region", "mycountry", "--out", str(prefix)]
-            paths = [prefix.with_name(prefix.name + ".svg"),
-                     prefix.with_name(prefix.name + ".csv")]
+        argv, paths = _rerun_argv(command, tag, tmp_path, corpus_file, regions_file, training_file)
         assert main(argv) == 0
         outputs.append([p.read_bytes() for p in paths])
 
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [
+    "parse", "score", "train", "gen-corpus",
+    "render-kml", "render-tilemap", "render-linegraph", "pipeline",
+])
+def test_rerun_onto_the_same_outputs_gives_one_runs_bytes(command, tmp_path, corpus_file,
+                                                          regions_file, training_file):
+    # every output but collect's raw table is replaced, not added to
+    from geosent.cli import main
+
+    if command in _READS_TABLES:
+        _setup_inputs(tmp_path, corpus_file, regions_file)
+    argv, paths = _rerun_argv(command, "same", tmp_path, corpus_file, regions_file, training_file)
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append([p.read_bytes() for p in paths])
     assert outputs[0] == outputs[1]

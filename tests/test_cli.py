@@ -749,6 +749,22 @@ class TestGenCorpus:
                       "--start", "2013-07-22T00:00:00Z")
         assert code == 1
 
+    @pytest.mark.parametrize("span", [
+        ["--start", "9999-12-31T23:00:00Z"],
+        ["--start", "2013-07-22T00:00:00Z", "--duration", str(10**20)],
+    ], ids=["late-start", "long-duration"])
+    def test_span_past_year_9999_is_refused_before_writing(self, capsys, regions_file, tmp_path,
+                                                           span):
+        out_path = tmp_path / "raw.jsonl"
+        out_path.write_bytes(b"earlier table\n")
+        code, _, err = run(capsys, "gen-corpus", "--regions", str(regions_file),
+                           "--out", str(out_path), "--seed", "5",
+                           "--mix", "happycounty:30:1", *span)
+        assert code == 2
+        assert err.startswith("error: ") and "9999" in err
+        assert out_path.read_bytes() == b"earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.jsonl"]
+
 
 class TestPipeline:
     def test_matches_individual_commands(self, capsys, corpus_file,

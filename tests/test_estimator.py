@@ -448,14 +448,15 @@ def _raw(**fields):
     return json.dumps({k: v for k, v in record.items() if v is not ...}).encode()
 
 
-# every reject path: no geo, malformed, fails ParsedTweet.validate, unresolved
+# every reject path: no geo, malformed, unresolved; a tab id is malformed
+# wherever its point lands, as parse_record refuses it before resolving
 REJECT_LINES = [
     _raw(coordinates=...), _raw(coordinates=None),
     b"{broken", b"", b"\xff\xfe", b'"just a string"', _raw(id_str=...), _raw(created_at="yesterday"),
     _raw(created_at="Mon Jul 22 10:00:00 +0000 0999"), _raw(created_at="0001-01-01T00:30:00+01:00"),
     _raw(coordinates=[True, False]), _raw(coordinates=[2.0, 95.0]), _raw(text=7),
     _raw(text="broken \ud83d emoji"), _raw(id_str="4\udc002"),
-    _raw(id_str="tab\tid"), _raw(id_str="cr\rid"),
+    _raw(id_str="tab\tid"), _raw(id_str="cr\rid"), _raw(id_str="tab\tid", coordinates=[50.0, 50.0]),
     _raw(coordinates=[50.0, 50.0]),
     _raw() + b"\r",  # a CRLF line end
 ]

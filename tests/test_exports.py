@@ -1,13 +1,18 @@
 """The package's public names stay importable, listed once, in order, and only
-store opens the files geosent reads."""
+store opens the files geosent reads or appends to."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import geosent
+from geosent import store
+from geosent.ingest import collect
 
 
 def test_every_export_resolves_once_in_sorted_order():
@@ -27,8 +32,9 @@ def test_import_loads_neither_elementtree_nor_multiprocessing():
     assert result.stdout == "[]\n"
 
 
-def _reads(module: Path) -> list[str]:
-    """Each call in module that opens a file for reading, as its source text."""
+def _opens(module: Path) -> list[tuple[str, str]]:
+    """Each call in module that opens a file, as its source text and its mode
+    ("r" for read_text and read_bytes, "?" where the mode is not a constant)."""
     source = module.read_text(encoding="utf-8")
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -37,13 +43,18 @@ def _reads(module: Path) -> list[str]:
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name == "open":  # open(path, mode) or path.open(mode)
             args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
-            mode = args[0] if args else next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
-            writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
-            if not writes:
-                found.append(ast.get_source_segment(source, node))
+            mode = args[0] if args else next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                                             ast.Constant("r"))
+            mode = str(mode.value) if isinstance(mode, ast.Constant) else "?"
+            found.append((ast.get_source_segment(source, node), mode))
         elif name in ("read_text", "read_bytes"):
-            found.append(ast.get_source_segment(source, node))
+            found.append((ast.get_source_segment(source, node), "r"))
     return found
+
+
+def _reads(module: Path) -> list[str]:
+    """Each call in module that opens a file for reading, as its source text."""
+    return [call for call, mode in _opens(module) if not set(mode) & set("wax")]
 
 
 def test_only_store_opens_a_file_for_reading():
@@ -55,3 +66,45 @@ def test_only_store_opens_a_file_for_reading():
     assert {name: found for name, found in reads.items() if found} == {
         "cli.py": ['open(args.input, "rb")']}
     assert 'open(path, "rb")' in _reads(package / "store.py")  # _read_text's
+
+
+def test_only_store_opens_a_file_to_append():
+    # collect appends to the raw table through store.open_raw; every other output is staged
+    package = Path(geosent.__file__).parent
+    appends = {module.name: [call for call, mode in _opens(module) if "a" in mode]
+               for module in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in appends.items() if found} == {
+        "store.py": ['open(path, "a+b")']}
+
+
+class _CountedFile(io.FileIO):
+    """A raw file that counts the bytes read from it: a buffered file reads its
+    raw file through readinto, or through readall to the end."""
+
+    bytes_read = 0
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self.bytes_read += got or 0
+        return got
+
+    def readall(self):
+        data = super().readall()
+        self.bytes_read += len(data)
+        return data
+
+
+@pytest.mark.parametrize("tail", [b"", b"torn"])
+def test_collect_reads_at_most_the_raw_tables_last_byte(tmp_path, monkeypatch, tail):
+    path = tmp_path / "t1.jsonl"
+    path.write_bytes(b'{"id_str":"1"}\n' * 1000 + tail)
+    opened = []
+
+    def counted_open(file, mode):
+        opened.append(_CountedFile(file, mode))
+        return io.BufferedRandom(opened[-1])
+
+    monkeypatch.setattr(store, "open", counted_open, raising=False)
+    collect(io.BytesIO(b"new\n"), path)
+    assert [raw.bytes_read for raw in opened] == [1]
+    assert path.read_bytes() == b'{"id_str":"1"}\n' * 1000 + tail + b"\n" * bool(tail) + b"new\n"

@@ -93,3 +93,16 @@ class TestGenerate:
         with pytest.raises(GenerateError, match="aware"):
             generate(index, self.MIX, 1, tmp_path / "raw.jsonl",
                      datetime(2013, 7, 22))
+
+    @pytest.mark.parametrize("old", [None, b"earlier table\n"], ids=["fresh", "existing"])
+    def test_failed_run_leaves_the_old_table_or_none(self, tmp_path, regions_file, old):
+        out = tmp_path / "raw.jsonl"
+        if old is not None:
+            out.write_bytes(old)
+        # thirty records are made before the unknown region is reached
+        mix = [MixEntry("County", "happycounty", 30, 0), MixEntry("County", "atlantis", 1, 0)]
+        with pytest.raises(GenerateError, match="atlantis"):
+            generate(load_regions(regions_file), mix, 1, out, utc(2013, 7, 22))
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["raw.jsonl"])
+        if old is not None:
+            assert out.read_bytes() == old

@@ -149,12 +149,15 @@ class TestParseRecord:
         {"text": "broken \ud83d emoji"},                         # a truncated emoji
         {"text": "\udc00 low half first"},
         {"id_str": "4\ud83d2"},
+        {"id_str": "tab\tid"},                                   # no T2 field holds these
+        {"id_str": "nl\nid"},
+        {"id_str": "cr\rid"},
         {"created_at": "0999-07-22T16:24:00Z"},                   # T2 could not read it back
         {"created_at": "Mon Jul 22 16:24:00 +0000 0999"},
         {"created_at": "0001-01-01T00:30:00+01:00"},              # before year 1 in UTC
         {"created_at": "Fri Dec 31 23:59:59 -0100 9999"},         # after year 9999 in UTC
-    ], ids=["text-surrogate", "text-low-surrogate", "id-surrogate", "iso-year-999",
-            "classic-year-999", "iso-overflow", "classic-overflow"])
+    ], ids=["text-surrogate", "text-low-surrogate", "id-surrogate", "id-tab", "id-lf", "id-cr",
+            "iso-year-999", "classic-year-999", "iso-overflow", "classic-overflow"])
     def test_record_that_t2_cannot_hold_is_malformed(self, overrides):
         assert parse_record(record(**overrides)) == MALFORMED
         assert parse_record(record(**overrides).encode("ascii")) == MALFORMED

@@ -12,7 +12,6 @@ from geosent import store
 from geosent.ingest import collect
 from geosent.store import (
     ParsedTweet,
-    RawTable,
     ScoreRow,
     ScoreRowError,
     StoreError,
@@ -110,38 +109,25 @@ class TestInstants:
         assert format_instant(ts) == want
 
 
-class TestRawTable:
-    def test_appends_one_line_per_payload(self, tmp_path):
-        path = tmp_path / "t1.jsonl"
-        with RawTable(path) as table:
-            table.append('{"a":1}')
-            table.append('{"b":2}')
-        assert path.read_bytes() == b'{"a":1}\n{"b":2}\n'
-
-    def test_payload_with_newline_is_rejected(self, tmp_path):
-        with RawTable(tmp_path / "t1.jsonl") as table:
-            with pytest.raises(StoreError):
-                table.append("two\nlines")
-
+class TestOpenRaw:
     def test_bytes_stored_verbatim(self, tmp_path):
         path = tmp_path / "t1.jsonl"
-        blob = '{"text":"café ❤"}'.encode("utf-8")
-        with RawTable(path) as table:
-            table.append_bytes(blob)
-        assert path.read_bytes() == blob + b"\n"
+        blob = '{"text":"café ❤"}\n'.encode("utf-8")
+        collect(io.BytesIO(blob), path)
+        assert path.read_bytes() == blob
 
     def test_append_only(self, tmp_path):
         path = tmp_path / "t1.jsonl"
-        for payload in ("one", "two"):
-            with RawTable(path) as table:
-                table.append(payload)
+        for payload in (b"one\n", b"two\n"):
+            with store.open_raw(path) as fh:
+                fh.seek(0)  # an append handle writes at the end wherever it stands
+                fh.write(payload)
         assert path.read_bytes() == b"one\ntwo\n"
 
     def test_torn_tail_is_terminated_before_appending(self, tmp_path):
         path = tmp_path / "t1.jsonl"
         path.write_bytes(b'{"a":1}\n{"b":2')
-        with RawTable(path) as table:
-            table.append('{"c":3}')
+        collect(io.BytesIO(b'{"c":3}\n'), path)
         assert path.read_bytes() == b'{"a":1}\n{"b":2\n{"c":3}\n'
 
     def test_collect_never_counts_the_table(self, tmp_path):
