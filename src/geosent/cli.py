@@ -264,6 +264,8 @@ def _cmd_collect(args):
     else:
         with open(args.input, "rb") as stream:
             stats, fragment = collect(stream, args.raw)
+    if fragment:  # the command ends the stream, so the fragment is dropped
+        log.warning("collect: %d trailing bytes without newline were not stored", len(fragment))
     print(f"lines_read={stats.lines_read}")
     print(f"fragment_bytes={len(fragment)}")
     return 0

@@ -21,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .georesolve import RegionIndex, resolve
-from .store import LEVELS, staged
+from .store import LEVELS, MIN_YEAR, staged
 
 POSITIVE_WORDS = ("happy", "joy", "love", "great", "excited", "wonderful")
 NEGATIVE_WORDS = ("sad", "awful", "gloomy", "worst", "terrible")
@@ -138,11 +138,13 @@ def generate(
         raise GenerateError("mix adds up to zero tweets")
     step = duration_seconds / total
     try:  # stamps only grow, so the first and last bound them all
-        start.astimezone(timezone.utc)
+        first = start.astimezone(timezone.utc)
         (start + timedelta(seconds=int((total - 1) * step))).astimezone(timezone.utc)
     except OverflowError:
         raise GenerateError(f"a corpus of {duration_seconds} s from {start.isoformat()} "
                             "leaves the years 1 to 9999") from None
+    if first.year < MIN_YEAR:  # parse refuses every record stamped before it
+        raise GenerateError(f"start {start.isoformat()} is before the year {MIN_YEAR}")
 
     rng = random.Random(seed)
     jobs: list[tuple[MixEntry, bool]] = []

@@ -35,7 +35,7 @@ from typing import BinaryIO, Iterator, Sequence
 from .estimator import AggregationSpec, Analyser, _fold_rows, _merge_cells, _plan, _score_rows
 from .georesolve import RegionIndex, resolve
 from .store import (MIN_YEAR, ParsedTweet, ScoreRow, _utf8_text, format_parsed_line, map_blocks,
-                    open_raw, parse_instant, staged)
+                    open_raw, parse_instant, staged, write_all)
 
 log = logging.getLogger(__name__)
 
@@ -84,10 +84,10 @@ def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, byt
     """Append complete lines from a byte stream to the raw table.
 
     The only append to T1: each chunk read is written up to its last LF
-    in one call, through store.open_raw.  Returns the stats and any
-    trailing fragment that was not terminated by a newline.  The fragment
-    is NOT written; the caller decides whether to keep it for a resumed
-    stream or to drop it.
+    in one write call, through store.open_raw and store.write_all.
+    Returns the stats and any trailing fragment that was not terminated
+    by a newline.  The fragment is neither written nor logged; the caller
+    decides whether to keep it for a resumed stream or to drop it.
     """
     stats = CollectorStats()
     buffer = b""
@@ -95,11 +95,9 @@ def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, byt
         while chunk := source.read(65536):
             data = buffer + chunk
             kept = data.rfind(b"\n") + 1
-            table.write(data[:kept])
+            write_all(table, data[:kept])
             stats.lines_read += data.count(b"\n")
             buffer = data[kept:]
-    if buffer:
-        log.warning("collect: %d trailing bytes without newline were not stored", len(buffer))
     return stats, buffer
 
 

@@ -12,7 +12,7 @@ Three on-disk formats, all line-oriented and append-only:
    read back row compares equal.
 
 T1 is appended in place, whole lines at a time, by collect alone,
-through open_raw().  A generated T1, T2 and T3 are written through
+through open_raw() and write_all().  A generated T1, T2 and T3 are written through
 staged(), so a failed write leaves the old table as it was.  Writers
 validate before touching the file so a rejected batch leaves the table
 unchanged.  _score_blocks() is the one reader of an existing T3, for
@@ -41,7 +41,7 @@ import shutil
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
 APPROACHES = ("Dictionary", "MachineLearning")
 LEVELS = ("Country", "County")
@@ -218,17 +218,28 @@ def _torn(fh) -> bool:
     return fh.read(1) != b"\n"
 
 
+def write_all(fh: io.RawIOBase, data: bytes) -> None:
+    """Write data to an unbuffered file in one write call, repeated only if the
+    OS writes part of it; a write that takes nothing raises OSError, not a spin."""
+    view = memoryview(data)
+    while view:
+        written = fh.write(view)
+        if not written:  # 0, or None from a non-blocking file
+            raise OSError(f"{fh.name}: write returned {written!r} with {len(view)} bytes left")
+        view = view[written:]
+
+
 @contextlib.contextmanager
-def open_raw(path: str | Path) -> Iterator[BinaryIO]:
-    """Yield a T1 file opened to append bytes, the one writer of an existing T1.
+def open_raw(path: str | Path) -> Iterator[io.FileIO]:
+    """Yield a T1 file opened unbuffered to append, for write_all: the one writer of T1.
 
     A table whose last line has no LF (a write torn by a crash) gets one
     first, so the torn record stays one malformed line and the next line
     written starts a line of its own.  Only the last byte is read.
     """
-    with open(path, "a+b") as fh:
+    with open(path, "a+b", buffering=0) as fh:
         if _torn(fh):
-            fh.write(b"\n")
+            write_all(fh, b"\n")
         yield fh
 
 

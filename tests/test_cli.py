@@ -349,6 +349,19 @@ class TestCollect:
         assert code == 0
         assert keyvals(out)["lines_read"] == "2"
 
+    @pytest.mark.parametrize("stream, err", [
+        (b"one\ntwo\nfrag", b"WARNING: collect: 4 trailing bytes without newline were not stored\n"),
+        (b"one\ntwo\n", b""),
+    ], ids=["fragment", "ends-with-lf"])
+    def test_warns_once_when_a_fragment_is_dropped(self, tmp_path, stream, err):
+        env = dict(os.environ, PYTHONPATH=str(Path(geosent.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "geosent.cli", "collect", "--raw", str(tmp_path / "raw.jsonl")],
+            input=stream, capture_output=True, env=env)
+        assert result.returncode == 0
+        assert result.stdout == b"lines_read=2\nfragment_bytes=%d\n" % (len(stream) - 8)
+        assert result.stderr == err
+
 
 class TestParse:
     def test_stats_contract(self, capsys, corpus_file, regions_file, tmp_path):
@@ -762,6 +775,20 @@ class TestGenCorpus:
                            "--mix", "happycounty:30:1", *span)
         assert code == 2
         assert err.startswith("error: ") and "9999" in err
+        assert out_path.read_bytes() == b"earlier table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.jsonl"]
+
+    @pytest.mark.parametrize("start", ["0999-07-22T00:00:00Z", "1000-01-01T00:30:00+01:00"],
+                             ids=["year-999", "year-999-in-utc"])
+    def test_start_before_the_year_1000_is_refused_before_writing(self, capsys, regions_file,
+                                                                   tmp_path, start):
+        out_path = tmp_path / "raw.jsonl"
+        out_path.write_bytes(b"earlier table\n")
+        code, _, err = run(capsys, "gen-corpus", "--regions", str(regions_file),
+                           "--out", str(out_path), "--seed", "5",
+                           "--mix", "happycounty:3:1", "--start", start)
+        assert code == 2
+        assert err.startswith("error: ") and "before the year 1000" in err
         assert out_path.read_bytes() == b"earlier table\n"
         assert [p.name for p in tmp_path.iterdir()] == ["raw.jsonl"]
 

@@ -95,6 +95,15 @@ class TestCollect:
         assert fragment == stream[cut:]
         assert stats.lines_read == stream.count(b"\n")
 
+    def test_resumed_stream_logs_nothing(self, tmp_path, caplog):
+        path = tmp_path / "t1.jsonl"
+        fragment = b""
+        with caplog.at_level("DEBUG"):
+            for piece in (b'{"a":1}\n{"b"', b':2}\n{"c"', b":3}\n"):
+                _, fragment = collect(io.BytesIO(fragment + piece), path)
+        assert caplog.records == []
+        assert path.read_bytes() == b'{"a":1}\n{"b":2}\n{"c":3}\n'
+
 
 class TestParseRecord:
     def test_valid_classic_timestamp(self):

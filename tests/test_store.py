@@ -109,6 +109,21 @@ class TestInstants:
         assert format_instant(ts) == want
 
 
+class _RationedFile(io.FileIO):
+    """A raw file whose writes each take at most `most` bytes; with most=0 a
+    write takes none and returns `none` (0, or None as a non-blocking file's)."""
+
+    def __init__(self, file, mode, most, none=0):
+        super().__init__(file, mode)
+        self.most, self.none, self.writes = most, none, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1000:
+            raise AssertionError("the writer keeps retrying a write that takes nothing")
+        return super().write(memoryview(data)[:self.most]) if self.most else self.none
+
+
 class TestOpenRaw:
     def test_bytes_stored_verbatim(self, tmp_path):
         path = tmp_path / "t1.jsonl"
@@ -136,6 +151,32 @@ class TestOpenRaw:
         stats, fragment = collect(io.BytesIO(b"new\ntorn"), path)
         assert (stats.lines_read, fragment) == (1, b"torn")
         assert path.read_bytes() == b"old\n" * 1000 + b"new\n"
+
+    def test_short_writes_store_every_byte_in_order(self, tmp_path, monkeypatch):
+        path = tmp_path / "t1.jsonl"
+        path.write_bytes(b'{"a":1}\n{"b":2')
+        opened = []
+
+        def rationed_open(file, mode, buffering=-1):
+            opened.append(_RationedFile(file, mode, most=3))
+            return opened[-1]
+
+        monkeypatch.setattr(store, "open", rationed_open, raising=False)
+        lines = b"".join(b'{"c":%d}\r\n' % n for n in range(40)) + b"\xff\n"
+        stats, fragment = collect(io.BytesIO(lines + b"tail"), path)
+        assert (stats.lines_read, fragment) == (41, b"tail")
+        assert path.read_bytes() == b'{"a":1}\n{"b":2\n' + lines
+        # the torn tail's LF in one write, then the lines 3 bytes at a time
+        assert [file.writes for file in opened] == [1 + -(-len(lines) // 3)]
+
+    @pytest.mark.parametrize("none", [0, None])
+    def test_write_that_takes_nothing_raises(self, tmp_path, none):
+        path = tmp_path / "t1.jsonl"
+        with _RationedFile(path, "ab", most=0, none=none) as fh:
+            with pytest.raises(OSError, match=f"write returned {none} with 4 bytes left"):
+                store.write_all(fh, b"one\n")
+            assert fh.writes == 1
+        assert path.read_bytes() == b""
 
 
 class TestParsedTable:
