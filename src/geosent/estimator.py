@@ -7,12 +7,14 @@ all regions of the same level and bucket by default, or only siblings
 under one parent with norm_scope="siblings".  Scores keep full float
 precision here; rounding happens at render time.
 
-aggregate_many() makes one scan of a parsed table for every requested
-(spec, analyser) job: it decodes the T2 lines and folds the rows.  A
-line that is not valid UTF-8 or not a valid row is skipped and counted.
-aggregate() is the single-job case.  The pipeline's one pass over a raw
-table, ingest.parse_and_aggregate(), folds the rows it writes to T2
-through the same _plan(), _fold_rows(), _merge_cells() and _score_rows().
+One scan runner serves both tables.  _scan() checks the jobs, maps
+_scan_block() over a table's blocks with store.map_blocks, merges the
+results in file order, writes T2 through store.staged() when given its
+path, logs progress every PROGRESS_LINES lines, and scores.  A pass
+supplies only its rows: aggregate_many() decodes T2 with _t2_rows(),
+which counts a line that is not valid UTF-8 or not a valid row as
+malformed, and ingest.parse_and_aggregate() parses and resolves T1.
+aggregate() is the single-job case.
 
 The fold is shared.  Each row's instant becomes an integer count of
 microseconds once, and its features (the tokenizer's lowercased words
@@ -28,19 +30,30 @@ in file order, so the output is identical whatever the thread count.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .store import LEVELS, MIN_YEAR, ParsedTweet, ScoreRow, _parse_parsed_line, map_blocks
+from .store import (LEVELS, MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _parse_parsed_line,
+                    format_parsed_line, map_blocks, staged)
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("level", "siblings")
+
+PROGRESS_LINES = 500_000  # a scan logs progress each time this many more lines are read
+
+# Rows are folded (and, in the pass over T1, formatted into T2 text) in batches
+# this long.  Row by row that pass costs about a tenth more time, as each stage
+# evicts the other's tables from the CPU caches.  Batches, not whole blocks, so
+# neither the rows nor their T2 lines are held a block at a time.
+ROWS_PER_BATCH = 256
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -139,32 +152,44 @@ def _fold_rows(analysers: list, plan: list[tuple], rows: Iterable[ParsedTweet],
                 cell[2] += 1
 
 
-def _fold_block(analysers: list, plan: list[tuple], lines: list[bytes]) -> tuple[list[dict], int]:
-    """Decode one block of T2 lines and fold its rows; returns cells and rows skipped.
+def _t2_rows(lines: list[bytes], stats: CollectorStats) -> Iterator[ParsedTweet]:
+    """Yield the rows of a block of T2 lines, counting the lines and each skipped one as malformed.
 
-    A last line without its LF was cut short, so it is skipped even where
-    what is left parses.
+    A last line without its LF was cut short, so it is skipped even where what is left parses.
     """
-    skipped = 0
+    stats.lines_read += len(lines)
+    for line in lines:
+        if line == b"\n":
+            continue
+        if line[-1:] != b"\n":
+            stats.rejected_malformed += 1
+            continue
+        try:
+            row = _parse_parsed_line(line[:-1].decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError included
+            stats.rejected_malformed += 1
+            continue
+        yield row
 
-    def rows() -> Iterator[ParsedTweet]:
-        nonlocal skipped
-        for line in lines:
-            if line == b"\n":
-                continue
-            if line[-1:] != b"\n":
-                skipped += 1
-                continue
-            try:
-                row = _parse_parsed_line(line[:-1].decode("utf-8"))
-            except ValueError:  # UnicodeDecodeError included
-                skipped += 1
-                continue
-            yield row
 
+def _scan_block(rows: Callable[..., Iterator[ParsedTweet]], analysers: list, plan: list[tuple],
+                t2: bool, lines: list[bytes]) -> tuple[list[str], CollectorStats, list[dict]]:
+    """Fold one block of a table's lines; returns its T2 text pieces, counts and cells.
+
+    rows(lines, stats) yields the block's rows and counts their lines.
+    Each batch of rows is folded, and formatted into one piece of T2 text
+    when t2 is set, before the next batch is read.
+    """
+    stats = CollectorStats()
+    pieces: list[str] = []
     cells: list[dict] = [{} for _ in plan]
-    _fold_rows(analysers, plan, rows(), cells, [{} for _ in analysers])
-    return cells, skipped
+    memos: list[dict] = [{} for _ in analysers]
+    source = rows(lines, stats)
+    while batch := list(itertools.islice(source, ROWS_PER_BATCH)):
+        if t2:
+            pieces.append("\n".join([*map(format_parsed_line, batch), ""]))
+        _fold_rows(analysers, plan, batch, cells, memos)
+    return pieces, stats, cells
 
 
 def _merge_cells(cells: list[dict], part: list[dict]) -> None:
@@ -243,6 +268,37 @@ def _plan(jobs: Sequence[tuple[AggregationSpec, Analyser]], threads: int) -> tup
     return analysers, plan
 
 
+def _scan(jobs: Sequence[tuple[AggregationSpec, Analyser]], table_path: str | Path, threads: int,
+          rows: Callable[..., Iterator[ParsedTweet]], what: str,
+          t2_path: str | Path | None = None) -> tuple[CollectorStats, list[list[ScoreRow]]]:
+    """Fold the rows that rows() yields from one scan of a table; the counts and each job's rows.
+
+    Every spec and the thread count are checked before the table is
+    opened.  Given t2_path, the rows are written to it through a staged
+    sibling that replaces it once the whole table is read.  Progress is
+    logged as what each time another PROGRESS_LINES lines have been read.
+    """
+    analysers, plan = _plan(jobs, threads)
+    stats = CollectorStats()
+    cells: list[dict] = [{} for _ in plan]
+    block = functools.partial(_scan_block, rows, analysers, plan, t2_path is not None)
+    with contextlib.ExitStack() as stack:
+        sink = None
+        if t2_path is not None:
+            staging = stack.enter_context(staged(t2_path))
+            sink = stack.enter_context(staging.open("w", encoding="utf-8", newline=""))
+        for pieces, counts, part in map_blocks(block, table_path, threads):
+            before = stats.lines_read
+            stats.merge(counts)
+            _merge_cells(cells, part)
+            if sink is not None:
+                sink.writelines(pieces)
+            if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
+                log.info("%s: %d lines in", what, stats.lines_read)
+    return stats, [_score_rows(spec, analyser.approach, part)
+                   for (spec, analyser), part in zip(jobs, cells)]
+
+
 def aggregate_many(
     jobs: Sequence[tuple[AggregationSpec, Analyser]],
     parsed_path: str | Path,
@@ -255,16 +311,10 @@ def aggregate_many(
     thread count are validated before the scan starts.  Jobs that share
     an analyser object share its per-tweet scoring.
     """
-    analysers, plan = _plan(jobs, threads)
-    cells: list[dict] = [{} for _ in plan]
-    skipped = 0
-    for part, bad in map_blocks(functools.partial(_fold_block, analysers, plan), parsed_path, threads):
-        _merge_cells(cells, part)
-        skipped += bad
-    if skipped:
-        log.warning("aggregate: skipped %d malformed parsed rows", skipped)
-    return [_score_rows(spec, analyser.approach, part)
-            for (spec, analyser), part in zip(jobs, cells)]
+    stats, results = _scan(jobs, parsed_path, threads, _t2_rows, "aggregate")
+    if stats.rejected_malformed:
+        log.warning("aggregate: skipped %d malformed parsed rows", stats.rejected_malformed)
+    return results
 
 
 def aggregate(

@@ -8,44 +8,29 @@ point, and a text; the point must then land inside a known region.
 Everything else is counted and dropped, never silently.  collect() is
 the one writer that appends to the raw table (T1), through store.open_raw.
 
-This module holds the one pass over the raw table (T1).
-parse_and_aggregate() maps _parse_block() over T1's blocks with
-store.map_blocks, whole lines of about store.BLOCK_BYTES bytes a block,
-so the pass holds no more than that of T1 however long its lines are:
-each block's lines are parsed and resolved by _parsed_rows(), and every
-batch of ROWS_PER_BATCH rows is formatted into T2 text and folded into
-the score cells of every job (estimator's fold).  The pass writes T2
-through store.staged() and merges counts and cells in file order, so its
-outputs are the same whatever the thread count.  parse_corpus() is that
-pass with no jobs.
+parse_and_aggregate() is the one pass over the raw table (T1), run by
+estimator's scan runner, for which this module supplies only the rows:
+_parsed_rows() parses and resolves each block's lines and counts every
+line's fate.  The runner writes the rows to T2 and folds them into the
+cells of every job.  parse_corpus() is that pass with no jobs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .estimator import AggregationSpec, Analyser, _fold_rows, _merge_cells, _plan, _score_rows
+from .estimator import AggregationSpec, Analyser, _scan
 from .georesolve import RegionIndex, resolve
-from .store import (MIN_YEAR, ParsedTweet, ScoreRow, _utf8_text, format_parsed_line, map_blocks,
-                    open_raw, parse_instant, staged, write_all)
+from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _utf8_text, open_raw,
+                    parse_instant, write_all)
 
 log = logging.getLogger(__name__)
-
-PROGRESS_LINES = 500_000  # parsing logs progress each time this many more raw lines are read
-
-# Parsed rows go on to be formatted (and, in the pipeline's one pass, scored) in
-# batches this long.  Row by row the one pass costs about a tenth more time, as
-# each stage evicts the other's tables from the CPU caches.  Batches, not whole
-# blocks, so neither the rows nor their T2 lines are held a block at a time.
-ROWS_PER_BATCH = 256
 
 NO_GEO = "no_geo"
 MALFORMED = "malformed"
@@ -60,24 +45,6 @@ _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
-
-
-@dataclass
-class CollectorStats:
-    """Line accounting for a collect or parse run."""
-
-    lines_read: int = 0
-    accepted: int = 0
-    rejected_no_geo: int = 0
-    rejected_malformed: int = 0
-    rejected_unresolved: int = 0
-
-    def merge(self, other: "CollectorStats") -> None:
-        self.lines_read += other.lines_read
-        self.accepted += other.accepted
-        self.rejected_no_geo += other.rejected_no_geo
-        self.rejected_malformed += other.rejected_malformed
-        self.rejected_unresolved += other.rejected_unresolved
 
 
 def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, bytes]:
@@ -224,34 +191,6 @@ def _parsed_rows(index: RegionIndex, lines: list[bytes], stats: CollectorStats) 
         yield row
 
 
-def _batches(rows: Iterator[ParsedTweet]) -> Iterator[list[ParsedTweet]]:
-    """Rows in lists of ROWS_PER_BATCH, the last one shorter."""
-    while batch := list(itertools.islice(rows, ROWS_PER_BATCH)):
-        yield batch
-
-
-def _t2_text(rows: list[ParsedTweet]) -> str:
-    """The T2 lines of rows, each ending in LF."""
-    return "\n".join([*map(format_parsed_line, rows), ""])
-
-
-def _parse_block(index: RegionIndex, analysers: list, plan: list[tuple],
-                 lines: list[bytes]) -> tuple[list[str], CollectorStats, list[dict]]:
-    """Parse one block of raw lines into T2 text pieces, their counts and folded cells.
-
-    Each batch of rows is formatted into one piece of T2 text and folded
-    into the block's cells before the next batch is parsed.
-    """
-    stats = CollectorStats()
-    pieces: list[str] = []
-    cells: list[dict] = [{} for _ in plan]
-    memos: list[dict] = [{} for _ in analysers]
-    for batch in _batches(_parsed_rows(index, lines, stats)):
-        pieces.append(_t2_text(batch))
-        _fold_rows(analysers, plan, batch, cells, memos)
-    return pieces, stats, cells
-
-
 def parse_and_aggregate(
     raw_path: str | Path,
     index: RegionIndex,
@@ -268,25 +207,14 @@ def parse_and_aggregate(
     the parsed table is touched.  The table is written to a temporary
     sibling that replaces parsed_path only once the whole raw table has
     been read, so a failed run leaves any earlier parsed table as it was.
-    Progress is logged each time another PROGRESS_LINES raw lines have
-    been read, whatever the block size.
+    Progress is logged each time another estimator.PROGRESS_LINES raw
+    lines have been read, whatever the block size.
     """
-    analysers, plan = _plan(jobs, threads)
-    stats = CollectorStats()
-    cells: list[dict] = [{} for _ in plan]
-    block = functools.partial(_parse_block, index, analysers, plan)
-    with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as sink:
-        for pieces, counts, part in map_blocks(block, raw_path, threads):
-            before = stats.lines_read
-            stats.merge(counts)
-            _merge_cells(cells, part)
-            sink.writelines(pieces)
-            if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
-                log.info("parse: %d lines in", stats.lines_read)
+    stats, results = _scan(jobs, raw_path, threads, functools.partial(_parsed_rows, index), "parse",
+                           parsed_path)
     if stats.rejected_malformed:
         log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
-    return stats, [_score_rows(spec, analyser.approach, part)
-                   for (spec, analyser), part in zip(jobs, cells)]
+    return stats, results
 
 
 def parse_corpus(

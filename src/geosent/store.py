@@ -22,10 +22,10 @@ the header; read_scores then checks the rows.
 
 map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
-through a process pool, yielding results in file order.  The one pass
-over T1 (ingest) and the scan of T2 (estimator) both run on it.  Every
-block, of T1, T2 or T3, is whole lines, closed at the first line that
-takes it past BLOCK_BYTES bytes (a pool's blocks may be smaller).
+through a process pool, yielding results in file order.  estimator's scan
+runner drives it over T1 and T2.  Every block, of T1, T2 or T3, is whole
+lines, closed at the first line that takes it past BLOCK_BYTES bytes (a
+pool's blocks may be smaller).
 _read_text() reads each whole input file (lexicon, model, regions...) as
 UTF-8, without a leading byte-order mark.
 """
@@ -102,6 +102,24 @@ def parse_instant(text: str) -> datetime:
         return ts.astimezone(timezone.utc)
     except OverflowError:
         raise ValueError(f"{text!r} has no UTC instant in datetime's range") from None
+
+
+@dataclass
+class CollectorStats:
+    """Line accounting for a collect, parse or score run."""
+
+    lines_read: int = 0
+    accepted: int = 0
+    rejected_no_geo: int = 0
+    rejected_malformed: int = 0
+    rejected_unresolved: int = 0
+
+    def merge(self, other: "CollectorStats") -> None:
+        self.lines_read += other.lines_read
+        self.accepted += other.accepted
+        self.rejected_no_geo += other.rejected_no_geo
+        self.rejected_malformed += other.rejected_malformed
+        self.rejected_unresolved += other.rejected_unresolved
 
 
 @dataclass

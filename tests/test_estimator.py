@@ -539,7 +539,7 @@ class TestOnePass:
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
         monkeypatch.setattr(store, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
+        monkeypatch.setattr(estimator, "_scan_block", fail_on_call(estimator._scan_block, 2))
         with pytest.raises(OSError):
             parse_and_aggregate(raw, REGIONS, parsed, [(spec(), analyser())])
         assert parsed.read_bytes() == b"earlier\ttable\n"
@@ -551,10 +551,21 @@ class TestOnePass:
         # the ids differ in length by a byte, so the seventh line of a block passes this cap
         cap = 7 * min(map(len, raw.read_bytes().splitlines(keepends=True))) - 1
         with mock.patch.object(store, "BLOCK_BYTES", cap), \
-                mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level(logging.INFO):
+                mock.patch.object(estimator, "PROGRESS_LINES", 5), caplog.at_level(logging.INFO):
             stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
         assert stats.accepted == 12
         assert [r.getMessage() for r in caplog.records] == ["parse: 7 lines in", "parse: 12 lines in"]
+
+    def test_scoring_logs_progress_as_parse_does(self, tmp_path, caplog):
+        path = parsed(tmp_path, [(utc(2013, 7, 22, 10), "volcania", "ashmoor", "good")] * 12)
+        # the ids differ in length by a byte, so the seventh line of a block passes this cap
+        cap = 7 * min(map(len, path.read_bytes().splitlines(keepends=True))) - 1
+        with mock.patch.object(store, "BLOCK_BYTES", cap), \
+                mock.patch.object(estimator, "PROGRESS_LINES", 5), caplog.at_level(logging.INFO):
+            [rows] = aggregate_many([(spec(), analyser())], path)
+        assert rows[0].tweet_count == 12
+        assert [r.getMessage() for r in caplog.records] == ["aggregate: 7 lines in",
+                                                            "aggregate: 12 lines in"]
 
     def test_rows_reach_the_fold_in_batches_not_blocks(self, tmp_path):
         raw = tmp_path / "t1.jsonl"
@@ -575,10 +586,10 @@ class TestOnePass:
                 ahead.append(produced - folded)
             real_fold(analysers, plan, rows, cells, memos)
 
-        real_producer, real_fold = ingest._parsed_rows, ingest._fold_rows
+        real_producer, real_fold = ingest._parsed_rows, estimator._fold_rows
         with mock.patch.object(ingest, "_parsed_rows", producer), \
-                mock.patch.object(ingest, "_fold_rows", fold), \
-                mock.patch.object(ingest, "ROWS_PER_BATCH", 3):
+                mock.patch.object(estimator, "_fold_rows", fold), \
+                mock.patch.object(estimator, "ROWS_PER_BATCH", 3):
             stats, _ = parse_and_aggregate(raw, REGIONS, tmp_path / "t2.tsv", [(spec(), analyser())])
         # the block is one of 10 lines: rows are parsed at most 3 ahead of the fold
         assert folded == stats.accepted == 10

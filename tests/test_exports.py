@@ -32,6 +32,27 @@ def test_import_loads_neither_elementtree_nor_multiprocessing():
     assert result.stdout == "[]\n"
 
 
+def _estimator_names(module: Path) -> set[str]:
+    """The names module takes from estimator: imported from it, or read off it."""
+    names = set()
+    for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "estimator":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "estimator":
+            names.add(node.attr)
+    return names
+
+
+def test_only_estimator_runs_a_scan():
+    # estimator plans, folds, merges and scores every scan; ingest supplies only the rows
+    package = Path(geosent.__file__).parent
+    taken = {module.name: _estimator_names(module) for module in sorted(package.glob("*.py"))
+             if module.name != "estimator.py"}
+    helpers = {"_plan", "_merge_cells", "_score_rows", "_fold_rows"}
+    assert {name: found & helpers for name, found in taken.items() if found & helpers} == {}
+    assert {name for name in taken["ingest.py"] if name.startswith("_")} == {"_scan"}
+
+
 def _opens(module: Path) -> list[tuple[str, str]]:
     """Each call in module that opens a file, as its source text and its mode
     ("r" for read_text and read_bytes, "?" where the mode is not a constant)."""

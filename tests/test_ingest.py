@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosent import ingest, store
+from geosent import estimator, store
 from geosent.georesolve import load_regions
 from geosent.ingest import (
     MALFORMED,
@@ -345,7 +345,7 @@ class TestParseCorpus:
         # the ids differ in length by a byte, so the seventh line of each passes this cap
         cap = 7 * min(map(len, raw.read_bytes().splitlines(keepends=True))) - 1
         with mock.patch.object(store, "BLOCK_BYTES", cap), \
-                mock.patch.object(ingest, "PROGRESS_LINES", 5), caplog.at_level("INFO"):
+                mock.patch.object(estimator, "PROGRESS_LINES", 5), caplog.at_level("INFO"):
             parse_corpus(raw, load_regions(regions_file), tmp_path / "t2.tsv")
         assert [r.getMessage() for r in caplog.records] == [
             "parse: 7 lines in", "parse: 14 lines in", "parse: 21 lines in"]
@@ -379,7 +379,7 @@ class TestParseCorpus:
         parsed.write_bytes(b"earlier\ttable\n")
         # one line per block, so the first block is written before the second fails
         monkeypatch.setattr(store, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(ingest, "_parse_block", fail_on_call(ingest._parse_block, 2))
+        monkeypatch.setattr(estimator, "_scan_block", fail_on_call(estimator._scan_block, 2))
         with pytest.raises(OSError):
             parse_corpus(raw, load_regions(regions_file), parsed)
         assert parsed.read_bytes() == b"earlier\ttable\n"
