@@ -57,15 +57,16 @@ def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, byt
     decides whether to keep it for a resumed stream or to drop it.
     """
     stats = CollectorStats()
-    buffer = b""
+    fragment: list[bytes] = []  # the bytes read since the last LF, in pieces
     with open_raw(raw_path) as table:
         while chunk := source.read(65536):
-            data = buffer + chunk
-            kept = data.rfind(b"\n") + 1
-            write_all(table, data[:kept])
-            stats.lines_read += data.count(b"\n")
-            buffer = data[kept:]
-    return stats, buffer
+            kept = chunk.rfind(b"\n") + 1
+            if kept:  # only the new chunk is searched, so a long line costs no rescans
+                write_all(table, b"".join([*fragment, chunk[:kept]]))
+                stats.lines_read += chunk.count(b"\n")
+                fragment.clear()
+            fragment.append(chunk[kept:])
+    return stats, b"".join(fragment)
 
 
 def _parse_created_at(value: str) -> datetime | None:

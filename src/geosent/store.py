@@ -31,6 +31,7 @@ UTF-8, without a leading byte-order mark.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -290,7 +291,9 @@ def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, thre
     pickle.  Pool blocks are sized from the table: about
     POOL_BLOCKS_PER_WORKER blocks per worker, though at least
     POOL_BLOCK_MIN_BYTES and at most BLOCK_BYTES.  So a small table still
-    keeps every worker busy, and no table is held in memory at once.
+    keeps every worker busy.  The pool holds at most two blocks per worker
+    at a time, so no table is held in memory at once.  A worker that dies
+    raises StoreError naming the table, not a hang.
     """
     with open(table_path, "rb") as fh:
         size = BLOCK_BYTES
@@ -303,9 +306,23 @@ def map_blocks(fn: Callable[[list[bytes]], object], table_path: str | Path, thre
             # so the caller's work on the result does not hold the block
             yield from map(fn, blocks)
             return
-        import multiprocessing  # here, so a one-worker run and every import skip its cost
-        with multiprocessing.get_context().Pool(threads) as pool:
-            yield from pool.imap(fn, blocks)
+        # here, so a one-worker run and every import skip their cost
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        # blocks go in through a window, not Executor.map, which submits them all at once
+        pool = ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context())
+        window: collections.deque = collections.deque()
+        try:
+            for block in blocks:
+                window.append(pool.submit(fn, block))
+                if len(window) == 2 * threads:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        except BrokenProcessPool:
+            raise StoreError(f"{table_path}: a worker process died in the scan") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def format_parsed_line(row: ParsedTweet) -> str:

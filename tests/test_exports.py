@@ -23,9 +23,10 @@ def test_every_export_resolves_once_in_sorted_order():
 
 
 def test_import_loads_neither_elementtree_nor_multiprocessing():
-    # renders are written as text, and a pool imports multiprocessing when it opens
+    # renders are written as text, and a pool imports multiprocessing and concurrent when it opens
     code = ("import sys, geosent, geosent.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('xml', 'multiprocessing')))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('xml', 'multiprocessing', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=str(Path(geosent.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr

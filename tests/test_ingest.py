@@ -1,7 +1,9 @@
 import io
 import json
 import multiprocessing
+import os
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +28,16 @@ from conftest import fail_on_call, utc
 # byte streams with embedded LF and CRLF line ends, and lone CRs
 STREAMS = st.lists(st.sampled_from([b"a", b'{"b":1}', b"\xff", b"\n", b"\r\n", b"\r"]),
                    max_size=40).map(b"".join)
+
+
+_scan_block = estimator._scan_block
+
+
+def _dies_on_the_marked_block(*args):
+    """estimator's block function, except that the worker given the line with id "die" exits."""
+    if any(b'"die"' in line for line in args[-1]):
+        os._exit(9)  # as an OOM kill would end it, with no exception to send back
+    return _scan_block(*args)
 
 
 class Trickle:
@@ -94,6 +106,14 @@ class TestCollect:
         assert stored == stream[:cut]
         assert fragment == stream[cut:]
         assert stats.lines_read == stream.count(b"\n")
+
+    def test_line_of_many_chunks_is_stored_whole(self, tmp_path):
+        line = bytes(range(32, 127)) * (5 * 2**20 // 95)  # over 5 MiB, no LF
+        chunks = [line[at:at + 65536] for at in range(0, len(line), 65536)]
+        path = tmp_path / "t1.jsonl"
+        stats, fragment = collect(Trickle([*chunks, b"\n"]), path)
+        assert (stats.lines_read, fragment) == (1, b"")
+        assert path.read_bytes() == line + b"\n"
 
     def test_resumed_stream_logs_nothing(self, tmp_path, caplog):
         path = tmp_path / "t1.jsonl"
@@ -382,6 +402,24 @@ class TestParseCorpus:
         monkeypatch.setattr(estimator, "_scan_block", fail_on_call(estimator._scan_block, 2))
         with pytest.raises(OSError):
             parse_corpus(raw, load_regions(regions_file), parsed)
+        assert parsed.read_bytes() == b"earlier\ttable\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.jsonl", "t2.tsv"]
+
+    def test_dead_worker_fails_the_run_and_keeps_the_old_table(self, tmp_path, regions_file):
+        raw = self.write_raw(tmp_path, [record(id_str=i, coordinates=[2.0, 2.0])
+                                        for i in ("1", "2", "die", "4", "5", "6")])
+        parsed = tmp_path / "t2.tsv"
+        parsed.write_bytes(b"earlier\ttable\n")
+        started = time.monotonic()
+        # a line a block, so a worker exits on the third of six
+        with mock.patch.object(store, "BLOCK_BYTES", 1), \
+                mock.patch.object(store, "POOL_BLOCK_MIN_BYTES", 1), \
+                mock.patch.object(estimator, "_scan_block", _dies_on_the_marked_block), \
+                mock.patch.object(multiprocessing, "get_context",
+                                  return_value=multiprocessing.get_context("fork")):
+            with pytest.raises(store.StoreError, match="worker process died"):
+                parse_corpus(raw, load_regions(regions_file), parsed, threads=2)
+        assert time.monotonic() - started < 10
         assert parsed.read_bytes() == b"earlier\ttable\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t1.jsonl", "t2.tsv"]
 

@@ -1,7 +1,10 @@
 import io
 import math
+import multiprocessing
+import os
 import re
 import stat
+import time
 from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 
@@ -201,6 +204,12 @@ class TestParsedTable:
             tweet(lat=90.5).validate()
 
 
+def _len_unless_marked(block):
+    if b"die\n" in block:
+        os._exit(9)  # as an OOM kill would end the worker, with no exception to send back
+    return len(block)
+
+
 class TestMapBlocks:
     BYTES = b"one\ntwo\r\n\nfour\rstill four\n\xff bad\nlast, unterminated"
     # every line keeps its LF, so the line cut short is the one without
@@ -283,6 +292,19 @@ class TestMapBlocks:
         with mock.patch.object(store, "BLOCK_BYTES", 20):
             blocks = list(map_blocks(list, path, threads=threads))
         assert [line for block in blocks for line in block] == self.LINES
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_dead_worker_raises_naming_the_table(self, tmp_path, method):
+        path = tmp_path / "table"
+        path.write_bytes(b"one\ntwo\ndie\nfour\n")
+        started = time.monotonic()
+        with mock.patch.object(store, "BLOCK_BYTES", 1), \
+                mock.patch.object(multiprocessing, "get_context",
+                                  return_value=multiprocessing.get_context(method)):
+            assert list(map_blocks(len, path, threads=2)) == [1, 1, 1, 1]
+            with pytest.raises(StoreError, match=re.escape(f"{path}: a worker process died")):
+                list(map_blocks(_len_unless_marked, path, threads=2))
+        assert time.monotonic() - started < 20
 
 
 class TestScoreTable:
