@@ -30,7 +30,7 @@ from .estimator import (
 )
 from .georesolve import RegionIndex, load_regions, resolve
 from .ingest import CollectorStats, collect, parse_and_aggregate, parse_corpus, parse_record
-from .lexicon import DictionaryAnalyser, Lexicon, load_lexicon, match_token
+from .lexicon import DictionaryAnalyser, Lexicon, load_lexicon
 from .store import (
     APPROACHES,
     LEVELS,
@@ -39,7 +39,6 @@ from .store import (
     read_scores,
     write_scores,
 )
-from .tokenizer import Token, tokenize
 from .visualize import color_for, emit_kml, emit_linegraph, emit_tilemap
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "RegionIndex",
     "ScoreRow",
     "ScoreSeries",
-    "Token",
     "aggregate",
     "aggregate_many",
     "classify",
@@ -74,7 +72,6 @@ __all__ = [
     "load_lexicon",
     "load_model",
     "load_regions",
-    "match_token",
     "parse_and_aggregate",
     "parse_corpus",
     "parse_record",
@@ -82,7 +79,6 @@ __all__ = [
     "resolve",
     "save_model",
     "series_from_rows",
-    "tokenize",
     "train",
     "write_scores",
 ]

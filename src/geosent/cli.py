@@ -40,7 +40,7 @@ from .estimator import (
     NORM_SCOPES,
     AggregationSpec,
     EstimatorError,
-    aggregate_many,
+    aggregate,
     correlate,
     series_from_rows,
 )
@@ -321,7 +321,7 @@ def _cmd_score(args):
                            bucket_seconds=args.bucket, norm_scope=args.norm_scope)
     analyser = _analyser(args.approach, args.lexicon, args.model, args.hashtag_match)
     log.info("scoring %s at %s level", args.parsed, args.level)
-    [rows] = aggregate_many([(spec, analyser)], args.parsed, threads=args.threads)
+    rows = aggregate(spec, args.parsed, analyser, threads=args.threads)
     write_scores(args.scores, rows, append=args.append)
     print(f"rows={len(rows)}")
     return 0

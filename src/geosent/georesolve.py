@@ -2,7 +2,8 @@
 
 Regions are loaded from a FeatureCollection whose features carry
 region_id, name, level ("Country" or "County") and parent properties and
-a Polygon or MultiPolygon geometry.  A MultiPolygon becomes several
+a Polygon or MultiPolygon geometry, whose positions are numbers by
+store._finite (not true or false).  A MultiPolygon becomes several
 RegionPolygon parts sharing one name, kept in file order.
 
 Containment is even-odd ray casting with a half-open crossing rule: an
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .store import LEVELS, UNASSIGNED, _read_text, _utf8_text
+from .store import LEVELS, UNASSIGNED, _finite, _read_text, _utf8_text
 
 
 class GeoError(Exception):
@@ -62,15 +63,10 @@ def _clean_ring(raw, where: str) -> Ring:
     for pos in raw:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise GeoError(f"{where}: bad position {pos!r}")
-        x, y = pos[0], pos[1]
-        try:
-            ok = (isinstance(x, (int, float)) and math.isfinite(x)
-                  and isinstance(y, (int, float)) and math.isfinite(y))
-        except OverflowError:  # an int too large for a float
-            ok = False
-        if not ok:
+        x, y = _finite(pos[0]), _finite(pos[1])
+        if x is None or y is None:
             raise GeoError(f"{where}: bad position {pos!r}")
-        ring.append((float(x), float(y)))
+        ring.append((x, y))
     if ring[0] == ring[-1]:
         ring.pop()
     if len(ring) < 3:
@@ -175,12 +171,12 @@ class RegionIndex:
 def load_regions(path: str | Path) -> RegionIndex:
     """Read a GeoJSON FeatureCollection into a RegionIndex.
 
-    Errors name the offending feature.  Duplicate (level, name) pairs
-    across features are rejected since region names key the parsed table.
+    A refused file or feature, a file that fails to decode included, raises
+    GeoError naming the file.  Duplicate (level, name) pairs are refused: names key T2.
     """
     try:
         doc = json.loads(_read_text(path, "region", GeoError))
-    except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # not JSON, an int too long, or too deep
         raise GeoError(f"region file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoError(f"region file {path} is not a FeatureCollection")
@@ -191,7 +187,7 @@ def load_regions(path: str | Path) -> RegionIndex:
     polygons: list[RegionPolygon] = []
     seen: set[tuple[str, str]] = set()
     for i, feature in enumerate(features):
-        where = f"feature {i}"
+        where = f"region file {path}: feature {i}"
         props = feature.get("properties") if isinstance(feature, dict) else None
         if not isinstance(props, dict):
             raise GeoError(f"{where}: missing properties")
@@ -207,8 +203,7 @@ def load_regions(path: str | Path) -> RegionIndex:
         if not name or any(c in name for c in "\t\n\r"):
             raise GeoError(f"{where}: bad region name {name!r}")
         if not _utf8_text(name):  # a lone surrogate, which no output table can hold
-            raise GeoError(f"region file {path}: {where}: region name {name!r} "
-                           f"is not valid UTF-8")
+            raise GeoError(f"{where}: region name {name!r} is not valid UTF-8")
         if level == "County" and not parent:
             raise GeoError(f"{where}: county {name!r} has no parent")
         if name == UNASSIGNED:

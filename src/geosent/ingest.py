@@ -3,10 +3,11 @@
 Collection is deliberately dumb: whatever arrives on the stream is stored
 byte for byte, one line per record, so a bad day at the firehose can always
 be re-processed later.  Parsing is where judgement happens.  A record
-survives only if it carries an id, a creation time we can read, a geo
-point, and a text; the point must then land inside a known region.
-Everything else is counted and dropped, never silently.  collect() is
-the one writer that appends to the raw table (T1), through store.open_raw.
+survives only if it decodes and carries an id, a creation time we can
+read, a geo point (two numbers, by store._finite) and a text; the point
+must then land inside a known region.  Everything else, a line that
+fails to decode in any way included, is counted and dropped, never
+silently.  collect() is the one writer that appends to T1, through open_raw.
 
 parse_and_aggregate() is the one pass over the raw table (T1), run by
 estimator's scan runner, for which this module supplies only the rows:
@@ -27,8 +28,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 from .estimator import AggregationSpec, Analyser, _scan
 from .georesolve import RegionIndex, resolve
-from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _utf8_text, open_raw,
-                    parse_instant, write_all)
+from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _finite, _utf8_text,
+                    open_raw, parse_instant, write_all)
 
 log = logging.getLogger(__name__)
 
@@ -103,12 +104,8 @@ def _coordinates_of(record: dict) -> tuple[float, float] | None:
         geo = geo.get("coordinates")
     if not isinstance(geo, (list, tuple)) or len(geo) != 2:
         return None
-    lon, lat = geo
-    if isinstance(lon, bool) or isinstance(lat, bool):
-        return None
-    if not isinstance(lon, (int, float)) or not isinstance(lat, (int, float)):
-        return None
-    return float(lat), float(lon)
+    lat, lon = _finite(geo[1]), _finite(geo[0])
+    return None if lat is None or lon is None else (lat, lon)
 
 
 def sanitize_text(text: str) -> str:
@@ -122,23 +119,24 @@ def sanitize_text(text: str) -> str:
 
 
 def parse_record(payload: bytes | str) -> ParsedTweet | str:
-    """Parse one raw line; returns an unresolved row or a rejection reason.
+    """Parse one raw line; returns an unresolved row or a rejection reason, never raises.
 
-    The row's country and county are empty, which validate() refuses,
-    until the caller resolves its point.  Once they are set from a
-    region, the row passes validate(): every other field is checked here.
+    The id is the string "id_str", or without one the integer "id".  The
+    row's country and county are empty, which validate() refuses, until
+    the caller resolves its point.  Once they are set from a region, the
+    row passes validate(): every other field is checked here.
     """
     try:
         if isinstance(payload, bytes):
             payload = payload.decode("utf-8")
         record = json.loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # not UTF-8 or JSON, an int too long, or too deep
         return MALFORMED
     if not isinstance(record, dict):
         return MALFORMED
 
     tweet_id = record.get("id_str")
-    if tweet_id is None and "id" in record:
+    if tweet_id is None and type(record.get("id")) is int:  # not a bool, a float or null
         tweet_id = str(record["id"])
     if not isinstance(tweet_id, str) or not tweet_id or not _utf8_text(tweet_id):
         return MALFORMED

@@ -27,7 +27,8 @@ runner drives it over T1 and T2.  Every block, of T1, T2 or T3, is whole
 lines, closed at the first line that takes it past BLOCK_BYTES bytes (a
 pool's blocks may be smaller).
 _read_text() reads each whole input file (lexicon, model, regions...) as
-UTF-8, without a leading byte-order mark.
+UTF-8, without a leading byte-order mark.  _utf8_text() and _finite() are the
+rules for a JSON string and a JSON number read from outside, in every module.
 """
 from __future__ import annotations
 
@@ -181,6 +182,8 @@ class ScoreRow:
             return "empty region"
         if "\r" in self.region or "\r" in self.parent:  # csv writes a lone CR unquoted
             return "raw CR in region or parent"
+        if not (_utf8_text(self.region) and _utf8_text(self.parent)):
+            return "region or parent is not valid UTF-8"
         if not self.bucket_start < self.bucket_end:
             return "bucket_start must precede bucket_end"
         if self.bucket_start.astimezone(timezone.utc).year < MIN_YEAR:
@@ -208,6 +211,16 @@ def _utf8_text(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def _finite(value) -> float | None:
+    """A JSON number as a finite float; None for a bool, a non-number, inf, nan or a huge int."""
+    if type(value) is float:  # the common case first
+        return value if math.isfinite(value) else None
+    try:  # bool is an int subclass, but no number here
+        return float(value) if type(value) is int else None
+    except OverflowError:
+        return None
 
 
 def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:

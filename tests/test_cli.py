@@ -207,8 +207,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
                              "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
         assert code == 2
-        assert err.startswith("error: feature 0 (land) part 0 ring 0: bad position")
+        assert err.startswith(f"error: region file {regions}: feature 0 (land) part 0 ring 0: bad position")
         assert out == ""
+
+    @pytest.mark.parametrize("features", [
+        json.dumps([{
+            "type": "Feature",
+            "properties": {"region_id": "a", "name": "land", "level": "Country", "parent": ""},
+            "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [True, 1], [0, 1]]]},
+        }]),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["true-position", "past-the-recursion-limit"])
+    def test_region_file_past_the_json_rules(self, capsys, tmp_path, corpus_file, features):
+        regions = tmp_path / "regions.geojson"
+        regions.write_text('{"type": "FeatureCollection", "features": ' + features + "}")
+        code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                             "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: region file {regions}")
+        assert out == ""
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_lone_surrogate_region_name(self, capsys, tmp_path, corpus_file):
         grid = grid_regions(2)
@@ -854,6 +872,42 @@ class TestPipeline:
         assert keyvals(out)["lines_read"] == str(len(lines) + 1)
         assert keyvals(out)["accepted"] == "9"
         for suffix in ("tsv", "csv"):
+            assert (tmp_path / f"bad.{suffix}").read_bytes() == (tmp_path / f"good.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_line_past_a_json_limit_costs_only_itself(self, capsys, caplog, corpus_file,
+                                                      regions_file, tmp_path, threads):
+        # an int of 5,000 digits (int reads at most 4,300), a coordinate that no float
+        # holds, and nesting past the recursion limit, each between good records
+        lines = corpus_file.read_bytes().splitlines(keepends=True)
+        long_int = lines[0].replace(b'"100001"', b"9" * 5000)
+        huge_point = lines[0].replace(b"[2.1, 2.3]", b"[1" + b"0" * 400 + b", 2.3]")
+        deep = b"[" * 100_000 + b"\n"
+        with_bad = tmp_path / "t1.jsonl"
+        with_bad.write_bytes(b"".join([*lines[:2], long_int, *lines[2:5], huge_point, *lines[5:8],
+                                       deep, *lines[8:]]))
+
+        def parse(raw, name):
+            return run(capsys, "parse", "--raw", str(raw), "--regions", str(regions_file),
+                       "--parsed", str(tmp_path / f"{name}.parse.tsv"), "--threads", threads)
+
+        def pipeline(raw, name):
+            return run(capsys, "pipeline", "--raw", str(raw), "--regions", str(regions_file),
+                       "--parsed", str(tmp_path / f"{name}.tsv"),
+                       "--scores", str(tmp_path / f"{name}.csv"), "--threads", threads, *WINDOW)
+
+        code, out, err = parse(with_bad, "bad")
+        assert code == 0, err
+        assert parse(corpus_file, "good")[0] == 0
+        assert keyvals(out)["lines_read"] == str(len(lines) + 3)
+        assert (keyvals(out)["accepted"], keyvals(out)["rejected_malformed"]) == ("9", "3")
+        caplog.clear()
+        code, out, err = pipeline(with_bad, "bad")
+        assert code == 0, err
+        assert "parse: 3 malformed records dropped" in caplog.messages
+        assert pipeline(corpus_file, "good")[0] == 0
+        assert keyvals(out)["lines_read"] == str(len(lines) + 3)
+        for suffix in ("parse.tsv", "tsv", "csv"):
             assert (tmp_path / f"bad.{suffix}").read_bytes() == (tmp_path / f"good.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("setting", [

@@ -2,6 +2,7 @@
 store opens the files geosent reads or appends to."""
 
 import ast
+import inspect
 import io
 import os
 import subprocess
@@ -20,6 +21,19 @@ def test_every_export_resolves_once_in_sorted_order():
     assert [name for name in names if not hasattr(geosent, name)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_every_exported_function_is_called_in_the_package():
+    # an export that the package never calls is a second account of a rule, kept in step by hand
+    package = Path(geosent.__file__).parent
+    called = set()
+    for module in package.glob("*.py"):
+        if module.name != "__init__.py":
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    called.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    functions = [name for name in geosent.__all__ if inspect.isfunction(getattr(geosent, name))]
+    assert [name for name in functions if name not in called] == []
 
 
 def test_import_loads_neither_elementtree_nor_multiprocessing():

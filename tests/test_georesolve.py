@@ -94,27 +94,31 @@ class TestLoading:
 
     @pytest.mark.parametrize("bad", [
         [math.nan, 1.0], [1.0, math.inf], ["1", 1.0], [1.0], 7,
-    ], ids=["nan", "inf", "string", "one-element", "not-a-list"])
+        [True, 1.0], [1.0, False],  # bool is an int subclass, but no number, here as in a tweet
+    ], ids=["nan", "inf", "string", "one-element", "not-a-list", "true", "false"])
     def test_bad_position_named(self, tmp_path, bad):
         ring = [[0, 0], [1, 0], bad, [0, 1], [0, 0]]
         a = feature("a", "land", "Country", "", polygon(ring))
-        expected = f"feature 0 (land) part 0 ring 0: bad position {bad!r}"
+        path = write_regions(tmp_path, [a])
+        expected = f"region file {path}: feature 0 (land) part 0 ring 0: bad position {bad!r}"
         with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
-            load_regions(write_regions(tmp_path, [a]))
+            load_regions(path)
 
     def test_huge_integer_coordinate_named(self, tmp_path):
         # a 400-digit JSON integer has no float value; it must not escape as OverflowError
         ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]
         a = feature("a", "land", "Country", "", polygon(ring))
-        with pytest.raises(GeoError, match=r"^feature 0 \(land\) part 0 ring 0: bad position "):
-            load_regions(write_regions(tmp_path, [a]))
+        path = write_regions(tmp_path, [a])
+        expected = f"region file {path}: feature 0 (land) part 0 ring 0: bad position "
+        with pytest.raises(GeoError, match=f"^{re.escape(expected)}"):
+            load_regions(path)
 
-    def test_bool_coordinates_accepted(self, tmp_path):
-        # bool is an int subclass, so JSON true/false read as 1 and 0
-        ring = [[False, False], [True, False], [True, True], [False, True]]
-        a = feature("a", "land", "Country", "", polygon(ring))
-        index = load_regions(write_regions(tmp_path, [a]))
-        assert resolve(index, 0.5, 0.5) == ("land", "unassigned")
+    def test_nesting_past_the_recursion_limit_named(self, tmp_path):
+        path = tmp_path / "deep.geojson"
+        nested = "[" * 100_000 + "]" * 100_000
+        path.write_text('{"type": "FeatureCollection", "features": ' + nested + "}")
+        with pytest.raises(GeoError, match=f"^region file {re.escape(str(path))} is not valid JSON"):
+            load_regions(path)
 
     def test_not_a_collection(self, tmp_path):
         path = tmp_path / "bad.geojson"

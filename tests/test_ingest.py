@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -48,6 +49,42 @@ class Trickle:
 
     def read(self, size=-1):
         return self.pieces.pop(0) if self.pieces else b""
+
+
+# JSON texts a field read from outside may hold: ints past a float or past int's
+# 4,300 digits, booleans, the NaN and Infinity literals, nesting past the recursion limit
+_JSON_VALUES = st.one_of(
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity", "1e400", "-0",
+                     "1" + "0" * 400, "-" + "9" * 400, "9" * 5000, "[" * 100_000 + "]" * 100_000,
+                     "[]", "{}", '"\\ud83d"', '"tab\\t"', '"Point"']),
+    st.integers().map(str),
+    st.floats().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+)
+
+
+@st.composite
+def _records(draw):
+    """A raw line whose fields are each good (two times in three), left out, or any of
+    _JSON_VALUES."""
+    def value(good):
+        return good if draw(st.integers(0, 2)) else draw(_JSON_VALUES)
+
+    def field(good):
+        return good if draw(st.integers(0, 2)) else draw(st.none() | _JSON_VALUES)
+
+    point = f"[{value('2.5')}, {value('3')}]"
+    fields = {
+        "id_str": field('"42"'), "id": field("42"),
+        "created_at": field('"Mon Jul 22 16:24:00 +0000 2013"'),
+        "coordinates": field(draw(st.sampled_from(
+            [point, f'{{"type": {value(json.dumps("Point"))}, "coordinates": {point}}}']))),
+        "text": field('"hello"'),
+    }
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
+
+
+_RECORDS = _records()
 
 
 def record(**overrides):
@@ -167,7 +204,13 @@ class TestParseRecord:
         lambda r: r.update(coordinates=[200.0, 3.0]),
         lambda r: r.update(coordinates=[2.5, 95.0]),
         lambda r: r.update(coordinates=[True, False]),
+        lambda r: r.update(coordinates=[10**400, 3.0]),                # no float holds it
+        lambda r: r.update(coordinates={"type": "Point", "coordinates": [2.5, -10**400]}),
         lambda r: r.update(text=7),
+        lambda r: (r.pop("id_str"), r.update(id=None)),                 # only an integer id stands in
+        lambda r: (r.pop("id_str"), r.update(id=True)),
+        lambda r: (r.pop("id_str"), r.update(id=1.5)),
+        lambda r: (r.pop("id_str"), r.update(id=[1])),
     ])
     def test_malformed(self, mangle):
         raw = json.loads(record())
@@ -194,6 +237,30 @@ class TestParseRecord:
     def test_non_ascii_text_kept(self):
         assert parse_record(record(text="caf\xe9 \U0001f600")).text == "caf\xe9 \U0001f600"
         assert parse_record(record(created_at="1000-01-01T00:00:00Z")).timestamp == utc(1000, 1, 1)
+
+    @pytest.mark.parametrize("line", [  # test_malformed has the coordinate that no float holds
+        *(pytest.param(record(**{field: "digits"}).replace('"digits"', "9" * 5000),
+                       id=f"long-int-{field}")  # int reads at most 4,300 digits
+          for field in ("id_str", "id", "created_at", "coordinates", "text", "retweet_count")),
+        pytest.param("[" * 100_000, id="deep"),  # past the recursion limit
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-closed"),
+    ])
+    def test_line_past_a_json_limit_is_malformed(self, line):
+        assert parse_record(line) == MALFORMED
+        assert parse_record(line.encode("ascii")) == MALFORMED
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=_RECORDS)
+    def test_any_json_value_gives_a_row_or_a_reason(self, line):
+        for payload in (line, line.encode("utf-8", "surrogatepass")):
+            got = parse_record(payload)
+            if isinstance(got, ParsedTweet):
+                assert type(got.tweet_id) is str and type(got.lat) is float and type(got.lon) is float
+                assert math.isfinite(got.lat) and math.isfinite(got.lon)
+                got.country, got.county = "land", "county"
+                got.validate()
+            else:
+                assert got in (NO_GEO, MALFORMED)
 
     def test_not_json(self):
         assert parse_record(b"{nope") == MALFORMED

@@ -460,6 +460,17 @@ class TestScoreTable:
         assert err.value.indices == [1]
         assert not path.exists()
 
+    @pytest.mark.parametrize("field", ["region", "parent"])
+    def test_lone_surrogate_writes_nothing(self, tmp_path, field):
+        # the library API can pass a region name that no UTF-8 table can hold
+        path = tmp_path / "t3.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(ScoreRowError, match="row 1: region or parent is not valid UTF-8") as err:
+            write_scores(path, [score_row(), score_row(**{field: "bad\ud83d"})])
+        assert err.value.indices == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t3.csv"]
+        assert path.read_bytes() == b"old"
+
     def test_read_names_a_header_field_over_the_csv_limit(self, tmp_path):
         # a row's over-long field is checked through the CLI, in tests/test_cli.py
         path = tmp_path / "t3.csv"
