@@ -387,7 +387,6 @@ def _cmd_pipeline(args):
     if args.line_out:
         line_specs = [AggregationSpec(args.line_level, window, args.line_bucket, args.norm_scope)]
 
-    index = load_regions(args.regions)
     try:
         for spec in specs + line_specs:
             spec.validate()
@@ -398,6 +397,7 @@ def _cmd_pipeline(args):
             or (args.bucket_start - args.start).total_seconds() % args.bucket):
         raise UsageError(f"bucket_start {format_instant(args.bucket_start)} does not start "
                          f"a {args.bucket} s bucket of the window")
+    index = load_regions(args.regions)
     # an unreadable lexicon or model is a data error (exit 2), as for score
     analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
                  for approach in args.approaches}

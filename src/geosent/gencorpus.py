@@ -21,6 +21,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .georesolve import RegionIndex, resolve
+from .ingest import _MONTH_NAMES
 from .store import LEVELS, MIN_YEAR, staged
 
 POSITIVE_WORDS = ("happy", "joy", "love", "great", "excited", "wonderful")
@@ -32,8 +33,6 @@ FILLER_WORDS = (
 POSITIVE_TAILS = (":)", ":D", "=)")
 NEGATIVE_TAILS = (":(", ":'(", "=(")
 
-_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
-                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 _MAX_POINT_TRIES = 10_000

@@ -1,10 +1,11 @@
 """Point-to-region resolution over a GeoJSON region file.
 
-Regions are loaded from a FeatureCollection whose features carry
-region_id, name, level ("Country" or "County") and parent properties and
-a Polygon or MultiPolygon geometry, whose positions are numbers by
-store._finite (not true or false).  A MultiPolygon becomes several
-RegionPolygon parts sharing one name, kept in file order.
+Regions are loaded from a FeatureCollection whose features carry name,
+level ("Country" or "County") and, for a county, parent properties and a
+Polygon or MultiPolygon geometry, whose positions are numbers by
+store._finite (not true or false).  Name and parent become table fields
+by store._field_text; region_id and a country's parent are ignored.
+A MultiPolygon becomes RegionPolygon parts sharing one name, in file order.
 
 Containment is even-odd ray casting with a half-open crossing rule: an
 edge is crossed when the point's latitude lies in [min(y1,y2), max(y1,y2))
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .store import LEVELS, UNASSIGNED, _finite, _read_text, _utf8_text
+from .store import LEVELS, UNASSIGNED, _field_text, _finite, _read_text
 
 
 class GeoError(Exception):
@@ -41,13 +42,13 @@ class GeoError(Exception):
 
 
 Ring = list[tuple[float, float]]
+_NOT_A_FIELD = "is not a non-empty JSON string of UTF-8 text without a tab, CR or LF"
 
 
 @dataclass
 class RegionPolygon:
     """One polygon part of a region, with exterior ring and optional holes."""
 
-    region_id: str
     name: str
     level: str
     parent: str
@@ -191,21 +192,15 @@ def load_regions(path: str | Path) -> RegionIndex:
         props = feature.get("properties") if isinstance(feature, dict) else None
         if not isinstance(props, dict):
             raise GeoError(f"{where}: missing properties")
-        try:
-            region_id = str(props["region_id"])
-            name = str(props["name"])
-            level = str(props["level"])
-            parent = str(props["parent"])
-        except KeyError as exc:
-            raise GeoError(f"{where}: missing property {exc}") from exc
+        level = props.get("level")
         if level not in LEVELS:
             raise GeoError(f"{where}: unknown level {level!r}")
-        if not name or any(c in name for c in "\t\n\r"):
-            raise GeoError(f"{where}: bad region name {name!r}")
-        if not _utf8_text(name):  # a lone surrogate, which no output table can hold
-            raise GeoError(f"{where}: region name {name!r} is not valid UTF-8")
+        name = _field_text(props.get("name"))
+        if not name:
+            raise GeoError(f"{where}: region name {props.get('name')!r} {_NOT_A_FIELD}")
+        parent = _field_text(props.get("parent")) if level == "County" else ""
         if level == "County" and not parent:
-            raise GeoError(f"{where}: county {name!r} has no parent")
+            raise GeoError(f"{where}: county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
         if name == UNASSIGNED:
             raise GeoError(f"{where}: region name {UNASSIGNED!r} is reserved")
         if (level, name) in seen:
@@ -216,7 +211,6 @@ def load_regions(path: str | Path) -> RegionIndex:
             xs = [x for x, _ in exterior]
             ys = [y for _, y in exterior]
             polygons.append(RegionPolygon(
-                region_id=region_id,
                 name=name,
                 level=level,
                 parent=parent,

@@ -28,8 +28,8 @@ from typing import BinaryIO, Iterator, Sequence
 
 from .estimator import AggregationSpec, Analyser, _scan
 from .georesolve import RegionIndex, resolve
-from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _finite, _utf8_text,
-                    open_raw, parse_instant, write_all)
+from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _field_text, _finite,
+                    _utf8_text, open_raw, parse_instant, write_all)
 
 log = logging.getLogger(__name__)
 
@@ -42,10 +42,9 @@ _CLASSIC_TIME_RE = re.compile(
     r"(?P<sign>[+-])(?P<oh>\d{2})(?P<om>\d{2}) (?P<year>\d{4})$"
 )
 
-_MONTHS = {
-    "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
-    "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
-}
+# the month names of the classic created_at format, which gencorpus writes
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTHS = {name: month for month, name in enumerate(_MONTH_NAMES, 1)}
 
 
 def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, bytes]:
@@ -138,9 +137,7 @@ def parse_record(payload: bytes | str) -> ParsedTweet | str:
     tweet_id = record.get("id_str")
     if tweet_id is None and type(record.get("id")) is int:  # not a bool, a float or null
         tweet_id = str(record["id"])
-    if not isinstance(tweet_id, str) or not tweet_id or not _utf8_text(tweet_id):
-        return MALFORMED
-    if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:  # no T2 field holds one
+    if not _field_text(tweet_id):
         return MALFORMED
 
     created = record.get("created_at")

@@ -28,7 +28,8 @@ lines, closed at the first line that takes it past BLOCK_BYTES bytes (a
 pool's blocks may be smaller).
 _read_text() reads each whole input file (lexicon, model, regions...) as
 UTF-8, without a leading byte-order mark.  _utf8_text() and _finite() are the
-rules for a JSON string and a JSON number read from outside, in every module.
+rules for a JSON string and a JSON number read from outside, in every module;
+_field_text() is the rule for a JSON string that becomes a table field.
 """
 from __future__ import annotations
 
@@ -211,6 +212,12 @@ def _utf8_text(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def _field_text(value) -> str | None:
+    """value when it is a str that a table field can hold: UTF-8, with no TAB, CR or LF; else None."""
+    held = isinstance(value, str) and not ("\t" in value or "\n" in value or "\r" in value)
+    return value if held and _utf8_text(value) else None
 
 
 def _finite(value) -> float | None:

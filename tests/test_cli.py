@@ -240,6 +240,35 @@ class TestExitCodes:
         assert out == ""
         assert not (tmp_path / "out.tsv").exists()
 
+    @pytest.mark.parametrize("name", [None, 5], ids=["null", "int"])
+    def test_region_name_that_is_not_a_string(self, capsys, tmp_path, corpus_file, name):
+        grid = grid_regions(2)
+        grid["features"][1]["properties"]["name"] = name
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps(grid))
+        code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                             "--regions", str(regions), "--parsed", str(tmp_path / "out.tsv"))
+        assert code == 2
+        assert err.startswith(f"error: region file {regions}: feature 1: region name {name!r} ")
+        assert out == ""
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_region_id_and_country_parent_are_not_needed(self, capsys, tmp_path, corpus_file,
+                                                         regions_file):
+        doc = json.loads(regions_file.read_text(encoding="utf-8"))
+        for props in (f["properties"] for f in doc["features"]):
+            del props["region_id"]
+            if props["level"] == "Country":
+                del props["parent"]
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps(doc))
+        for name, path in (("bare", regions), ("bundled", regions_file)):
+            code, out, err = run(capsys, "parse", "--raw", str(corpus_file),
+                                 "--regions", str(path), "--parsed", str(tmp_path / f"{name}.tsv"))
+            assert code == 0, err
+        assert (tmp_path / "bare.tsv").read_bytes() == (tmp_path / "bundled.tsv").read_bytes()
+        assert keyvals(out)["accepted"] == "9"
+
     def test_garbage_score_table(self, capsys, tmp_path):
         bad = tmp_path / "scores.tsv"
         bad.write_text("not a score table\n")
@@ -929,6 +958,19 @@ class TestPipeline:
         code, out, err = self.run_untouched(capsys, corpus_file, regions_file, tmp_path, setting)
         assert code == 1
         assert "usage error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("setting", [
+        "end = 2013-07-22T00:00:00Z",
+        "bucket_start = 2013-07-22T06:00:00Z",
+    ])
+    def test_bad_setting_is_a_usage_error_before_the_region_file_is_read(
+            self, capsys, corpus_file, tmp_path, setting):
+        # the same setting gives exit 1 whether or not the region file can be read
+        missing = tmp_path / "missing.geojson"
+        code, out, err = self.run_untouched(capsys, corpus_file, missing, tmp_path, setting)
+        assert code == 1
+        assert err.startswith("usage error: ")
         assert out == ""
 
     @pytest.mark.parametrize("setting", ["model = /nonexistent", "lexicon = /nonexistent"])

@@ -1,10 +1,12 @@
 import json
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geosent.gencorpus import GenerateError, MixEntry, generate, parse_mix
+from geosent.gencorpus import GenerateError, MixEntry, _classic_time, generate, parse_mix
 from geosent.georesolve import load_regions, resolve
-from geosent.ingest import parse_record
+from geosent.ingest import _parse_created_at, parse_record
 
 from conftest import utc
 
@@ -106,3 +108,11 @@ class TestGenerate:
         assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["raw.jsonl"])
         if old is not None:
             assert out.read_bytes() == old
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.datetimes(datetime(1000, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+                    timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0)))
+def test_classic_time_reads_back(stamp):
+    # the classic created_at format gencorpus writes is the one ingest reads
+    assert _parse_created_at(_classic_time(stamp)) == stamp

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geosent.georesolve import GeoError, RegionIndex, contains, load_regions, resolve
+from geosent.store import LEVELS, _field_text
 
 from conftest import square
 from oracles import resolve_linear, wn_contains
@@ -137,9 +138,37 @@ class TestLoading:
         a = feature("a", "land-\ud83d", "Country", "", polygon(square(0, 0, 1, 1)))
         path = write_regions(tmp_path, [a])
         expected = (f"region file {path}: feature 0: region name 'land-\\ud83d' "
-                    f"is not valid UTF-8")
+                    f"is not a non-empty JSON string of UTF-8 text without a tab, CR or LF")
         with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
             load_regions(path)
+
+    @pytest.mark.parametrize("name, level, parent", [
+        (None, "Country", ""), (5, "Country", ""), ("here", "County", True),
+    ], ids=["name-null", "name-5", "county-parent-true"])
+    def test_property_that_is_not_a_string_named(self, tmp_path, name, level, parent):
+        bad = feature("x", name, level, parent, polygon(square(0, 0, 1, 1)))
+        country = feature("c", "land", "Country", "", polygon(square(0, 0, 9, 9)))
+        path = write_regions(tmp_path, [bad, country])
+        with pytest.raises(GeoError, match=f"^region file {re.escape(str(path))}: feature 0: "):
+            load_regions(path)
+
+    @pytest.mark.parametrize("region_id", [None, 7, [1]], ids=["absent", "int", "list"])
+    def test_region_id_is_ignored(self, tmp_path, region_id):
+        county = feature(region_id, "here", "County", "land", polygon(square(0, 0, 1, 1)))
+        if region_id is None:
+            del county["properties"]["region_id"]
+        country = feature("c", "land", "Country", "", polygon(square(0, 0, 9, 9)))
+        index = load_regions(write_regions(tmp_path, [county, country]))
+        assert resolve(index, 0.5, 0.5) == ("land", "here")
+
+    @pytest.mark.parametrize("parent", ["absent", None], ids=["absent", "null"])
+    def test_country_parent_is_ignored(self, tmp_path, parent):
+        country = feature("c", "land", "Country", parent, polygon(square(0, 0, 9, 9)))
+        if parent == "absent":
+            del country["properties"]["parent"]
+        index = load_regions(write_regions(tmp_path, [country]))
+        assert index.parts("Country", "land")[0].parent == ""
+        assert resolve(index, 0.5, 0.5) == ("land", "unassigned")
 
     def test_overlong_integer_named(self, tmp_path):
         # more digits than Python converts to int by default (4,300)
@@ -344,3 +373,39 @@ def test_empty_index_resolves_nothing():
 def test_pickled_index_stays_compact(grid_regions_file):
     index = load_regions(grid_regions_file(56))
     assert len(ForkingPickler.dumps(index)) <= GRID_FREE_PICKLE_BYTES * 1.15
+
+
+# JSON values a region property might hold; strings mix plain letters with the
+# characters no table field may hold: TAB, CR, LF and lone surrogates
+FIELD_CHARS = st.sampled_from(["a", "b", "\u00e9", "\t", "\r", "\n", "\ud83d", "\udc00"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(FIELD_CHARS, max_size=3) | st.sampled_from(["land", "Country", "County"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(JSON_VALUES, JSON_VALUES | st.sampled_from(LEVELS), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_loaded_names_and_parents_are_table_fields(props):
+    # a land country always comes last, so a county with parent "land" can load
+    features = [feature(f"r{i}", name, level, parent, polygon(square(i, 0, i + 1, 1)))
+                for i, (name, level, parent) in enumerate(props)]
+    features.append(feature("c", "land", "Country", "", polygon(square(0, 0, 9, 9))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_regions(Path(tmp), features)
+        try:
+            index = load_regions(path)
+        except GeoError:
+            return
+    for part in index.polygons:
+        drawn = [(n, p) for n, lv, p in props + [("land", "Country", "")] if lv == part.level]
+        assert part.name and _field_text(part.name) == part.name
+        assert part.name in [n for n, _ in drawn]  # the JSON string itself, not str() of a value
+        if part.level == "County":
+            assert part.parent and _field_text(part.parent) == part.parent
+            assert (part.name, part.parent) in drawn
+        else:
+            assert part.parent == ""

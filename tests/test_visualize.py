@@ -592,8 +592,7 @@ def ring(x0, y0, side):
 @given(cells=CELLS, approach=TEXT, data=st.data())
 def test_kml_matches_elementtree(cells, approach, data):
     # each region: one to three parts, each part a square with zero to two square holes
-    polygons = [RegionPolygon("l", "land", "Country", "", ring(0.0, 0.0, 1e3), [],
-                              (0.0, 0.0, 1e3, 1e3))]
+    polygons = [RegionPolygon("land", "Country", "", ring(0.0, 0.0, 1e3), [], (0.0, 0.0, 1e3, 1e3))]
     for k, (name, _, _) in enumerate(cells):
         if name == UNASSIGNED:
             continue
@@ -601,8 +600,8 @@ def test_kml_matches_elementtree(cells, approach, data):
             x0, y0 = 10.0 * k + 3.25 * p, data.draw(st.floats(-90, 80))
             holes = [ring(x0 + 0.5 + h, y0 + 0.5, 0.25)
                      for h in range(data.draw(st.integers(0, 2)))]
-            polygons.append(RegionPolygon(f"r{k}", name, "County", "land", ring(x0, y0, 3.0),
-                                          holes, (x0, y0, x0 + 3.0, y0 + 3.0)))
+            polygons.append(RegionPolygon(name, "County", "land", ring(x0, y0, 3.0), holes,
+                                          (x0, y0, x0 + 3.0, y0 + 3.0)))
     index = RegionIndex(polygons)
     rows = bucket_rows(cells, approach)
     # the synthetic county is skipped, as if its row were not there
