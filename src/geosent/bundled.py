@@ -12,21 +12,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-_NAMES = {
-    "lexicon": "lexicon.tsv",
-    "regions": "regions.geojson",
-    "corpus": "corpus.jsonl",
-    "training": "train.tsv",
-    "model": "model.nb",
-}
 
-
-def bundled_path(kind: str) -> Path:
-    """Filesystem path of a bundled data file; see _NAMES for kinds."""
-    try:
-        name = _NAMES[kind]
-    except KeyError:
-        raise KeyError(f"no bundled file of kind {kind!r}; options: {sorted(_NAMES)}") from None
+def _path(name: str) -> Path:
+    """Filesystem path of the bundled data file called name."""
     path = Path(str(resources.files("geosent") / "_data" / name))
     if not path.is_file():
         raise FileNotFoundError(f"bundled file missing: {path}")
@@ -34,20 +22,20 @@ def bundled_path(kind: str) -> Path:
 
 
 def lexicon_path() -> Path:
-    return bundled_path("lexicon")
+    return _path("lexicon.tsv")
 
 
 def regions_path() -> Path:
-    return bundled_path("regions")
+    return _path("regions.geojson")
 
 
 def corpus_path() -> Path:
-    return bundled_path("corpus")
+    return _path("corpus.jsonl")
 
 
 def training_path() -> Path:
-    return bundled_path("training")
+    return _path("train.tsv")
 
 
 def model_path() -> Path:
-    return bundled_path("model")
+    return _path("model.nb")

@@ -70,7 +70,7 @@ class LabeledTweet:
 class NBModel:
     doc_counts: dict[str, int]
     token_counts: dict[str, dict[str, int]]
-    totals: dict[str, int]
+    totals: dict[str, int] = field(default_factory=dict)
     vocabulary: set[str] = field(default_factory=set)
     # _linear_form(), built by the first _margin: a later edit of the
     # counts does not reach it
@@ -78,6 +78,8 @@ class NBModel:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.totals:
+            self.totals = {label: sum(self.token_counts[label].values()) for label in LABELS}
         if not self.vocabulary:
             for counts in self.token_counts.values():
                 self.vocabulary.update(counts)
@@ -127,8 +129,7 @@ def train(corpus: Iterable[LabeledTweet]) -> NBModel:
     missing = [label for label, n in doc_counts.items() if n == 0]
     if missing:
         raise TrainingError(f"no training documents for {', '.join(missing)}")
-    totals = {label: sum(token_counts[label].values()) for label in LABELS}
-    return NBModel(doc_counts=doc_counts, token_counts=token_counts, totals=totals)
+    return NBModel(doc_counts=doc_counts, token_counts=token_counts)
 
 
 def classify(model: NBModel, text: str) -> tuple[str, float]:
@@ -276,8 +277,7 @@ def load_model(path: str | Path) -> NBModel:
     missing = [label for label in LABELS if label not in doc_counts]
     if missing:
         raise ModelFormatError(f"{path}: missing prior for {', '.join(missing)}")
-    totals = {label: sum(token_counts[label].values()) for label in LABELS}
-    return NBModel(doc_counts=doc_counts, token_counts=token_counts, totals=totals)
+    return NBModel(doc_counts=doc_counts, token_counts=token_counts)
 
 
 def load_labeled(path: str | Path) -> list[LabeledTweet]:

@@ -49,6 +49,7 @@ from .georesolve import GeoError, load_regions
 from .ingest import collect, parse_and_aggregate, parse_corpus
 from .lexicon import DictionaryAnalyser, LexiconError, load_lexicon
 from .store import (
+    UNASSIGNED,
     StoreError,
     _read_text,
     format_instant,
@@ -195,9 +196,10 @@ def _require(args, *names: str) -> None:
 
 
 def _named(args, keys: str) -> list[tuple[str, str]]:
-    """(flag, path) for each of keys that names a file: set, and not - for stdin."""
+    """(flag, path) for each of keys that names a file: set, and not collect's --input - (stdin)."""
     paths = ((key, getattr(args, key)) for key in keys.split())
-    return [("--" + key.replace("_", "-"), path) for key, path in paths if path not in (None, "-")]
+    return [("--" + key.replace("_", "-"), path) for key, path in paths
+            if path is not None and (key, path) != ("input", "-")]
 
 
 def _refuse_clashes(reads: list[tuple[str, str]], writes: list[tuple[str, str]]) -> None:
@@ -398,6 +400,10 @@ def _cmd_pipeline(args):
         raise UsageError(f"bucket_start {format_instant(args.bucket_start)} does not start "
                          f"a {args.bucket} s bucket of the window")
     index = load_regions(args.regions)
+    if args.line_out and not index.parts(args.line_level, args.line_region) and (
+            (args.line_level, args.line_region) != ("County", UNASSIGNED)):
+        raise UsageError(f"line_region {args.line_region!r} names no {args.line_level} "
+                         f"in {args.regions}")
     # an unreadable lexicon or model is a data error (exit 2), as for score
     analysers = {approach: _analyser(approach, args.lexicon, args.model, args.hashtag_match)
                  for approach in args.approaches}
@@ -557,17 +563,11 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s: %(message)s",
-    )
-
-    try:
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s: %(message)s",
+        )
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -122,17 +122,15 @@ class RegionIndex:
 
     Built once: a level -> name -> parts map for parts() and names(), and
     resolve()'s rows with the grid over them.  The grid holds row ids
-    only, so the index stays small when pickled for pool workers.
+    only, so the index stays small when pickled for pool workers.  It
+    only indexes: load_regions checks the polygons, a county's parent
+    included.
     """
 
     def __init__(self, polygons: list[RegionPolygon]):
         self.polygons = polygons
         counties = [p for p in polygons if p.level == "County"]
         countries = [p for p in polygons if p.level == "Country"]
-        country_names = {p.name for p in countries}
-        for county in counties:
-            if county.parent not in country_names:
-                raise GeoError(f"county {county.name!r} has unknown parent {county.parent!r}")
         self._parts: dict[str, dict[str, list[RegionPolygon]]] = {}
         for p in polygons:
             self._parts.setdefault(p.level, {}).setdefault(p.name, []).append(p)
@@ -187,6 +185,7 @@ def load_regions(path: str | Path) -> RegionIndex:
 
     polygons: list[RegionPolygon] = []
     seen: set[tuple[str, str]] = set()
+    first_county: dict[str, tuple[int, str]] = {}  # parent -> (feature, county), first in file order
     for i, feature in enumerate(features):
         where = f"region file {path}: feature {i}"
         props = feature.get("properties") if isinstance(feature, dict) else None
@@ -199,8 +198,10 @@ def load_regions(path: str | Path) -> RegionIndex:
         if not name:
             raise GeoError(f"{where}: region name {props.get('name')!r} {_NOT_A_FIELD}")
         parent = _field_text(props.get("parent")) if level == "County" else ""
-        if level == "County" and not parent:
-            raise GeoError(f"{where}: county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
+        if level == "County":
+            if not parent:
+                raise GeoError(f"{where}: county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
+            first_county.setdefault(parent, (i, name))
         if name == UNASSIGNED:
             raise GeoError(f"{where}: region name {UNASSIGNED!r} is reserved")
         if (level, name) in seen:
@@ -219,6 +220,10 @@ def load_regions(path: str | Path) -> RegionIndex:
                 bbox=(min(xs), min(ys), max(xs), max(ys)),
             ))
     del doc, features, feature  # free the parsed JSON before the index is built
+    for parent, (number, county) in first_county.items():  # a county may come before its country
+        if ("Country", parent) not in seen:
+            raise GeoError(f"region file {path}: feature {number}: "
+                           f"county {county!r} has unknown parent {parent!r}")
     return RegionIndex(polygons)
 
 

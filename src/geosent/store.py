@@ -41,7 +41,7 @@ import io
 import math
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator
@@ -118,11 +118,8 @@ class CollectorStats:
     rejected_unresolved: int = 0
 
     def merge(self, other: "CollectorStats") -> None:
-        self.lines_read += other.lines_read
-        self.accepted += other.accepted
-        self.rejected_no_geo += other.rejected_no_geo
-        self.rejected_malformed += other.rejected_malformed
-        self.rejected_unresolved += other.rejected_unresolved
+        for counter in fields(self):
+            setattr(self, counter.name, getattr(self, counter.name) + getattr(other, counter.name))
 
 
 @dataclass

@@ -91,6 +91,13 @@ class TestTrain:
         assert (model.token_counts["Positive"]["happy"] + 1) / (3 + 4) == 3 / 7
         assert (model.token_counts["Negative"].get("happy", 0) + 1) / (2 + 4) == 1 / 6
 
+    def test_totals_are_derived_when_not_given(self):
+        model = load_model(model_path())
+        explicit = {label: sum(model.token_counts[label].values()) for label in ("Positive", "Negative")}
+        assert model.totals == explicit
+        assert NBModel(model.doc_counts, model.token_counts) == NBModel(
+            model.doc_counts, model.token_counts, explicit)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(TrainingError, match="Neutral"):
             train([LabeledTweet("x", "Neutral")])

@@ -269,6 +269,20 @@ class TestExitCodes:
         assert (tmp_path / "bare.tsv").read_bytes() == (tmp_path / "bundled.tsv").read_bytes()
         assert keyvals(out)["accepted"] == "9"
 
+    def test_missing_bundled_file_is_a_data_error(self, capsys, monkeypatch, tmp_path):
+        # the parser reads the bundled defaults, so this fails before any command runs
+        missing = tmp_path / "model.nb"
+
+        def model_path():
+            raise FileNotFoundError(f"bundled file missing: {missing}")
+        monkeypatch.setattr(geosent.bundled, "model_path", model_path)
+        code, out, err = run(capsys, "collect", "--raw", str(tmp_path / "raw.jsonl"),
+                             "--input", str(tmp_path / "in.jsonl"))
+        assert code == 2
+        assert err == f"error: bundled file missing: {missing}\n"
+        assert out == ""
+        assert not (tmp_path / "raw.jsonl").exists()
+
     def test_garbage_score_table(self, capsys, tmp_path):
         bad = tmp_path / "scores.tsv"
         bad.write_text("not a score table\n")
@@ -378,6 +392,17 @@ class TestPathClashes:
         assert code == 1
         assert err == f"usage error: --parsed names the same file as --raw: {parsed}\n"
         assert raw.read_bytes() == before
+
+    def test_dash_is_a_file_outside_collect_input(self, capsys, files, monkeypatch):
+        monkeypatch.chdir(files)
+        shutil.copyfile(files / "t1.jsonl", files / "-")
+        before = (files / "-").read_bytes()
+        code, out, err = run(capsys, "parse", "--raw", "-", "--regions", "regions.geojson",
+                             "--parsed", "-")
+        assert code == 1
+        assert err == "usage error: --parsed names the same file as --raw: -\n"
+        assert out == ""
+        assert (files / "-").read_bytes() == before
 
 
 class TestCollect:
@@ -880,6 +905,30 @@ class TestPipeline:
         assert solo_kml.read_bytes() == (tmp_path / "map.kml").read_bytes()
 
 
+    def test_county_unassigned_is_a_line_region(self, capsys, corpus_file, regions_file, tmp_path):
+        # without sadcounty its tweets fall to mycountry's county 'unassigned'
+        doc = json.loads(regions_file.read_text(encoding="utf-8"))
+        doc["features"] = [f for f in doc["features"] if f["properties"]["name"] != "sadcounty"]
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pipeline", "--raw", str(corpus_file), "--regions", str(regions),
+                             "--parsed", str(tmp_path / "p.tsv"), "--scores", str(tmp_path / "s.csv"),
+                             "--line-out", str(tmp_path / "line"), "--line-level", "county",
+                             "--line-region", "unassigned", *WINDOW)
+        assert code == 0, err
+        assert "\tunassigned\t" in (tmp_path / "p.tsv").read_text(encoding="utf-8")
+        assert keyvals(out)["linegraph_csv"] == str(tmp_path / "line.csv")
+
+    def test_readme_key_table_lists_every_option(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("`pipeline` takes these keys.", 1)[1].split("\n\n")[1]
+        keys = set()
+        for line in table.splitlines()[2:]:
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        _, commands = build_parser()
+        dests = {action.dest for action in commands["pipeline"]._actions}
+        assert keys == dests - {"help", "config", "verbose"}
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_lone_surrogate_costs_only_its_record(self, capsys, corpus_file, regions_file,
                                                   tmp_path, threads):
@@ -952,6 +1001,7 @@ class TestPipeline:
         "bucket_start = 2013-07-23T00:00:00Z",
         "bucket_start = 2013-07-22T06:00:00Z",
         "start = 0999-01-01T00:00:00Z",
+        "kml_out = {tmp}/m.kml\nline_out = {tmp}/line\nline_region = nosuchplace",
     ])
     def test_bad_setting_fails_before_the_parsed_table_is_touched(
             self, capsys, corpus_file, regions_file, tmp_path, setting):

@@ -77,6 +77,16 @@ class TestLoading:
         with pytest.raises(GeoError, match="atlantis"):
             load_regions(write_regions(tmp_path, [orphan, country]))
 
+    @pytest.mark.parametrize("county_first", [True, False], ids=["county-first", "country-first"])
+    def test_unknown_parent_names_the_file_and_feature(self, tmp_path, county_first):
+        orphan = feature("x", "here", "County", "atlantis", polygon(square(0, 0, 1, 1)))
+        country = feature("c", "land", "Country", "", polygon(square(0, 0, 9, 9)))
+        path = write_regions(tmp_path, [orphan, country] if county_first else [country, orphan])
+        with pytest.raises(GeoError) as raised:
+            load_regions(path)
+        assert str(raised.value) == (f"region file {path}: feature {1 - county_first}: "
+                                     "county 'here' has unknown parent 'atlantis'")
+
     def test_duplicate_name_rejected(self, tmp_path):
         a = feature("a", "land", "Country", "", polygon(square(0, 0, 1, 1)))
         b = feature("b", "land", "Country", "", polygon(square(5, 5, 6, 6)))

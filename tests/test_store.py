@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from geosent import store
 from geosent.ingest import collect
 from geosent.store import (
+    CollectorStats,
     ParsedTweet,
     ScoreRow,
     ScoreRowError,
@@ -613,6 +615,14 @@ class TestScoreReader:
             write_scores(path, [score_row(region="kent")], append=True)
         assert [call.args[0] for call in opened.call_args_list].count(path) == 1
         assert len(read_scores(path)) == 2
+
+
+def test_collector_stats_merge_adds_every_field():
+    # a distinct value per field, so a field dropped or crossed shows
+    n = len(dataclasses.fields(CollectorStats))
+    stats = CollectorStats(*range(1, n + 1))
+    stats.merge(CollectorStats(*range(10, 10 * n + 1, 10)))
+    assert dataclasses.astuple(stats) == tuple(range(11, 11 * n + 1, 11))
 
 
 def test_score_row_pss_tolerance_is_relative():
