@@ -55,6 +55,7 @@ from .store import (
     format_instant,
     parse_instant,
     read_scores,
+    staged,
     write_scores,
 )
 from .visualize import VisualizeError, emit_kml, emit_linegraph, emit_tilemap, linegraph_paths
@@ -226,32 +227,36 @@ def _analyser(approach: str, lexicon: str, model: str, hashtag_match: bool):
     return ModelAnalyser(load_model(model))
 
 
-def _draw(kind: str, rows, out: str, *, index=None, approach=None, level=None,
-          region=None, bucket_start=None, tz_offset=None) -> None:
-    """Pick the rows one renderer draws, draw them, and print the paths.
+def _pick(kind: str, rows, out: str, *, index=None, approach=None, level=None,
+          region=None, bucket_start=None, tz_offset=None):
+    """Pick the rows one renderer draws; the draw, which emits them and prints the paths.
 
     Maps draw one bucket (the earliest unless bucket_start is given) of the
     approach's rows at level, County for tilemap; linegraph draws a region.
     """
     if kind == "linegraph":
         chosen = [row for row in rows if row.region == region and row.level == level]
-        svg_path, csv_path = emit_linegraph(chosen, out, display_tz_offset_minutes=tz_offset)
-        print(f"linegraph_svg={svg_path}")
-        print(f"linegraph_csv={csv_path}")
-        return
-    if kind == "tilemap":
-        level = "County"
-    chosen = [row for row in rows if row.approach == approach and row.level == level]
-    if bucket_start is None:
-        if not chosen:
-            raise VisualizeError(f"{kind}: no matching rows in the score table")
-        bucket_start = min(row.bucket_start for row in chosen)
-    chosen = [row for row in chosen if row.bucket_start == bucket_start]
-    if kind == "kml":
-        emit_kml(chosen, index, out)
     else:
-        emit_tilemap(chosen, out)
-    print(f"{kind}={out}")
+        level = "County" if kind == "tilemap" else level
+        chosen = [row for row in rows if row.approach == approach and row.level == level]
+        if bucket_start is None and chosen:
+            bucket_start = min(row.bucket_start for row in chosen)
+        chosen = [row for row in chosen if row.bucket_start == bucket_start]
+    if not chosen:
+        raise VisualizeError(f"{kind}: no rows to render")
+
+    def draw() -> None:
+        if kind == "kml":
+            emit_kml(chosen, index, out)
+        elif kind == "tilemap":
+            emit_tilemap(chosen, out)
+        else:
+            svg_path, csv_path = emit_linegraph(chosen, out, display_tz_offset_minutes=tz_offset)
+            print(f"linegraph_svg={svg_path}")
+            print(f"linegraph_csv={csv_path}")
+            return
+        print(f"{kind}={out}")
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +356,9 @@ def _cmd_render(args):
         index = load_regions(args.regions)
     elif args.kind == "linegraph":
         _require(args, "region")
-    _draw(args.kind, read_scores(args.scores), args.out, index=index, approach=args.approach,
+    _pick(args.kind, read_scores(args.scores), args.out, index=index, approach=args.approach,
           level=args.level, region=args.region, bucket_start=args.bucket_start,
-          tz_offset=args.tz_offset)
+          tz_offset=args.tz_offset)()
     return 0
 
 
@@ -411,28 +416,28 @@ def _cmd_pipeline(args):
     jobs = [(spec, analysers[approach]) for approach in args.approaches for spec in specs]
     jobs += [(spec, analysers[approach]) for approach in args.approaches for spec in line_specs]
     log.info("pipeline: parsing %s and scoring %d jobs in one pass", args.raw, len(jobs))
-    stats, results = parse_and_aggregate(args.raw, index, args.parsed, jobs, threads=args.threads)
+    split = len(args.approaches) * len(specs)
+    # every render picks its rows before the parsed table replaces the old one
+    with staged(args.parsed) as parsed:
+        stats, results = parse_and_aggregate(args.raw, index, parsed, jobs, threads=args.threads)
+        table = [row for rows in results[:split] for row in rows]
+        line_table = [row for rows in results[split:] for row in rows]
+        draws = [_pick(kind, table, out, index=index, approach=args.render_approach,
+                       level="Country", bucket_start=args.bucket_start)
+                 for kind, out in (("kml", args.kml_out), ("tilemap", args.tilemap_out)) if out]
+        if args.line_out:
+            draws.append(_pick("linegraph", line_table, args.line_out, region=args.line_region,
+                               level=args.line_level, tz_offset=args.tz_offset))
     print(f"lines_read={stats.lines_read}")
     print(f"accepted={stats.accepted}")
     print(f"parsed={args.parsed}")
-
-    split = len(args.approaches) * len(specs)
-    table = [row for rows in results[:split] for row in rows]
-    line_table = [row for rows in results[split:] for row in rows]
     write_scores(args.scores, table)
     print(f"scores={args.scores}")
     if args.line_out:
         write_scores(line_scores, line_table)
         print(f"line_scores={line_scores}")
-    if args.kml_out:
-        _draw("kml", table, args.kml_out, index=index, approach=args.render_approach,
-              level="Country", bucket_start=args.bucket_start)
-    if args.tilemap_out:
-        _draw("tilemap", table, args.tilemap_out, approach=args.render_approach,
-              bucket_start=args.bucket_start)
-    if args.line_out:
-        _draw("linegraph", line_table, args.line_out, region=args.line_region,
-              level=args.line_level, tz_offset=args.tz_offset)
+    for draw in draws:
+        draw()
     return 0
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .store import (LEVELS, MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _parse_parsed_line,
-                    format_parsed_line, map_blocks, staged)
+                    format_instant, format_parsed_line, map_blocks, staged)
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,7 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-class EstimatorError(Exception):
+class EstimatorError(ValueError):
     pass
 
 
@@ -355,16 +355,23 @@ def series_from_rows(
     approach: str,
     bucket_seconds: int | None = None,
 ) -> ScoreSeries:
-    """Build the pss series of one region and approach from score rows."""
-    points = []
-    for row in rows:
-        if row.region != region or row.approach != approach or row.pss is None:
-            continue
-        if bucket_seconds is not None:
-            if (row.bucket_end - row.bucket_start).total_seconds() != bucket_seconds:
-                continue
-        points.append((row.bucket_start, row.pss))
-    points.sort(key=lambda p: p[0])
+    """Build the pss series of one region and approach from score rows.
+
+    Only rows of bucket_seconds are kept when it is given; kept buckets
+    that overlap raise EstimatorError.
+    """
+    kept = [row for row in rows
+            if row.region == region and row.approach == approach and row.pss is not None]
+    if bucket_seconds is not None:
+        kept = [row for row in kept
+                if (row.bucket_end - row.bucket_start).total_seconds() == bucket_seconds]
+    kept.sort(key=lambda row: row.bucket_start)
+    for row, after in zip(kept, kept[1:]):
+        if row.bucket_end > after.bucket_start:
+            clash = "duplicate" if row.bucket_start == after.bucket_start else "overlapping"
+            raise EstimatorError(f"series for {region}: {clash} buckets at "
+                                 f"{format_instant(after.bucket_start)}; keep one length (--bucket)")
+    points = [(row.bucket_start, row.pss) for row in kept]
     series = ScoreSeries(region=region, approach=approach, points=points)
     series.validate()
     return series

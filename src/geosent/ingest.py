@@ -220,6 +220,4 @@ def parse_corpus(
     threads: int = 1,
 ) -> CollectorStats:
     """Parse the whole raw table into the parsed table: parse_and_aggregate() with no jobs."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     return parse_and_aggregate(raw_path, index, parsed_path, [], threads)[0]

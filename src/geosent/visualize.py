@@ -94,20 +94,19 @@ def _fmt4_or_na(value: float | None) -> str:
     return "NA" if value is None else fmt4(value)
 
 
-def _single_bucket(rows: list[ScoreRow], what: str) -> None:
+def _alike(rows: list[ScoreRow], what: str, *fields: str) -> None:
+    """Refuse no rows, or rows that differ in any of the named fields."""
     if not rows:
         raise VisualizeError(f"{what}: no rows to render")
-    buckets = {row.bucket_start for row in rows}
-    if len(buckets) > 1:
-        raise VisualizeError(f"{what}: rows span {len(buckets)} buckets, expected one")
-    levels = {row.level for row in rows}
-    if len(levels) > 1:
-        raise VisualizeError(f"{what}: rows mix levels {sorted(levels)}")
-    approaches = {row.approach for row in rows}
-    if len(approaches) > 1:
-        raise VisualizeError(f"{what}: rows mix approaches {sorted(approaches)}")
-    names = [row.region for row in rows]
-    if len(set(names)) != len(names):
+    for name in fields:
+        values = {getattr(row, name) for row in rows}
+        if len(values) > 1:
+            raise VisualizeError(f"{what}: rows mix {name} values {sorted(map(str, values))}")
+
+
+def _single_bucket(rows: list[ScoreRow], what: str) -> None:
+    _alike(rows, what, "bucket_start", "level", "approach")
+    if len({row.region for row in rows}) != len(rows):
         raise VisualizeError(f"{what}: duplicate region rows")
 
 
@@ -370,32 +369,25 @@ def emit_linegraph(
 ) -> tuple[Path, Path]:
     """Write a per-bucket score series as an SVG graph plus a CSV twin.
 
-    Expects rows for one region at one level, any number of approaches.
-    Buckets present for every approach are drawn; the rest are dropped so
-    the lines stay comparable.  The CSV carries full-precision scores;
-    the graph shows the absolute score per bucket, one line per approach.
-    The timezone offset shifts axis labels only, never the data.  A
-    region or approach that is not valid UTF-8 raises VisualizeError.
+    Expects rows for one region at one level, any number of approaches,
+    and no two buckets of one approach that overlap.  Buckets present for
+    every approach are drawn; the rest are dropped so the lines stay
+    comparable.  The CSV carries full-precision scores; the graph shows
+    the absolute score per bucket, one line per approach.  The timezone
+    offset shifts axis labels only, never the data.  A region or approach
+    that is not valid UTF-8 raises VisualizeError.
     """
-    if not rows:
-        raise VisualizeError("linegraph: no rows to render")
-    regions = {row.region for row in rows}
-    if len(regions) > 1:
-        raise VisualizeError(f"linegraph: rows mix regions {sorted(regions)}")
-    levels = {row.level for row in rows}
-    if len(levels) > 1:
-        raise VisualizeError(f"linegraph: rows mix levels {sorted(levels)}")
+    _alike(rows, "linegraph", "region", "level")
     region = rows[0].region
 
     by_approach: dict[str, dict] = {}
-    for row in rows:
+    for row in sorted(rows, key=lambda row: (row.approach, row.bucket_start)):
         bucket = by_approach.setdefault(row.approach, {})
-        if row.bucket_start in bucket:
-            raise VisualizeError(
-                f"linegraph: duplicate bucket {format_instant(row.bucket_start)} "
-                f"for approach {row.approach}"
-            )
-        bucket[row.bucket_start] = row
+        if bucket and last.bucket_end > row.bucket_start:  # last: this approach's previous row
+            clash = "duplicate" if last.bucket_start == row.bucket_start else "overlapping"
+            raise VisualizeError(f"linegraph: {clash} bucket {format_instant(row.bucket_start)} "
+                                 f"for approach {row.approach}")
+        bucket[row.bucket_start] = last = row
     approaches = sorted(by_approach)
     shared = set.intersection(*(set(v) for v in by_approach.values()))
     if not shared:

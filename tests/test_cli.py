@@ -75,6 +75,15 @@ def hourly_scores(tmp_path_factory, parsed_table):
 
 
 @pytest.fixture
+def merged_scores(tmp_path, hourly_scores, daily_scores):
+    """The hourly table followed by the daily rows: each day overlaps its hours."""
+    merged = tmp_path / "merged.tsv"
+    merged.write_text(hourly_scores.read_text()
+                      + "".join(daily_scores.read_text().splitlines(True)[1:]))
+    return merged
+
+
+@pytest.fixture
 def latin1_scores(tmp_path, hourly_scores):
     """The hourly score table with its region renamed caf\xe9, written as Latin-1."""
     path = tmp_path / "latin1.tsv"
@@ -691,12 +700,8 @@ class TestCorrelate:
         value = float(keyvals(out)["pearson"])
         assert -1.0 <= value <= 1.0
 
-    def test_bucket_filter_excludes_other_lengths(self, capsys, tmp_path,
-                                                  hourly_scores, daily_scores):
-        merged = tmp_path / "merged.tsv"
-        merged.write_text(hourly_scores.read_text()
-                          + "".join(daily_scores.read_text().splitlines(True)[1:]))
-        code, out, _ = run(capsys, "correlate", "--scores", str(merged),
+    def test_bucket_filter_excludes_other_lengths(self, capsys, hourly_scores, merged_scores):
+        code, out, _ = run(capsys, "correlate", "--scores", str(merged_scores),
                         "--region", "mycountry", "--level", "country",
                         "--bucket", "3600")
         assert code == 0
@@ -705,6 +710,32 @@ class TestCorrelate:
         ref_out = capsys.readouterr().out
         assert reference == 0
         assert keyvals(out)["pearson"] == keyvals(ref_out)["pearson"]
+
+    def test_overlapping_buckets_are_refused(self, capsys, merged_scores):
+        # the 00:00 day holds the 14:00, 15:00 and 16:00 hours
+        code, out, err = run(capsys, "correlate", "--scores", str(merged_scores),
+                             "--region", "mycountry", "--level", "country")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: series for mycountry: overlapping buckets") and "--bucket" in err
+
+    def test_truncated_last_bucket_is_no_overlap(self, capsys, tmp_path, parsed_table):
+        # the window ends at 16:30, so its last hourly bucket is 16:00 to 16:30
+        scores = tmp_path / "scores.tsv"
+        for approach, flags in [("dictionary", []), ("ml", ["--append"])]:
+            assert main(["score", "--parsed", str(parsed_table), "--scores", str(scores),
+                         "--approach", approach, "--level", "country", "--bucket", "3600",
+                         "--start", "2013-07-22T00:00:00Z", "--end", "2013-07-22T16:30:00Z",
+                         *flags]) == 0
+        assert "2013-07-22T16:30:00Z" in scores.read_text()
+        code, out, err = run(capsys, "correlate", "--scores", str(scores),
+                             "--region", "mycountry", "--level", "country")
+        assert code == 0, err
+        assert "pearson=" in out
+        code, _, err = run(capsys, "render", "--kind", "linegraph", "--scores", str(scores),
+                           "--region", "mycountry", "--out", str(tmp_path / "line"))
+        assert code == 0, err
+        assert "2013-07-22T16:00:00Z" in (tmp_path / "line.csv").read_text()
 
     def test_runs_with_numpy_blocked(self, hourly_scores):
         code = ("import sys; sys.modules['numpy'] = None\n"
@@ -763,6 +794,29 @@ class TestRender:
                              "--region", "caf\xe9", "--out", str(tmp_path / "line"))
         assert_names_line_2_of(latin1_scores, code, out, err)
         assert not (tmp_path / "line.svg").exists()
+
+    def test_overlapping_buckets_draw_nothing(self, capsys, merged_scores, tmp_path):
+        code, out, err = run(capsys, "render", "--kind", "linegraph", "--scores", str(merged_scores),
+                             "--region", "mycountry", "--out", str(tmp_path / "line"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: linegraph: overlapping bucket")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["merged.tsv"]
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("kml", ["--bucket-start", "2013-07-23T00:00:00Z"]),
+        ("tilemap", ["--approach", "ml", "--bucket-start", "2013-07-22T05:00:00Z"]),
+        ("linegraph", ["--region", "nosuchplace"]),
+    ])
+    def test_empty_pick_draws_nothing(self, capsys, daily_scores, regions_file, tmp_path,
+                                      kind, flags):
+        code, out, err = run(capsys, "render", "--kind", kind, "--scores", str(daily_scores),
+                             "--regions", str(regions_file), "--out", str(tmp_path / "out"),
+                             *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {kind}: no rows to render\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_wrong_header_names_the_file(self, capsys, tmp_path):
         table = tmp_path / "scores.tsv"
@@ -1023,6 +1077,23 @@ class TestPipeline:
         assert err.startswith("usage error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("kind, setting", [
+        # a valid region that has no tweets in the window
+        ("linegraph", "line_out = {tmp}/line\nline_level = county\nline_region = unassigned"),
+        # an hour of the window without tweets
+        ("kml", "bucket = 3600\nbucket_start = 2013-07-22T05:00:00Z\nkml_out = {tmp}/m.kml"),
+        ("tilemap", "bucket = 3600\nbucket_start = 2013-07-22T05:00:00Z\n"
+                    "tilemap_out = {tmp}/t.svg"),
+    ], ids=["linegraph-unassigned", "kml-empty-hour", "tilemap-empty-hour"])
+    def test_render_without_rows_replaces_nothing(self, capsys, corpus_file, regions_file,
+                                                  tmp_path, kind, setting, threads):
+        code, out, err = self.run_untouched(capsys, corpus_file, regions_file, tmp_path,
+                                            f"{setting}\nthreads = {threads}")
+        assert code == 2
+        assert err.endswith(f"error: {kind}: no rows to render\n")
+        assert out == ""
+
     @pytest.mark.parametrize("setting", ["model = /nonexistent", "lexicon = /nonexistent"])
     def test_unreadable_analyser_file_is_a_data_error(
             self, capsys, corpus_file, regions_file, tmp_path, setting):
@@ -1034,7 +1105,7 @@ class TestPipeline:
 
     @staticmethod
     def run_untouched(capsys, corpus_file, regions_file, tmp_path, setting):
-        """Run pipeline with one extra config line; no table may change."""
+        """Run pipeline with one extra config line; no table may change or appear."""
         parsed = tmp_path / "p.tsv"
         parsed.write_bytes(b"an earlier parsed table\n")
         cfg = tmp_path / "pipe.cfg"
@@ -1049,7 +1120,8 @@ class TestPipeline:
         )
         result = run(capsys, "pipeline", "--config", str(cfg))
         assert parsed.read_bytes() == b"an earlier parsed table\n"
-        assert not (tmp_path / "s.tsv").exists()
+        # no score table, render or staged *.tmp sibling is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.tsv", "pipe.cfg"]
         return result
 
     @pytest.mark.parametrize("flags", [["--approaches", "ml,machine-learning"],

@@ -648,6 +648,21 @@ class TestSeries:
         series = series_from_rows(self.rows(tmp_path), "nowhere", "Dictionary")
         assert series.points == []
 
+    def test_overlapping_buckets_rejected(self, tmp_path):
+        daily = aggregate(spec(bucket=86_400), parsed(tmp_path, [
+            (utc(2013, 7, 22, 10), "volcania", "ashmoor", "good good")]), analyser())
+        with pytest.raises(EstimatorError, match="overlapping buckets at 2013-07-22T10:00:00Z"):
+            series_from_rows(self.rows(tmp_path) + daily, "ashmoor", "Dictionary")
+        # keeping one bucket length drops the day
+        series = series_from_rows(self.rows(tmp_path) + daily, "ashmoor", "Dictionary",
+                                  bucket_seconds=3600)
+        assert [p[1] for p in series.points] == [2.0, 1.0, 0.0]
+
+    def test_equal_starts_are_duplicates(self, tmp_path):
+        rows = self.rows(tmp_path)
+        with pytest.raises(EstimatorError, match="duplicate buckets"):
+            series_from_rows(rows + rows[:1], "ashmoor", "Dictionary")
+
     def test_duplicate_bucket_rejected(self):
         series = ScoreSeries("x", "Dictionary", [(utc(2013, 7, 22), 1.0), (utc(2013, 7, 22), 2.0)])
         with pytest.raises(EstimatorError):

@@ -68,6 +68,25 @@ def test_only_estimator_runs_a_scan():
     assert {name for name in taken["ingest.py"] if name.startswith("_")} == {"_scan"}
 
 
+def test_only_the_picked_draw_emits_in_the_cli():
+    # cli picks a render's rows in one place, and only the draw that pick returns emits them
+    cli = Path(geosent.__file__).parent / "cli.py"
+    callers = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = [*path, node.name]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "emit_kml", "emit_tilemap", "emit_linegraph"):
+            callers.append((node.func.id, ".".join(path)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(ast.parse(cli.read_text(encoding="utf-8")), [])
+    assert sorted(callers) == [("emit_kml", "_pick.draw"), ("emit_linegraph", "_pick.draw"),
+                               ("emit_tilemap", "_pick.draw")]
+
+
 def _opens(module: Path) -> list[tuple[str, str]]:
     """Each call in module that opens a file, as its source text and its mode
     ("r" for read_text and read_bytes, "?" where the mode is not a constant)."""

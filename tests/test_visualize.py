@@ -434,6 +434,16 @@ class TestLinegraph:
         with pytest.raises(VisualizeError, match="duplicate"):
             emit_linegraph(rows, tmp_path / "line")
 
+    def test_overlapping_buckets_rejected_before_staging(self, tmp_path):
+        # a day's row beside the hours it holds, for one approach
+        rows = self.rows()
+        rows.append(row("mycountry", 9, 6, level="Country", parent="",
+                        approach="MachineLearning", start=B0 - timedelta(hours=1), npss=1.0))
+        with pytest.raises(VisualizeError, match="^linegraph: overlapping bucket "
+                                                 "2013-07-22T00:00:00Z for approach MachineLearning$"):
+            emit_linegraph(rows, tmp_path / "line")
+        assert list(tmp_path.iterdir()) == []
+
     def test_disjoint_buckets_rejected(self, tmp_path):
         rows = [
             row("mycountry", 1, 1, level="Country", parent="",
