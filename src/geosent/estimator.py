@@ -357,14 +357,18 @@ def series_from_rows(
 ) -> ScoreSeries:
     """Build the pss series of one region and approach from score rows.
 
-    Only rows of bucket_seconds are kept when it is given; kept buckets
-    that overlap raise EstimatorError.
+    Only rows of bucket_seconds are kept when it is given, and a shorter
+    row that starts where the last of them ends: a window's truncated last
+    bucket.  Kept buckets that overlap raise EstimatorError.
     """
     kept = [row for row in rows
             if row.region == region and row.approach == approach and row.pss is not None]
     if bucket_seconds is not None:
-        kept = [row for row in kept
-                if (row.bucket_end - row.bucket_start).total_seconds() == bucket_seconds]
+        length = timedelta(seconds=bucket_seconds)
+        full = [row for row in kept if row.bucket_end - row.bucket_start == length]
+        last_end = max((row.bucket_end for row in full), default=None)
+        kept = full + [row for row in kept
+                       if row.bucket_start == last_end and row.bucket_end - row.bucket_start < length]
     kept.sort(key=lambda row: row.bucket_start)
     for row, after in zip(kept, kept[1:]):
         if row.bucket_end > after.bucket_start:

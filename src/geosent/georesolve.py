@@ -7,6 +7,13 @@ store._finite (not true or false).  Name and parent become table fields
 by store._field_text; region_id and a country's parent are ignored.
 A MultiPolygon becomes RegionPolygon parts sharing one name, in file order.
 
+load_regions drops each decoded feature from the document once its
+polygons are built, so the heap holds about one copy of the map while it
+loads, not the whole document beside the whole index.  RegionPolygon is
+slotted (no per-polygon __dict__).  The checks raise short GeoErrors; the
+file, feature, name and ring that an error names are put together only
+when one is raised.
+
 Containment is even-odd ray casting with a half-open crossing rule: an
 edge is crossed when the point's latitude lies in [min(y1,y2), max(y1,y2))
 and the edge intersects the eastward ray strictly east of the point.
@@ -45,7 +52,7 @@ Ring = list[tuple[float, float]]
 _NOT_A_FIELD = "is not a non-empty JSON string of UTF-8 text without a tab, CR or LF"
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionPolygon:
     """One polygon part of a region, with exterior ring and optional holes."""
 
@@ -57,26 +64,30 @@ class RegionPolygon:
     bbox: tuple[float, float, float, float]  # min_lon, min_lat, max_lon, max_lat
 
 
-def _clean_ring(raw, where: str) -> Ring:
+def _clean_ring(raw) -> Ring:
     if not isinstance(raw, list) or len(raw) < 3:
-        raise GeoError(f"{where}: ring must be a list of at least 3 positions")
+        raise GeoError("ring must be a list of at least 3 positions")
     ring: Ring = []
     for pos in raw:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
-            raise GeoError(f"{where}: bad position {pos!r}")
+            raise GeoError(f"bad position {pos!r}")
         x, y = _finite(pos[0]), _finite(pos[1])
         if x is None or y is None:
-            raise GeoError(f"{where}: bad position {pos!r}")
+            raise GeoError(f"bad position {pos!r}")
         ring.append((x, y))
     if ring[0] == ring[-1]:
         ring.pop()
     if len(ring) < 3:
-        raise GeoError(f"{where}: ring has fewer than 3 distinct vertices")
+        raise GeoError("ring has fewer than 3 distinct vertices")
     return ring
 
 
-def _polygon_parts(geometry, where: str) -> list[list[Ring]]:
-    """Normalise a geometry to a list of [exterior, *holes] ring lists."""
+def _polygon_parts(geometry) -> list[list[Ring]]:
+    """Normalise a geometry to a list of [exterior, *holes] ring lists.
+
+    A bad ring raises GeoError(message, part, ring), which load_regions
+    places as "part <part> ring <ring>".
+    """
     gtype = geometry.get("type") if isinstance(geometry, dict) else None
     coords = geometry.get("coordinates") if isinstance(geometry, dict) else None
     if gtype == "Polygon":
@@ -84,14 +95,20 @@ def _polygon_parts(geometry, where: str) -> list[list[Ring]]:
     elif gtype == "MultiPolygon":
         raw_parts = coords
     else:
-        raise GeoError(f"{where}: unsupported geometry type {gtype!r}")
+        raise GeoError(f"unsupported geometry type {gtype!r}")
     if not isinstance(raw_parts, list) or not raw_parts:
-        raise GeoError(f"{where}: empty geometry")
+        raise GeoError("empty geometry")
     parts = []
     for p, raw_rings in enumerate(raw_parts):
         if not isinstance(raw_rings, list) or not raw_rings:
-            raise GeoError(f"{where}: part {p} has no rings")
-        parts.append([_clean_ring(r, f"{where} part {p} ring {i}") for i, r in enumerate(raw_rings)])
+            raise GeoError(f"part {p} has no rings")
+        rings = []
+        for i, raw in enumerate(raw_rings):
+            try:
+                rings.append(_clean_ring(raw))
+            except GeoError as exc:
+                raise GeoError(*exc.args, p, i) from None
+        parts.append(rings)
     return parts
 
 
@@ -186,40 +203,50 @@ def load_regions(path: str | Path) -> RegionIndex:
     polygons: list[RegionPolygon] = []
     seen: set[tuple[str, str]] = set()
     first_county: dict[str, tuple[int, str]] = {}  # parent -> (feature, county), first in file order
-    for i, feature in enumerate(features):
-        where = f"region file {path}: feature {i}"
-        props = feature.get("properties") if isinstance(feature, dict) else None
-        if not isinstance(props, dict):
-            raise GeoError(f"{where}: missing properties")
-        level = props.get("level")
-        if level not in LEVELS:
-            raise GeoError(f"{where}: unknown level {level!r}")
-        name = _field_text(props.get("name"))
-        if not name:
-            raise GeoError(f"{where}: region name {props.get('name')!r} {_NOT_A_FIELD}")
-        parent = _field_text(props.get("parent")) if level == "County" else ""
-        if level == "County":
-            if not parent:
-                raise GeoError(f"{where}: county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
-            first_county.setdefault(parent, (i, name))
-        if name == UNASSIGNED:
-            raise GeoError(f"{where}: region name {UNASSIGNED!r} is reserved")
-        if (level, name) in seen:
-            raise GeoError(f"{where}: duplicate region ({level}, {name})")
-        seen.add((level, name))
-        for rings in _polygon_parts(feature.get("geometry"), f"{where} ({name})"):
-            exterior = rings[0]
-            xs = [x for x, _ in exterior]
-            ys = [y for _, y in exterior]
-            polygons.append(RegionPolygon(
-                name=name,
-                level=level,
-                parent=parent,
-                exterior=exterior,
-                holes=rings[1:],
-                bbox=(min(xs), min(ys), max(xs), max(ys)),
-            ))
-    del doc, features, feature  # free the parsed JSON before the index is built
+    del doc  # features holds the rest of the document, and frees it feature by feature
+    try:
+        for i in range(len(features)):
+            feature, features[i] = features[i], None
+            named = ""  # the name a geometry error shows
+            props = feature.get("properties") if isinstance(feature, dict) else None
+            if not isinstance(props, dict):
+                raise GeoError("missing properties")
+            level = props.get("level")
+            if level not in LEVELS:
+                raise GeoError(f"unknown level {level!r}")
+            name = _field_text(props.get("name"))
+            if not name:
+                raise GeoError(f"region name {props.get('name')!r} {_NOT_A_FIELD}")
+            parent = _field_text(props.get("parent")) if level == "County" else ""
+            if level == "County":
+                if not parent:
+                    raise GeoError(f"county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
+                first_county.setdefault(parent, (i, name))
+            if name == UNASSIGNED:
+                raise GeoError(f"region name {UNASSIGNED!r} is reserved")
+            if (level, name) in seen:
+                raise GeoError(f"duplicate region ({level}, {name})")
+            seen.add((level, name))
+            named = name
+            for rings in _polygon_parts(feature.get("geometry")):
+                exterior = rings[0]
+                xs = [x for x, _ in exterior]
+                ys = [y for _, y in exterior]
+                polygons.append(RegionPolygon(
+                    name=name,
+                    level=level,
+                    parent=parent,
+                    exterior=exterior,
+                    holes=rings[1:],
+                    bbox=(min(xs), min(ys), max(xs), max(ys)),
+                ))
+    except GeoError as exc:
+        message, *ring = exc.args
+        place = f" ({named})" if named else ""
+        if ring:
+            place += " part {} ring {}".format(*ring)
+        raise GeoError(f"region file {path}: feature {i}{place}: {message}") from None
+    del features, feature
     for parent, (number, county) in first_county.items():  # a county may come before its country
         if ("Country", parent) not in seen:
             raise GeoError(f"region file {path}: feature {number}: "

@@ -11,7 +11,8 @@ replaced: one T2 scan per aggregation spec, the stand-alone
 normalisation helper, the lexicon's linear wildcard scan, the analysers'
 scoring of Token lists (match_token per token, Naive Bayes summed per
 class), the feature scan of the whole text in one findall, the region
-resolver's scan of every polygon, the per-chunk tokenizer, the tile-map
+resolver's scan of every polygon, the region loader that held the whole
+decoded file, the per-chunk tokenizer, the tile-map
 strip packer that re-measured every strip, the timedelta bucket rule,
 the score-table reader that checked UTF-8, the rows and the torn tail
 in three passes,
@@ -27,6 +28,7 @@ and serialisation, not those layers.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import re
@@ -39,12 +41,12 @@ from xml.etree import ElementTree as ET
 
 from geosent.classifier import LABELS, NEGATIVE, POSITIVE
 from geosent.estimator import EstimatorError, compute_pss
-from geosent.georesolve import _crossings, resolve
+from geosent.georesolve import GeoError, RegionIndex, RegionPolygon, _crossings, resolve
 from geosent.ingest import MALFORMED, NO_GEO, CollectorStats, parse_record
 from geosent.lexicon import DictionaryAnalyser, match_token
-from geosent.store import (SCORE_COLUMNS, UNASSIGNED, ParsedTweet, ScoreRow, StoreError, _format_score,
-                           _parse_parsed_line, _parse_score, _torn, format_instant, format_parsed_line,
-                           parse_instant, staged)
+from geosent.store import (LEVELS, SCORE_COLUMNS, UNASSIGNED, ParsedTweet, ScoreRow, StoreError,
+                           _field_text, _finite, _format_score, _parse_parsed_line, _parse_score,
+                           _read_text, _torn, format_instant, format_parsed_line, parse_instant, staged)
 from geosent import emoticons
 from geosent.tokenizer import _SCANNER, EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
 from geosent.visualize import (
@@ -209,6 +211,100 @@ def resolve_linear(index, lat, lon):
                 if _crossings([p.exterior] + p.holes, lat, lon) % 2 == 1:
                     return (p.parent, p.name) if level == "County" else (p.name, UNASSIGNED)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the region loader that formatted every error's place up front and kept
+# the whole decoded document until the last polygon was built
+
+_NOT_A_FIELD = "is not a non-empty JSON string of UTF-8 text without a tab, CR or LF"
+
+
+def _clean_ring_reference(raw, where):
+    if not isinstance(raw, list) or len(raw) < 3:
+        raise GeoError(f"{where}: ring must be a list of at least 3 positions")
+    ring = []
+    for pos in raw:
+        if not isinstance(pos, (list, tuple)) or len(pos) < 2:
+            raise GeoError(f"{where}: bad position {pos!r}")
+        x, y = _finite(pos[0]), _finite(pos[1])
+        if x is None or y is None:
+            raise GeoError(f"{where}: bad position {pos!r}")
+        ring.append((x, y))
+    if ring[0] == ring[-1]:
+        ring.pop()
+    if len(ring) < 3:
+        raise GeoError(f"{where}: ring has fewer than 3 distinct vertices")
+    return ring
+
+
+def _polygon_parts_reference(geometry, where):
+    gtype = geometry.get("type") if isinstance(geometry, dict) else None
+    coords = geometry.get("coordinates") if isinstance(geometry, dict) else None
+    if gtype == "Polygon":
+        raw_parts = [coords]
+    elif gtype == "MultiPolygon":
+        raw_parts = coords
+    else:
+        raise GeoError(f"{where}: unsupported geometry type {gtype!r}")
+    if not isinstance(raw_parts, list) or not raw_parts:
+        raise GeoError(f"{where}: empty geometry")
+    parts = []
+    for p, raw_rings in enumerate(raw_parts):
+        if not isinstance(raw_rings, list) or not raw_rings:
+            raise GeoError(f"{where}: part {p} has no rings")
+        parts.append([_clean_ring_reference(r, f"{where} part {p} ring {i}")
+                      for i, r in enumerate(raw_rings)])
+    return parts
+
+
+def load_regions_reference(path):
+    """The region file read as one document, every place formatted as it is reached."""
+    try:
+        doc = json.loads(_read_text(path, "region", GeoError))
+    except (ValueError, RecursionError) as exc:
+        raise GeoError(f"region file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise GeoError(f"region file {path} is not a FeatureCollection")
+    features = doc.get("features")
+    if not isinstance(features, list) or not features:
+        raise GeoError(f"region file {path} has no features")
+
+    polygons = []
+    seen = set()
+    first_county = {}
+    for i, feature in enumerate(features):
+        where = f"region file {path}: feature {i}"
+        props = feature.get("properties") if isinstance(feature, dict) else None
+        if not isinstance(props, dict):
+            raise GeoError(f"{where}: missing properties")
+        level = props.get("level")
+        if level not in LEVELS:
+            raise GeoError(f"{where}: unknown level {level!r}")
+        name = _field_text(props.get("name"))
+        if not name:
+            raise GeoError(f"{where}: region name {props.get('name')!r} {_NOT_A_FIELD}")
+        parent = _field_text(props.get("parent")) if level == "County" else ""
+        if level == "County":
+            if not parent:
+                raise GeoError(f"{where}: county {name!r} parent {props.get('parent')!r} {_NOT_A_FIELD}")
+            first_county.setdefault(parent, (i, name))
+        if name == UNASSIGNED:
+            raise GeoError(f"{where}: region name {UNASSIGNED!r} is reserved")
+        if (level, name) in seen:
+            raise GeoError(f"{where}: duplicate region ({level}, {name})")
+        seen.add((level, name))
+        for rings in _polygon_parts_reference(feature.get("geometry"), f"{where} ({name})"):
+            exterior = rings[0]
+            xs = [x for x, _ in exterior]
+            ys = [y for _, y in exterior]
+            polygons.append(RegionPolygon(name=name, level=level, parent=parent, exterior=exterior,
+                                          holes=rings[1:], bbox=(min(xs), min(ys), max(xs), max(ys))))
+    for parent, (number, county) in first_county.items():
+        if ("Country", parent) not in seen:
+            raise GeoError(f"region file {path}: feature {number}: "
+                           f"county {county!r} has unknown parent {parent!r}")
+    return RegionIndex(polygons)
 
 
 # ---------------------------------------------------------------------------

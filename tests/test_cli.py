@@ -719,7 +719,8 @@ class TestCorrelate:
         assert out == ""
         assert err.startswith("error: series for mycountry: overlapping buckets") and "--bucket" in err
 
-    def test_truncated_last_bucket_is_no_overlap(self, capsys, tmp_path, parsed_table):
+    @pytest.fixture
+    def truncated_scores(self, tmp_path, parsed_table):
         # the window ends at 16:30, so its last hourly bucket is 16:00 to 16:30
         scores = tmp_path / "scores.tsv"
         for approach, flags in [("dictionary", []), ("ml", ["--append"])]:
@@ -728,6 +729,10 @@ class TestCorrelate:
                          "--start", "2013-07-22T00:00:00Z", "--end", "2013-07-22T16:30:00Z",
                          *flags]) == 0
         assert "2013-07-22T16:30:00Z" in scores.read_text()
+        return scores
+
+    def test_truncated_last_bucket_is_no_overlap(self, capsys, tmp_path, truncated_scores):
+        scores = truncated_scores
         code, out, err = run(capsys, "correlate", "--scores", str(scores),
                              "--region", "mycountry", "--level", "country")
         assert code == 0, err
@@ -736,6 +741,17 @@ class TestCorrelate:
                            "--region", "mycountry", "--out", str(tmp_path / "line"))
         assert code == 0, err
         assert "2013-07-22T16:00:00Z" in (tmp_path / "line.csv").read_text()
+
+    def test_bucket_keeps_the_truncated_last_bucket(self, capsys, truncated_scores):
+        # --bucket 3600 keeps 16:00 to 16:30, the bucket that starts where the last hour ends
+        results = []
+        for flags in ([], ["--bucket", "3600"]):
+            code, out, err = run(capsys, "correlate", "--scores", str(truncated_scores),
+                                 "--region", "mycountry", "--level", "country", *flags)
+            assert code == 0, err
+            results.append(keyvals(out)["pearson"])
+        assert results[0] == results[1]
+        assert results[0] != "1.0"  # three hours, not the two full ones alone
 
     def test_runs_with_numpy_blocked(self, hourly_scores):
         code = ("import sys; sys.modules['numpy'] = None\n"
