@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 
 from . import emoticons
 from .lexicon import TWEETS
-from .store import _read_text, staged
+from .store import GeosentError, _read_text, staged
 from .tokenizer import Features, _scan_features
 
 POSITIVE = "Positive"
@@ -46,7 +46,7 @@ LABELS = (POSITIVE, NEGATIVE)
 MODEL_HEADER = "geosent-nb v1"
 
 
-class ClassifierError(Exception):
+class ClassifierError(GeosentError):
     """Base class for training and model-file failures."""
 
 

@@ -8,12 +8,12 @@ same converter, so flags win over the config file, which wins over the
 declared defaults.  There a switch takes a boolean (`append=1`) and `mix`
 a whitespace-separated list.  A key the subcommand lacks is a usage error.
 
-Exit codes: 0 on success, 1 for usage problems (bad options, an unreadable
+Exit codes: 0 on success; 1 for usage problems (bad options, an unreadable
 config file or a bad key in it, `pipeline` settings that cannot work, an
-output that names a file the command reads or writes under another option),
-2 for data problems (other unreadable files, malformed content, impossible
-requests).  Progress and warnings go to stderr; stdout carries only
-machine-readable key=value lines and paths.
+output naming a file the command reads or writes under another option); 2
+for data problems, raised as store.GeosentError (every library error class
+derives from it), OSError or ValueError.  Progress and warnings go to
+stderr; stdout carries only machine-readable key=value lines and paths.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -45,12 +46,12 @@ from .estimator import (
     series_from_rows,
 )
 from .gencorpus import GenerateError, generate, parse_mix
-from .georesolve import GeoError, load_regions
+from .georesolve import load_regions
 from .ingest import collect, parse_and_aggregate, parse_corpus
-from .lexicon import DictionaryAnalyser, LexiconError, load_lexicon
+from .lexicon import DictionaryAnalyser, load_lexicon
 from .store import (
     UNASSIGNED,
-    StoreError,
+    GeosentError,
     _read_text,
     format_instant,
     parse_instant,
@@ -62,17 +63,7 @@ from .visualize import VisualizeError, emit_kml, emit_linegraph, emit_tilemap, l
 
 log = logging.getLogger(__name__)
 
-_DATA_ERRORS = (
-    StoreError,
-    GeoError,
-    LexiconError,
-    ClassifierError,
-    EstimatorError,
-    VisualizeError,
-    GenerateError,
-    OSError,
-    ValueError,
-)
+_DATA_ERRORS = (GeosentError, OSError, ValueError)
 
 
 class UsageError(Exception):
@@ -284,9 +275,8 @@ def _cmd_parse(args):
     index = load_regions(args.regions)
     log.info("parsing %s", args.raw)
     stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
-    for key in ("lines_read", "accepted", "rejected_no_geo", "rejected_malformed",
-                "rejected_unresolved"):
-        print(f"{key}={getattr(stats, key)}")
+    for counter in fields(stats):
+        print(f"{counter.name}={getattr(stats, counter.name)}")
     return 0
 
 
@@ -397,7 +387,7 @@ def _cmd_pipeline(args):
     try:
         for spec in specs + line_specs:
             spec.validate()
-    except _DATA_ERRORS as err:
+    except EstimatorError as err:
         raise UsageError(f"bad pipeline setting: {err}") from None
     if args.bucket_start is not None and (
             not args.start <= args.bucket_start < args.end

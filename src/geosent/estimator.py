@@ -39,8 +39,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .store import (LEVELS, MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _parse_parsed_line,
-                    format_instant, format_parsed_line, map_blocks, staged)
+from .store import (LEVELS, MIN_YEAR, CollectorStats, GeosentError, ParsedTweet, ScoreRow,
+                    _parse_parsed_line, format_instant, format_parsed_line, map_blocks, staged)
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
@@ -58,8 +58,12 @@ ROWS_PER_BATCH = 256
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
+#: the longest bucket, timedelta.max in whole seconds (86,399,999,999,999): a bucket's
+#: bounds are computed as timedelta, which holds no longer length
+MAX_BUCKET_SECONDS = timedelta.max // timedelta(seconds=1)
 
-class EstimatorError(ValueError):
+
+class EstimatorError(GeosentError, ValueError):
     pass
 
 
@@ -77,6 +81,13 @@ class Analyser(Protocol):
     approach: str
 
     def counts(self, features: Features, memo: dict) -> tuple[int, int]: ...
+
+
+def _check_bucket(bucket_seconds: int) -> None:
+    """Refuse a bucket length that is not in 1..MAX_BUCKET_SECONDS."""
+    if not 0 < bucket_seconds <= MAX_BUCKET_SECONDS:
+        raise EstimatorError(f"bucket_seconds must be in 1..{MAX_BUCKET_SECONDS}, "
+                             f"got {bucket_seconds}")
 
 
 def compute_pss(pos: int, neg: int) -> float | None:
@@ -100,8 +111,7 @@ class AggregationSpec:
             raise EstimatorError(f"unknown level {self.level!r}")
         if self.norm_scope not in NORM_SCOPES:
             raise EstimatorError(f"unknown norm_scope {self.norm_scope!r}")
-        if self.bucket_seconds <= 0:
-            raise EstimatorError("bucket_seconds must be positive")
+        _check_bucket(self.bucket_seconds)
         start, end = self.window
         if start.utcoffset() is None or end.utcoffset() is None:
             raise EstimatorError("window endpoints must be timezone-aware instants")
@@ -359,17 +369,22 @@ def series_from_rows(
 
     Only rows of bucket_seconds are kept when it is given, and a shorter
     row that starts where the last of them ends: a window's truncated last
-    bucket.  Kept buckets that overlap raise EstimatorError.
+    bucket.  Kept rows with equal bounds and counts are one cell scored
+    twice, so one bucket; kept buckets that still overlap raise
+    EstimatorError.
     """
     kept = [row for row in rows
             if row.region == region and row.approach == approach and row.pss is not None]
     if bucket_seconds is not None:
+        _check_bucket(bucket_seconds)
         length = timedelta(seconds=bucket_seconds)
         full = [row for row in kept if row.bucket_end - row.bucket_start == length]
         last_end = max((row.bucket_end for row in full), default=None)
         kept = full + [row for row in kept
                        if row.bucket_start == last_end and row.bucket_end - row.bucket_start < length]
-    kept.sort(key=lambda row: row.bucket_start)
+    cells = {(row.bucket_start, row.bucket_end, row.pos_count, row.neg_count, row.tweet_count): row
+             for row in kept}
+    kept = sorted(cells.values(), key=lambda row: row.bucket_start)
     for row, after in zip(kept, kept[1:]):
         if row.bucket_end > after.bucket_start:
             clash = "duplicate" if row.bucket_start == after.bucket_start else "overlapping"

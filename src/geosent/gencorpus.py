@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .georesolve import RegionIndex, resolve
 from .ingest import _MONTH_NAMES
-from .store import LEVELS, MIN_YEAR, staged
+from .store import LEVELS, MIN_YEAR, GeosentError, staged
 
 POSITIVE_WORDS = ("happy", "joy", "love", "great", "excited", "wonderful")
 NEGATIVE_WORDS = ("sad", "awful", "gloomy", "worst", "terrible")
@@ -38,7 +38,7 @@ _DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MAX_POINT_TRIES = 10_000
 
 
-class GenerateError(Exception):
+class GenerateError(GeosentError):
     pass
 
 

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .store import LEVELS, UNASSIGNED, _field_text, _finite, _read_text
+from .store import LEVELS, UNASSIGNED, GeosentError, _field_text, _finite, _read_text
 
 
-class GeoError(Exception):
+class GeoError(GeosentError):
     """Raised for unreadable or inconsistent region files."""
 
 

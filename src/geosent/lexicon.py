@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .store import _read_text
+from .store import GeosentError, _read_text
 from .tokenizer import HASHTAG, WORD, Features, Token
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ WORDS = "Words"
 TWEETS = "Tweets"
 
 
-class LexiconError(Exception):
+class LexiconError(GeosentError):
     """Raised for unreadable lexicon files; messages carry line numbers."""
 
 

@@ -30,6 +30,8 @@ _read_text() reads each whole input file (lexicon, model, regions...) as
 UTF-8, without a leading byte-order mark.  _utf8_text() and _finite() are the
 rules for a JSON string and a JSON number read from outside, in every module;
 _field_text() is the rule for a JSON string that becomes a table field.
+GeosentError is the base of every module's error class, so a caller (the
+CLI's exit 2 among them) catches any refusal geosent makes with it alone.
 """
 from __future__ import annotations
 
@@ -70,7 +72,11 @@ POOL_BLOCK_MIN_BYTES = 1 << 16
 MIN_YEAR = 1000
 
 
-class StoreError(Exception):
+class GeosentError(Exception):
+    """Base of every error geosent raises for bad data or a request it refuses."""
+
+
+class StoreError(GeosentError):
     """Raised for unreadable tables or rejected writes."""
 
 

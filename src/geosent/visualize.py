@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .georesolve import RegionIndex, RegionPolygon
-from .store import UNASSIGNED, ScoreRow, _format_score, _utf8_text, format_instant, staged
+from .store import UNASSIGNED, GeosentError, ScoreRow, _format_score, _utf8_text, format_instant, staged
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ _FALLBACK_LINE_COLOR = "#555555"
 _GREGORIAN_CYCLE_DAYS = 146_097
 
 
-class VisualizeError(Exception):
+class VisualizeError(GeosentError):
     """Raised when rows cannot be rendered as asked."""
 
 

@@ -293,6 +293,11 @@ class TestEvaluate:
         with pytest.raises(ClassifierError, match="empty"):
             evaluate(model, [])
 
+    def test_unknown_label_rejected(self):
+        model = train(TWO_DOCS)
+        with pytest.raises(ClassifierError, match="^unknown label 'Neutral'$"):
+            evaluate(model, [LabeledTweet("happy", "Positive"), LabeledTweet("meh", "Neutral")])
+
 
 class TestAnalyser:
     def test_metadata(self):

@@ -25,6 +25,8 @@ COMMANDS = ("collect", "parse", "train", "evaluate", "score", "correlate", "rend
             "gen-corpus", "pipeline")
 
 WINDOW = ["--start", "2013-07-22T00:00:00Z", "--end", "2013-07-23T00:00:00Z"]
+# one second past the longest bucket (timedelta.max in whole seconds), and far past it
+TOO_LONG_BUCKETS = ["86400000000000", str(10**21)]
 
 
 def run(capsys, *argv):
@@ -566,6 +568,27 @@ class TestScore:
         assert latin1_scores.read_bytes() == before
         assert [p.name for p in latin1_scores.parent.iterdir()] == [latin1_scores.name]
 
+    @pytest.mark.parametrize("bucket", TOO_LONG_BUCKETS)
+    def test_bucket_no_timedelta_holds_is_a_data_error(self, capsys, parsed_table, tmp_path, bucket):
+        code, out, err = run(capsys, "score", "--parsed", str(parsed_table),
+                             "--scores", str(tmp_path / "s.tsv"), "--approach", "dictionary",
+                             "--level", "country", *WINDOW, "--bucket", bucket)
+        assert code == 2
+        assert err == f"error: bucket_seconds must be in 1..86399999999999, got {bucket}\n"
+        assert out == ""
+        assert not (tmp_path / "s.tsv").exists()
+
+    def test_longest_bucket_scores_a_day_as_one_bucket(self, capsys, parsed_table, tmp_path):
+        tables = []
+        for bucket in ("86400", "86399999999999"):
+            path = tmp_path / f"{bucket}.tsv"
+            code, _, err = run(capsys, "score", "--parsed", str(parsed_table), "--scores", str(path),
+                               "--approach", "dictionary", "--level", "country", *WINDOW,
+                               "--bucket", bucket)
+            assert code == 0, err
+            tables.append(path.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_append_grows_table(self, daily_scores):
         rows = read_scores(daily_scores)
         assert len(rows) == 6
@@ -643,6 +666,14 @@ class TestConfigFile:
         assert code == 1
         assert repr(key) in err and str(cfg) in err
         assert not (tmp_path / "p.tsv").exists()
+
+    def test_switch_that_is_not_a_boolean_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("append = maybe\n")
+        code, out, err = run(capsys, "score", "--config", str(cfg))
+        assert code == 1
+        assert err == "usage error: argument --append: expected a boolean, got 'maybe'\n"
+        assert out == ""
 
     def test_bad_value_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -752,6 +783,34 @@ class TestCorrelate:
             results.append(keyvals(out)["pearson"])
         assert results[0] == results[1]
         assert results[0] != "1.0"  # three hours, not the two full ones alone
+
+    def test_cell_scored_twice_is_one_bucket(self, capsys, parsed_table, truncated_scores):
+        # half-hourly rows appended to the hourly ones: the hourly window's last bucket,
+        # 16:00 to 16:30, is the last half hour's cell, scored twice with equal counts
+        for approach in ("dictionary", "ml"):
+            code, _, err = run(capsys, "score", "--parsed", str(parsed_table),
+                               "--scores", str(truncated_scores), "--approach", approach,
+                               "--level", "country", "--bucket", "1800", "--append",
+                               "--start", "2013-07-22T00:00:00Z", "--end", "2013-07-22T16:30:00Z")
+            assert code == 0, err
+        # the values of the hourly-only and the half-hourly-only tables
+        for bucket, pearson in (("3600", "0.9936531473553264"), ("1800", "0.8624393618641035")):
+            code, out, err = run(capsys, "correlate", "--scores", str(truncated_scores),
+                                 "--region", "mycountry", "--level", "country", "--bucket", bucket)
+            assert (code, out, err) == (0, f"pearson={pearson}\n", "")
+        code, out, err = run(capsys, "correlate", "--scores", str(truncated_scores),
+                             "--region", "mycountry", "--level", "country")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: series for mycountry: duplicate buckets at 2013-07-22T14:00:00Z")
+
+    @pytest.mark.parametrize("bucket", TOO_LONG_BUCKETS)
+    def test_bucket_no_timedelta_holds_is_a_data_error(self, capsys, hourly_scores, bucket):
+        code, out, err = run(capsys, "correlate", "--scores", str(hourly_scores),
+                             "--region", "mycountry", "--level", "country", "--bucket", bucket)
+        assert code == 2
+        assert err == f"error: bucket_seconds must be in 1..86399999999999, got {bucket}\n"
+        assert out == ""
 
     def test_runs_with_numpy_blocked(self, hourly_scores):
         code = ("import sys; sys.modules['numpy'] = None\n"
@@ -1117,6 +1176,19 @@ class TestPipeline:
         code, out, err = self.run_untouched(capsys, corpus_file, regions_file, tmp_path, setting)
         assert code == 2
         assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["bucket", "line_bucket"])
+    @pytest.mark.parametrize("bucket", TOO_LONG_BUCKETS)
+    def test_bucket_no_timedelta_holds_is_a_usage_error(self, capsys, corpus_file, tmp_path,
+                                                         key, bucket):
+        # refused before the region file, which does not exist, is read
+        setting = f"{key} = {bucket}\nline_out = {{tmp}}/line\nline_region = mycountry"
+        code, out, err = self.run_untouched(capsys, corpus_file, tmp_path / "missing.geojson",
+                                            tmp_path, setting)
+        assert code == 1
+        assert err == ("usage error: bad pipeline setting: "
+                       f"bucket_seconds must be in 1..86399999999999, got {bucket}\n")
         assert out == ""
 
     @staticmethod

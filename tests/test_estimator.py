@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from geosent import bundled, estimator, ingest, store
 from geosent.classifier import LabeledTweet, ModelAnalyser, train
 from geosent.estimator import (
+    MAX_BUCKET_SECONDS,
     NORM_SCOPES,
     AggregationSpec,
     CorrelationError,
@@ -112,6 +114,14 @@ class TestSpecValidation:
     def test_bad_bucket(self):
         with pytest.raises(EstimatorError):
             AggregationSpec("County", WINDOW, 0).validate()
+
+    @pytest.mark.parametrize("bucket", [86_400_000_000_000, 10**21])
+    def test_bucket_no_timedelta_holds_rejected(self, bucket):
+        with pytest.raises(EstimatorError, match=f"^bucket_seconds must be in 1..86399999999999, "
+                                                 f"got {bucket}$"):
+            AggregationSpec("County", WINDOW, bucket).validate()
+        AggregationSpec("County", WINDOW, MAX_BUCKET_SECONDS).validate()
+        assert MAX_BUCKET_SECONDS == 86_399_999_999_999
 
     def test_bad_scope(self):
         with pytest.raises(EstimatorError):
@@ -660,8 +670,25 @@ class TestSeries:
 
     def test_equal_starts_are_duplicates(self, tmp_path):
         rows = self.rows(tmp_path)
+        other = dataclasses.replace(rows[0], tweet_count=rows[0].tweet_count + 1)
         with pytest.raises(EstimatorError, match="duplicate buckets"):
-            series_from_rows(rows + rows[:1], "ashmoor", "Dictionary")
+            series_from_rows(rows + [other], "ashmoor", "Dictionary")
+
+    def test_cell_scored_twice_is_one_bucket(self, tmp_path):
+        rows = self.rows(tmp_path)
+        once = series_from_rows(rows, "ashmoor", "Dictionary")
+        assert series_from_rows(rows + rows[:1], "ashmoor", "Dictionary") == once
+        assert series_from_rows(rows[:1] + rows, "ashmoor", "Dictionary", bucket_seconds=3600) == once
+
+    @pytest.mark.parametrize("bucket", [0, 86_400_000_000_000, 10**21])
+    def test_bucket_outside_the_bounds_rejected(self, tmp_path, bucket):
+        with pytest.raises(EstimatorError, match="^bucket_seconds must be in 1..86399999999999"):
+            series_from_rows(self.rows(tmp_path), "ashmoor", "Dictionary", bucket_seconds=bucket)
+
+    def test_undefined_score_rejected(self):
+        series = ScoreSeries("x", "Dictionary", [(utc(2013, 7, 22), None)])
+        with pytest.raises(EstimatorError, match="^series for x: undefined score$"):
+            series.validate()
 
     def test_duplicate_bucket_rejected(self):
         series = ScoreSeries("x", "Dictionary", [(utc(2013, 7, 22), 1.0), (utc(2013, 7, 22), 2.0)])

@@ -1,7 +1,9 @@
-"""The package's public names stay importable, listed once, in order, and only
-store opens the files geosent reads or appends to."""
+"""The package's public names stay importable, listed once, in order, every
+error class but the CLI's usage error derives from one base, and only store
+opens the files geosent reads or appends to."""
 
 import ast
+import importlib
 import inspect
 import io
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import geosent
-from geosent import store
+from geosent import cli, store
 from geosent.ingest import collect
 
 
@@ -45,6 +47,22 @@ def test_import_loads_neither_elementtree_nor_multiprocessing():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_every_error_class_but_usage_error_derives_from_geosent_error():
+    # the CLI exits 2 for any GeosentError, so an error class added later needs no edit there
+    package = Path(geosent.__file__).parent
+    modules = [importlib.import_module(f"geosent.{module.stem}")
+               for module in sorted(package.glob("*.py")) if module.name != "__init__.py"]
+    errors = {value for module in modules for value in vars(module).values()
+              if isinstance(value, type) and issubclass(value, BaseException)
+              and value.__module__ == module.__name__}
+    assert {"StoreError", "GeoError", "LexiconError", "ClassifierError", "EstimatorError",
+            "VisualizeError", "GenerateError"} <= {error.__name__ for error in errors}
+    assert [f"{error.__module__}.{error.__qualname__}" for error in errors
+            if not issubclass(error, store.GeosentError)] == ["geosent.cli.UsageError"]
+    assert cli._DATA_ERRORS == (store.GeosentError, OSError, ValueError)
+    assert "GeosentError" not in geosent.__all__
 
 
 def _estimator_names(module: Path) -> set[str]:

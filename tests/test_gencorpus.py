@@ -8,7 +8,7 @@ from geosent.gencorpus import GenerateError, MixEntry, _classic_time, generate, 
 from geosent.georesolve import load_regions, resolve
 from geosent.ingest import _parse_created_at, parse_record
 
-from conftest import utc
+from conftest import square, utc
 
 
 class TestParseMix:
@@ -88,6 +88,40 @@ class TestGenerate:
         with pytest.raises(GenerateError, match="zero"):
             generate(index, [MixEntry("County", "happycounty", 0, 0)], 1,
                      tmp_path / "raw.jsonl", utc(2013, 7, 22))
+
+    def test_country_entry_lands_in_the_country(self, tmp_path, regions_file):
+        index = load_regions(regions_file)
+        out = tmp_path / "raw.jsonl"
+        assert generate(index, [MixEntry("Country", "mycountry", 3, 2)], 5, out,
+                        utc(2013, 7, 22)) == 5
+        for line in out.read_text().splitlines():
+            got = parse_record(line)
+            assert resolve(index, got.lat, got.lon)[0] == "mycountry"
+
+    @pytest.mark.parametrize("duration", [0, -1])
+    def test_duration_not_positive_rejected(self, tmp_path, regions_file, duration):
+        with pytest.raises(GenerateError, match="^duration must be positive$"):
+            generate(load_regions(regions_file), self.MIX, 1, tmp_path / "raw.jsonl",
+                     utc(2013, 7, 22), duration)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_region_no_point_lands_in_rejected(self, tmp_path):
+        # every point of inner is also in outer, which comes first in the file and so wins
+        regions = tmp_path / "regions.geojson"
+        regions.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": props,
+             "geometry": {"type": "Polygon", "coordinates": [ring]}}
+            for props, ring in [
+                (dict(name="land", level="Country"), square(0, 0, 4, 4)),
+                (dict(name="outer", level="County", parent="land"), square(0, 0, 4, 4)),
+                (dict(name="inner", level="County", parent="land"), square(1, 1, 2, 2)),
+            ]]}))
+        out = tmp_path / "raw.jsonl"
+        with pytest.raises(GenerateError,
+                           match="^could not land a point in 'inner' after 10000 tries$"):
+            generate(load_regions(regions), [MixEntry("County", "inner", 1, 0)], 1, out,
+                     utc(2013, 7, 22))
+        assert not out.exists()
 
     def test_naive_start_rejected(self, tmp_path, regions_file):
         from datetime import datetime

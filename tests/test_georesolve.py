@@ -115,6 +115,19 @@ class TestLoading:
         with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
             load_regions(path)
 
+    @pytest.mark.parametrize("geometry, message", [
+        ({"type": "Point", "coordinates": [1, 1]}, "unsupported geometry type 'Point'"),
+        (None, "unsupported geometry type None"),
+        (multipolygon(), "empty geometry"),
+        ({"type": "MultiPolygon", "coordinates": None}, "empty geometry"),
+    ], ids=["point", "null", "no-parts", "null-parts"])
+    def test_bad_geometry_named(self, tmp_path, geometry, message):
+        country = feature("c", "land", "Country", "", polygon(square(0, 0, 9, 9)))
+        path = write_regions(tmp_path, [country, feature("x", "here", "County", "land", geometry)])
+        expected = f"region file {path}: feature 1 (here): {message}"
+        with pytest.raises(GeoError, match=f"^{re.escape(expected)}$"):
+            load_regions(path)
+
     def test_huge_integer_coordinate_named(self, tmp_path):
         # a 400-digit JSON integer has no float value; it must not escape as OverflowError
         ring = [[0, 0], [1, 0], [10**400, 1], [0, 1], [0, 0]]

@@ -49,6 +49,12 @@ class TestLoading:
         with pytest.raises(LexiconError, match="strength"):
             make_lexicon(tmp_path, ["meh\t0"])
 
+    def test_strength_not_an_integer(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}: line 2: strength "
+                                               "'lots' is not an integer$"):
+            make_lexicon(tmp_path, ["happy\t3", "meh\tlots"])
+
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(LexiconError, match="expected pattern"):
             make_lexicon(tmp_path, ["happy 3"])

@@ -95,6 +95,11 @@ class TestInstants:
     def test_parse_accepts_offset_form(self):
         assert parse_instant("2013-07-22T18:00:00+02:00") == utc(2013, 7, 22, 16)
 
+    def test_parse_reads_a_naive_value_as_utc(self):
+        stamp = parse_instant("2013-07-22T18:00:00")
+        assert stamp == utc(2013, 7, 22, 18)
+        assert stamp.tzinfo is timezone.utc
+
     @settings(max_examples=400, deadline=None)
     @given(ts=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999),
                            timezones=st.one_of(st.just(timezone.utc), OFFSETS)))
@@ -204,6 +209,16 @@ class TestParsedTable:
     def test_out_of_range_coordinates_rejected(self):
         with pytest.raises(ValueError):
             tweet(lat=90.5).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(tweet_id=""), "empty tweet_id"),
+        (dict(timestamp=utc(2013, 7, 22, 12, 0, 0, 500)), "tweet 1: sub-second timestamp"),
+        (dict(lon=-180.5), "tweet 1: longitude -180.5 out of range"),
+        (dict(county=""), "tweet 1: empty county"),
+    ], ids=["empty-id", "sub-second", "longitude", "empty-county"])
+    def test_bad_field_named(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tweet(**overrides).validate()
 
 
 def _len_unless_marked(block):
@@ -480,6 +495,24 @@ class TestScoreTable:
         path.write_bytes(b"x" * 200_000 + path.read_bytes())
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line 1: field larger"):
             read_scores(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(approach="Lexicon"), "unknown approach 'Lexicon'"),
+        (dict(level="Parish"), "unknown level 'Parish'"),
+        (dict(region=""), "empty region"),
+        (dict(bucket_end=utc(2013, 7, 22)), "bucket_start must precede bucket_end"),
+        (dict(tweet_count=-1), "negative count"),
+        (dict(pss=None), "npss defined while pss is undefined"),
+    ], ids=["approach", "level", "empty-region", "empty-bucket", "negative-count", "npss-alone"])
+    def test_bad_row_writes_nothing(self, tmp_path, overrides, message):
+        path = tmp_path / "t3.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(ScoreRowError,
+                           match=f"^rejected score rows: row 1: {re.escape(message)}$") as err:
+            write_scores(path, [score_row(), score_row(**overrides)])
+        assert err.value.indices == [1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t3.csv"]
+        assert path.read_bytes() == b"old"
 
     def test_inconsistent_pss_detected(self):
         row = score_row(pss=2.5)
