@@ -6,7 +6,12 @@ of the `--config FILE` (`norm_scope=siblings`; `#` starts a comment).  The
 config file's values become the subcommand's defaults and pass through the
 same converter, so flags win over the config file, which wins over the
 declared defaults.  There a switch takes a boolean (`append=1`) and `mix`
-a whitespace-separated list.  A key the subcommand lacks is a usage error.
+a whitespace-separated list.  A key the subcommand lacks, or one set twice,
+is a usage error.  build_parser lists each subcommand's keys once, marked
+`key!` if it must be set, `<key` if it names a file the subcommand reads
+and `>key` one it writes (`--config` is an implicit `<config`).  Before any
+handler runs, `main` refuses a missing `!` key, then a `>` file that names
+a `<` file or an earlier `>` one.
 
 Exit codes: 0 on success; 1 for usage problems (bad options, an unreadable
 config file or a bad key in it, `pipeline` settings that cannot work, an
@@ -168,17 +173,19 @@ def _mix_arg(text: str) -> list:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a key=value config file; # starts a comment line."""
-    settings: dict[str, str] = {}
+    """Parse a key=value config file; # starts a comment line, and a key may appear once."""
+    settings: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(_read_text(path, "config", UsageError).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
             raise UsageError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        settings[key.strip()] = value.strip()
-    return settings
+        if key in settings:
+            raise UsageError(f"{path}: lines {settings[key][0]} and {lineno} both set {key!r}")
+        settings[key] = (lineno, value)
+    return {key: value for key, (_, value) in settings.items()}
 
 
 def _require(args, *names: str) -> None:
@@ -187,19 +194,21 @@ def _require(args, *names: str) -> None:
             raise UsageError(f"missing --{name.replace('_', '-')} (or {name}= in config)")
 
 
-def _named(args, keys: str) -> list[tuple[str, str]]:
-    """(flag, path) for each of keys that names a file: set, and not collect's --input - (stdin)."""
-    paths = ((key, getattr(args, key)) for key in keys.split())
-    return [("--" + key.replace("_", "-"), path) for key, path in paths
-            if path is not None and (key, path) != ("input", "-")]
+def _paths(args, key: str) -> list[str]:
+    """The files key names; collect's --input - is stdin, and line_ keys need line_out."""
+    path = getattr(args, key)
+    if key == "line_scores":
+        path = path or args.scores + ".hourly"
+    if (path is None or (key, path) == ("input", "-")
+            or key.startswith("line_") and not args.line_out):
+        return []
+    if key == "line_out" or (key, getattr(args, "kind", None)) == ("out", "linegraph"):
+        return [str(p) for p in linegraph_paths(path)]
+    return [path]
 
 
 def _refuse_clashes(reads: list[tuple[str, str]], writes: list[tuple[str, str]]) -> None:
-    """Refuse a file written that is also read, or written twice, before either is opened.
-
-    Paths clash when they resolve to one path, or when both exist and
-    os.path.samefile holds, as for a hard link.
-    """
+    """Refuse a write naming a read or an earlier write: the same realpath, or a hard link."""
     seen = list(reads)
     for flag, path in writes:
         for other, known in seen:
@@ -210,6 +219,16 @@ def _refuse_clashes(reads: list[tuple[str, str]], writes: list[tuple[str, str]])
             if same:
                 raise UsageError(f"{flag} names the same file as {other}: {path}")
         seen.append((flag, path))
+
+
+def _check_files(args) -> None:
+    """Refuse a missing `!` key, then a `>` file that names a `<` file or an earlier `>` one."""
+    marks = {"config": "<config", **args.declared}
+    _require(args, *(key for key, mark in marks.items() if mark.endswith("!")))
+    files = {sign: [("--" + key.replace("_", "-"), path)
+                    for key, mark in marks.items() if mark[0] == sign
+                    for path in _paths(args, key)] for sign in "<>"}
+    _refuse_clashes(files["<"], files[">"])
 
 
 def _analyser(approach: str, lexicon: str, model: str, hashtag_match: bool):
@@ -255,8 +274,6 @@ def _pick(kind: str, rows, out: str, *, index=None, approach=None, level=None,
 
 
 def _cmd_collect(args):
-    _require(args, "raw")
-    _refuse_clashes(_named(args, "config input"), _named(args, "raw"))
     if args.input == "-":
         stats, fragment = collect(sys.stdin.buffer, args.raw)
     else:
@@ -270,8 +287,6 @@ def _cmd_collect(args):
 
 
 def _cmd_parse(args):
-    _require(args, "raw", "regions", "parsed")
-    _refuse_clashes(_named(args, "config raw regions"), _named(args, "parsed"))
     index = load_regions(args.regions)
     log.info("parsing %s", args.raw)
     stats = parse_corpus(args.raw, index, args.parsed, threads=args.threads)
@@ -281,10 +296,8 @@ def _cmd_parse(args):
 
 
 def _cmd_train(args):
-    _require(args, "model")
     if (args.labeled is None) == (args.distant is None):
         raise UsageError("give exactly one of --labeled or --distant")
-    _refuse_clashes(_named(args, "config labeled distant"), _named(args, "model"))
     if args.labeled is not None:
         corpus = load_labeled(args.labeled)
     else:
@@ -302,7 +315,6 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
-    _require(args, "model", "test")
     report = evaluate(load_model(args.model), load_labeled(args.test))
     print(f"total={report.total}")
     print(f"accuracy={report.accuracy!r}")
@@ -312,8 +324,6 @@ def _cmd_evaluate(args):
 
 
 def _cmd_score(args):
-    _require(args, "parsed", "scores", "approach", "level", "start", "end")
-    _refuse_clashes(_named(args, "config parsed lexicon model"), _named(args, "scores"))
     spec = AggregationSpec(level=args.level, window=(args.start, args.end),
                            bucket_seconds=args.bucket, norm_scope=args.norm_scope)
     analyser = _analyser(args.approach, args.lexicon, args.model, args.hashtag_match)
@@ -325,7 +335,6 @@ def _cmd_score(args):
 
 
 def _cmd_correlate(args):
-    _require(args, "scores", "region", "level")
     rows = [row for row in read_scores(args.scores) if row.level == args.level]
     first = series_from_rows(rows, args.region, "Dictionary", bucket_seconds=args.bucket)
     second = series_from_rows(rows, args.region, "MachineLearning", bucket_seconds=args.bucket)
@@ -335,11 +344,6 @@ def _cmd_correlate(args):
 
 
 def _cmd_render(args):
-    _require(args, "kind", "scores", "out")
-    writes = _named(args, "out")
-    if args.kind == "linegraph":
-        writes = [("--out", str(path)) for path in linegraph_paths(args.out)]
-    _refuse_clashes(_named(args, "config scores regions"), writes)
     index = None
     if args.kind == "kml":
         _require(args, "regions")
@@ -353,8 +357,6 @@ def _cmd_render(args):
 
 
 def _cmd_gen_corpus(args):
-    _require(args, "regions", "out", "seed", "start")
-    _refuse_clashes(_named(args, "config regions"), _named(args, "out"))
     if not args.mix:
         raise UsageError("give at least one --mix region:positives:negatives")
     index = load_regions(args.regions)
@@ -364,16 +366,9 @@ def _cmd_gen_corpus(args):
 
 
 def _cmd_pipeline(args):
-    _require(args, "raw", "regions", "parsed", "scores", "start", "end")
     # Every setting is checked before the parsed table is replaced.
     if args.line_out and not args.line_region:
         raise UsageError("line_out needs line_region")
-    line_scores = args.line_scores or args.scores + ".hourly"
-    writes = _named(args, "parsed scores kml_out tilemap_out")
-    if args.line_out:
-        writes += [("--line-scores", line_scores)]
-        writes += [("--line-out", str(path)) for path in linegraph_paths(args.line_out)]
-    _refuse_clashes(_named(args, "config raw regions lexicon model"), writes)
     for out, level in ((args.kml_out, "Country"), (args.tilemap_out, "County")):
         if out and (level not in args.levels or args.render_approach not in args.approaches):
             raise UsageError(f"{out} draws {args.render_approach} {level} rows, "
@@ -423,7 +418,7 @@ def _cmd_pipeline(args):
     print(f"parsed={args.parsed}")
     write_scores(args.scores, table)
     print(f"scores={args.scores}")
-    if args.line_out:
+    for line_scores in _paths(args, "line_scores"):  # one with a line graph, else none
         write_scores(line_scores, line_table)
         print(f"line_scores={line_scores}")
     for draw in draws:
@@ -507,36 +502,37 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     def command(name, func, help, keys, **defaults):
         p = sub.add_parser(name, help=help)
-        for key in ["config", "verbose", *keys.split()]:
+        declared = {mark.strip("<>!"): mark for mark in keys.split()}
+        for key in ["config", "verbose", *declared]:
             kwargs = dict(table[key])
             flags = kwargs.pop("flags", ["--" + key.replace("_", "-")])
             p.add_argument(*flags, dest=key, **kwargs)
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func, declared=declared, **defaults)
 
-    scoring = "start end bucket lexicon model norm_scope hashtag_match threads"
+    scoring = "start! end! bucket <lexicon <model norm_scope hashtag_match threads"
     bundled_model = str(bundled.model_path())
     command("collect", _cmd_collect, "append a stream of raw JSON lines to the raw table",
-            "raw input")
+            ">raw! <input")
     command("parse", _cmd_parse, "turn the raw table into the parsed, region-tagged table",
-            "raw regions parsed threads")
+            "<raw! <regions! >parsed! threads")
     command("train", _cmd_train, "train the classifier from labelled or raw texts",
-            "model labeled distant")
+            ">model! <labeled <distant")
     command("evaluate", _cmd_evaluate, "measure classifier accuracy on a labelled table",
-            "model test")
+            "<model! <test!")
     command("score", _cmd_score, "aggregate the parsed table into sentiment rows",
-            f"parsed scores approach level append {scoring}",
+            f"<parsed! >scores! approach! level! append {scoring}",
             bucket=86_400, model=bundled_model)
     command("correlate", _cmd_correlate, "Pearson correlation between the two approaches",
-            "scores region level bucket")
+            "<scores! region! level! bucket")
     command("render", _cmd_render, "draw a score table as kml, tilemap, or linegraph",
-            "kind scores out regions approach level region bucket_start tz_offset",
+            "kind! <scores! >out! <regions approach level region bucket_start tz_offset",
             approach="Dictionary", level="Country")
     command("gen-corpus", _cmd_gen_corpus, "write a seeded synthetic raw table in place of --out",
-            "regions out seed mix start duration")
+            "<regions! >out! seed! mix start! duration")
     command("pipeline", _cmd_pipeline, "parse, score, and render in one deterministic run",
-            f"raw regions parsed scores {scoring} approaches levels kml_out tilemap_out "
-            "render_approach bucket_start line_out line_region line_level line_bucket "
-            "line_scores tz_offset",
+            f"<raw! <regions! >parsed! >scores! {scoring} approaches levels >kml_out "
+            ">tilemap_out render_approach bucket_start >line_scores >line_out line_region "
+            "line_level line_bucket tz_offset",
             bucket=86_400, model=bundled_model)
     return parser, sub.choices
 
@@ -548,7 +544,7 @@ def _parse_args(argv):
     if args.config:
         settings = read_config(args.config)
         for key in settings:
-            if key in ("command", "func", "config") or not hasattr(args, key):
+            if key not in args.declared and key != "verbose":
                 raise UsageError(f"{args.config}: {args.command} has no option {key!r}")
         commands[args.command].set_defaults(**settings)
         args = parser.parse_args(argv)
@@ -563,6 +559,7 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s: %(message)s",
         )
+        _check_files(args)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
