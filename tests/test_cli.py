@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import inspect
 import io
@@ -458,6 +459,32 @@ class TestParse:
         assert got["rejected_no_geo"] == "0"
         assert got["rejected_malformed"] == "0"
         assert got["rejected_unresolved"] == "0"
+
+
+def test_each_main_call_logs_to_its_own_stderr(corpus_file, regions_file, tmp_path):
+    # with no handler but main's own, each call logs to the stderr it runs
+    # under, at its own level; the probe shows the level each call left set
+    root = logging.getLogger()
+    saved = root.handlers[:], root.level
+    root.handlers = []
+    captured = []
+    try:
+        for k, flags in enumerate([[], ["-v"], []]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                parsed = tmp_path / f"parsed{k}.tsv"
+                assert main(["parse", "--raw", str(corpus_file), "--regions", str(regions_file),
+                             "--parsed", str(parsed), *flags]) == 0
+                logging.getLogger("geosent.cli").debug("probe %d", k)
+            captured.append(err.getvalue())
+    finally:
+        root.handlers, level = saved
+        root.setLevel(level)
+    assert [text.splitlines() for text in captured] == [
+        [f"INFO: parsing {corpus_file}"],
+        [f"INFO: parsing {corpus_file}", "DEBUG: probe 1"],
+        [f"INFO: parsing {corpus_file}"],
+    ]
 
 
 class TestTrain:

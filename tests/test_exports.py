@@ -1,6 +1,7 @@
 """The package's public names stay importable, listed once, in order, every
-error class but the CLI's usage error derives from one base, and only store
-opens the files geosent reads or appends to."""
+error class but the CLI's usage error derives from one base, only store
+opens the files geosent reads or appends to, and only georesolve reads the
+region index's private layout."""
 
 import ast
 import importlib
@@ -147,6 +148,19 @@ def test_only_store_opens_a_file_to_append():
     appends = {module.name: sum("a" in mode for _, mode in _opens(module))
                for module in sorted(package.glob("*.py"))}
     assert {name: count for name, count in appends.items() if count} == {"store.py": 1}
+
+
+def test_only_georesolve_reads_the_region_index_layout():
+    # RegionIndex's grid and parts map are georesolve's own, so the cell layout changes in one module
+    package = Path(geosent.__file__).parent
+    private = {"_cells", "_box", "_x_axis", "_y_axis", "_parts"}
+    reads = {}
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & private
+        if found:
+            reads[module.name] = sorted(found)
+    assert reads == {"georesolve.py": sorted(private)}
 
 
 class _CountedFile(io.FileIO):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosent.georesolve import GeoError, RegionIndex, contains, load_regions, resolve
+from geosent.georesolve import GeoError, RegionIndex, _cell, contains, load_regions, resolve
 from geosent.store import LEVELS, _field_text
 
 from conftest import square
@@ -377,6 +377,24 @@ def test_resolve_matches_the_linear_scan(case):
         index = load_regions(write_regions(Path(tmp), features))
     for lat, lon in points:
         assert resolve(index, lat, lon) == resolve_linear(index, lat, lon), (lat, lon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_maps())
+def test_each_cell_holds_the_polygons_whose_box_meets_it(case):
+    features, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        index = load_regions(write_regions(Path(tmp), features))
+    (ox, sx, nx), (oy, sy, ny) = index._x_axis, index._y_axis
+    rows = ([p for p in index.polygons if p.level == "County"]
+            + [p for p in index.polygons if p.level == "Country"])
+    spans = [(_cell(p.bbox[0], ox, sx, nx), _cell(p.bbox[2], ox, sx, nx),
+              _cell(p.bbox[1], oy, sy, ny), _cell(p.bbox[3], oy, sy, ny)) for p in rows]
+    want = [tuple(p for p, (i0, i1, j0, j1) in zip(rows, spans) if i0 <= i <= i1 and j0 <= j <= j1)
+            for j in range(ny) for i in range(nx)]
+    assert len(index._cells) == len(want)
+    for c, (got, expected) in enumerate(zip(index._cells, want)):
+        assert [id(p) for p in got] == [id(p) for p in expected], c
 
 
 def test_56x56_grid_matches_the_linear_scan(grid_regions_file):
