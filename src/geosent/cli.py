@@ -208,15 +208,28 @@ def _paths(args, key: str) -> list[str]:
 
 
 def _refuse_clashes(reads: list[tuple[str, str]], writes: list[tuple[str, str]]) -> None:
-    """Refuse a write naming a read or an earlier write: the same realpath, or a hard link."""
+    """Refuse a write naming a read or an earlier write: the same realpath, or a hard link.
+
+    Each path is resolved and stat'd once, when it is first compared.
+    """
+    identities: dict[str, tuple[str, tuple[int, int] | None]] = {}
+
+    def identity(path: str) -> tuple[str, tuple[int, int] | None]:
+        if path not in identities:
+            real = os.path.realpath(path)
+            try:
+                st = os.stat(path)
+                identities[path] = (real, (st.st_dev, st.st_ino))
+            except OSError:  # it does not exist yet
+                identities[path] = (real, None)
+        return identities[path]
+
     seen = list(reads)
     for flag, path in writes:
+        real, inode = identity(path)
         for other, known in seen:
-            try:
-                same = os.path.realpath(path) == os.path.realpath(known) or os.path.samefile(path, known)
-            except OSError:  # one of them does not exist yet
-                same = False
-            if same:
+            known_real, known_inode = identity(known)
+            if real == known_real or inode is not None and inode == known_inode:
                 raise UsageError(f"{flag} names the same file as {other}: {path}")
         seen.append((flag, path))
 

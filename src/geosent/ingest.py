@@ -7,7 +7,7 @@ survives only if it decodes and carries an id, a creation time we can
 read, a geo point (two numbers, by store._finite) and a text; the point
 must then land inside a known region.  Everything else, a line that
 fails to decode in any way included, is counted and dropped, never
-silently.  collect() is the one writer that appends to T1, through open_raw.
+silently.  collect() is the one writer that appends to T1, through store.append_raw.
 
 parse_and_aggregate() is the one pass over the raw table (T1), run by
 estimator's scan runner, for which this module supplies only the rows:
@@ -29,7 +29,7 @@ from typing import BinaryIO, Iterator, Sequence
 from .estimator import AggregationSpec, Analyser, _scan
 from .georesolve import RegionIndex, resolve
 from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _field_text, _finite,
-                    _utf8_text, open_raw, parse_instant, write_all)
+                    _utf8_text, append_raw, parse_instant)
 
 log = logging.getLogger(__name__)
 
@@ -51,22 +51,14 @@ def collect(source: BinaryIO, raw_path: str | Path) -> tuple[CollectorStats, byt
     """Append complete lines from a byte stream to the raw table.
 
     The only append to T1: each chunk read is written up to its last LF
-    in one write call, through store.open_raw and store.write_all.
-    Returns the stats and any trailing fragment that was not terminated
-    by a newline.  The fragment is neither written nor logged; the caller
-    decides whether to keep it for a resumed stream or to drop it.
+    in one write call, through store.append_raw.  Returns the stats and
+    any trailing fragment that was not terminated by a newline.  The
+    fragment is neither written nor logged; the caller decides whether to
+    keep it for a resumed stream or to drop it.
     """
     stats = CollectorStats()
-    fragment: list[bytes] = []  # the bytes read since the last LF, in pieces
-    with open_raw(raw_path) as table:
-        while chunk := source.read(65536):
-            kept = chunk.rfind(b"\n") + 1
-            if kept:  # only the new chunk is searched, so a long line costs no rescans
-                write_all(table, b"".join([*fragment, chunk[:kept]]))
-                stats.lines_read += chunk.count(b"\n")
-                fragment.clear()
-            fragment.append(chunk[kept:])
-    return stats, b"".join(fragment)
+    stats.lines_read, fragment = append_raw(raw_path, source)
+    return stats, fragment
 
 
 def _parse_created_at(value: str) -> datetime | None:

@@ -11,8 +11,9 @@ Three on-disk formats, all line-oriented and append-only:
    npss is serialised as NA.  Floats are written at full precision so a
    read back row compares equal.
 
-T1 is appended in place, whole lines at a time, by collect alone,
-through open_raw() and write_all().  A generated T1, T2 and T3 are written through
+T1 is appended in place, whole lines at a time, by collect alone, through
+append_raw(), which works on a bare descriptor opened O_APPEND; _torn() is
+the one torn-tail rule, for T1 and T3.  A generated T1, T2 and T3 are written through
 staged(), so a failed write leaves the old table as it was.  Writers
 validate before touching the file so a rejected batch leaves the table
 unchanged.  _score_blocks() is the one reader of an existing T3, for
@@ -46,7 +47,7 @@ import shutil
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 APPROACHES = ("Dictionary", "MachineLearning")
 LEVELS = ("Country", "County")
@@ -252,37 +253,56 @@ def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _torn(fh) -> bool:
-    """Whether a binary file's last line lacks its LF: a write cut short."""
-    if fh.seek(0, os.SEEK_END) == 0:
+def _torn(fd: int) -> bool:
+    """Whether the file open at fd has a last line without its LF: a write cut short.
+
+    Only the last byte is read; the offset is left at the end of the file.
+    """
+    if os.lseek(fd, 0, os.SEEK_END) == 0:
         return False
-    fh.seek(-1, os.SEEK_END)
-    return fh.read(1) != b"\n"
+    os.lseek(fd, -1, os.SEEK_END)
+    return os.read(fd, 1) != b"\n"
 
 
-def write_all(fh: io.RawIOBase, data: bytes) -> None:
-    """Write data to an unbuffered file in one write call, repeated only if the
-    OS writes part of it; a write that takes nothing raises OSError, not a spin."""
+def _write_all(fd: int, data: bytes, path: str | Path) -> None:
+    """Write data to fd in one write call, repeated only if the OS writes
+    part of it; a write that takes nothing raises OSError naming path, not a spin."""
     view = memoryview(data)
     while view:
-        written = fh.write(view)
-        if not written:  # 0, or None from a non-blocking file
-            raise OSError(f"{fh.name}: write returned {written!r} with {len(view)} bytes left")
+        written = os.write(fd, view)
+        if not written:
+            raise OSError(f"{path}: write returned 0 with {len(view)} bytes left")
         view = view[written:]
 
 
-@contextlib.contextmanager
-def open_raw(path: str | Path) -> Iterator[io.FileIO]:
-    """Yield a T1 file opened unbuffered to append, for write_all: the one writer of T1.
+def append_raw(path: str | Path, source: BinaryIO) -> tuple[int, bytes]:
+    """Append the complete lines of a byte stream to the T1 at path: the one writer of T1.
 
-    A table whose last line has no LF (a write torn by a crash) gets one
-    first, so the torn record stays one malformed line and the next line
-    written starts a line of its own.  Only the last byte is read.
+    Each chunk read is written up to its last LF in one write call, so T1
+    grows by whole lines only.  Returns the number of lines written and
+    the bytes after the stream's last LF, which are not written.  A table
+    whose last line has no LF (a write torn by a crash) gets one first, so
+    the torn record stays one malformed line and the next line written
+    starts a line of its own.  Only the last byte is read.  T1 is a bare
+    descriptor opened O_APPEND, so every write lands at the end; a file
+    object around it would cost about as much as the syscalls themselves.
     """
-    with open(path, "a+b", buffering=0) as fh:
-        if _torn(fh):
-            write_all(fh, b"\n")
-        yield fh
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        if _torn(fd):
+            _write_all(fd, b"\n", path)
+        lines = 0
+        fragment: list[bytes] = []  # the bytes read since the last LF, in pieces
+        while chunk := source.read(65536):
+            kept = chunk.rfind(b"\n") + 1
+            if kept:  # only the new chunk is searched, so a long line costs no rescans
+                _write_all(fd, b"".join([*fragment, chunk[:kept]]), path)
+                lines += chunk.count(b"\n")
+                fragment.clear()
+            fragment.append(chunk[kept:])
+    finally:
+        os.close(fd)
+    return lines, b"".join(fragment)
 
 
 @contextlib.contextmanager
@@ -391,8 +411,8 @@ def _score_blocks(table_path: str | Path) -> Iterator[str]:
     table yields nothing.  Every StoreError names the file and the line.
     """
     with open(table_path, "rb") as fh:
-        torn = _torn(fh)
-        fh.seek(0)
+        torn = _torn(fh.fileno())
+        fh.seek(0)  # nothing is buffered yet, so this seeks the descriptor too
         if torn:  # named at the line the csv reader gives the torn row
             line = sum(1 for _ in io.TextIOWrapper(fh, "latin-1", newline=""))
             raise StoreError(f"{table_path}: line {line}: last row was cut short, no newline ends it")

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,6 +59,57 @@ def fail_on_call(fn, n: int):
             raise OSError("injected write failure")
         return fn(*args, **kwargs)
     return wrapper
+
+
+class RawOs:
+    """Stands in for store's os module.  Records each os call store makes on
+    a descriptor that os.open gave for path, as (name, *arguments after the
+    descriptor), a read as ("read", size, bytes got), and hands each write
+    to that descriptor to write(fd, data) in place of os.write."""
+
+    def __init__(self, path, write=os.write):
+        self.path, self.write_t1 = os.fspath(path), write
+        self.fds: set[int] = set()
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, name):
+        found = getattr(os, name)
+        if not callable(found) or isinstance(found, type):
+            return found
+
+        def recorded(*args, **kwargs):
+            if args and type(args[0]) is int and args[0] in self.fds:
+                self.calls.append((name, *args[1:]))
+            return found(*args, **kwargs)
+        return recorded
+
+    def count(self, name: str) -> int:
+        return sum(call[0] == name for call in self.calls)
+
+    def open(self, path, flags, mode=0o777):
+        fd = os.open(path, flags, mode)
+        if os.fspath(path) == self.path:
+            self.fds.add(fd)
+            self.calls.append(("open", flags, mode))
+        return fd
+
+    def read(self, fd, size):
+        data = os.read(fd, size)
+        if fd in self.fds:
+            self.calls.append(("read", size, len(data)))
+        return data
+
+    def write(self, fd, data):
+        if fd not in self.fds:
+            return os.write(fd, data)
+        self.calls.append(("write", bytes(data)))
+        return self.write_t1(fd, data)
+
+    def close(self, fd):
+        if fd in self.fds:
+            self.fds.discard(fd)
+            self.calls.append(("close",))
+        os.close(fd)
 
 
 def square(x0, y0, x1, y1):

@@ -15,7 +15,7 @@ resolver's scan of every polygon, the region loader that held the whole
 decoded file, the per-chunk tokenizer, the tile-map
 strip packer that re-measured every strip, the timedelta bucket rule,
 the score-table reader that checked UTF-8, the rows and the torn tail
-in three passes,
+in three passes, the raw-table appender through an unbuffered file object,
 the strftime instant formatter, the colour ramp built from a generator
 of rounded channels, and the three renderers as they were drawn through
 ElementTree.
@@ -27,10 +27,13 @@ and serialisation, not those layers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import logging
 import math
+import os
 import re
 import string
 from datetime import timedelta, timezone
@@ -46,8 +49,8 @@ from geosent.ingest import MALFORMED, NO_GEO, CollectorStats, parse_record
 from geosent.lexicon import DictionaryAnalyser, match_token
 from geosent.store import (LEVELS, SCORE_COLUMNS, UNASSIGNED, ParsedTweet, ScoreRow, StoreError,
                            _field_text, _finite, _format_score, _parse_parsed_line, _parse_score,
-                           _read_text, _torn, format_instant, format_parsed_line, parse_instant, staged)
-from geosent import emoticons
+                           _read_text, format_instant, format_parsed_line, parse_instant, staged)
+from geosent import emoticons, store
 from geosent.tokenizer import _SCANNER, EMOTICON, HASHTAG, MENTION, PUNCT, URL, WORD, Token, tokenize
 from geosent.visualize import (
     _FALLBACK_LINE_COLOR,
@@ -113,6 +116,53 @@ def parse_raw_table(data: bytes, index) -> tuple[bytes, CollectorStats]:
 
 
 # ---------------------------------------------------------------------------
+# the raw-table appender through an unbuffered file object and a context manager
+
+
+def _torn(fh) -> bool:
+    """Whether a binary file's last line lacks its LF: a write cut short."""
+    if fh.seek(0, os.SEEK_END) == 0:
+        return False
+    fh.seek(-1, os.SEEK_END)
+    return fh.read(1) != b"\n"
+
+
+def write_all(fh: io.RawIOBase, data: bytes) -> None:
+    """Write data to an unbuffered file in one write call, repeated only if the
+    OS writes part of it; a write that takes nothing raises OSError, not a spin."""
+    view = memoryview(data)
+    while view:
+        written = fh.write(view)
+        if not written:  # 0, or None from a non-blocking file
+            raise OSError(f"{fh.name}: write returned {written!r} with {len(view)} bytes left")
+        view = view[written:]
+
+
+@contextlib.contextmanager
+def open_raw(path):
+    """Yield a T1 file opened unbuffered to append, its torn last line ended first."""
+    with open(path, "a+b", buffering=0) as fh:
+        if _torn(fh):
+            write_all(fh, b"\n")
+        yield fh
+
+
+def collect_through_file(source, raw_path) -> tuple[CollectorStats, bytes]:
+    """ingest.collect before T1 was appended through a bare descriptor."""
+    stats = CollectorStats()
+    fragment: list[bytes] = []
+    with open_raw(raw_path) as table:
+        while chunk := source.read(65536):
+            kept = chunk.rfind(b"\n") + 1
+            if kept:
+                write_all(table, b"".join([*fragment, chunk[:kept]]))
+                stats.lines_read += chunk.count(b"\n")
+                fragment.clear()
+            fragment.append(chunk[kept:])
+    return stats, b"".join(fragment)
+
+
+# ---------------------------------------------------------------------------
 # the score-table reader in three passes: UTF-8, then the csv rows, then the torn tail
 
 
@@ -165,7 +215,7 @@ def read_scores_three_pass(table_path) -> list[ScoreRow]:
             rows.append(row)
         last_line = reader.line_num
     with open(table_path, "rb") as fh:
-        if _torn(fh):
+        if store._torn(fh.fileno()):
             raise StoreError(f"line {last_line}: row cut short, the table does not end in a newline")
     return rows
 

@@ -18,6 +18,8 @@ import geosent
 from geosent import cli, store
 from geosent.ingest import collect
 
+from conftest import RawOs
+
 
 def test_every_export_resolves_once_in_sorted_order():
     names = geosent.__all__
@@ -106,16 +108,30 @@ def test_only_the_picked_draw_emits_in_the_cli():
                                ("emit_tilemap", "_pick.draw")]
 
 
+def _os_open_mode(flags: ast.expr) -> str:
+    """The mode an os.open call's flags amount to: "a" with O_APPEND, "w" with
+    O_CREAT or O_TRUNC and write access, else "r"."""
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(flags)}
+    if "O_APPEND" in names:
+        return "a"
+    if names & {"O_CREAT", "O_TRUNC"} and names & {"O_WRONLY", "O_RDWR"}:
+        return "w"
+    return "r"
+
+
 def _opens(module: Path) -> list[tuple[str, str]]:
     """Each call in module that opens a file, as its source text and its mode
-    ("r" for read_text and read_bytes, "?" where the mode is not a constant)."""
+    ("r" for read_text and read_bytes, "?" where the mode is not a constant,
+    and for os.open the mode its flags amount to)."""
     source = module.read_text(encoding="utf-8")
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if name == "open":  # open(path, mode) or path.open(mode)
+        if ast.unparse(node.func) == "os.open":  # os.open(path, flags, mode)
+            found.append((ast.get_source_segment(source, node), _os_open_mode(node.args[1])))
+        elif name == "open":  # open(path, mode) or path.open(mode)
             args = node.args[1:] if isinstance(node.func, ast.Name) else node.args
             mode = args[0] if args else next((kw.value for kw in node.keywords if kw.arg == "mode"),
                                              ast.Constant("r"))
@@ -143,7 +159,7 @@ def test_only_store_opens_a_file_for_reading():
 
 
 def test_only_store_opens_a_file_to_append():
-    # collect appends to the raw table through store.open_raw; every other output is staged
+    # collect appends to the raw table through store.append_raw; every other output is staged
     package = Path(geosent.__file__).parent
     appends = {module.name: sum("a" in mode for _, mode in _opens(module))
                for module in sorted(package.glob("*.py"))}
@@ -163,40 +179,13 @@ def test_only_georesolve_reads_the_region_index_layout():
     assert reads == {"georesolve.py": sorted(private)}
 
 
-class _CountedFile(io.FileIO):
-    """A raw file that counts the bytes read from it: unbuffered through read
-    (FileIO's own read does not go through readinto), or buffered through
-    readinto, or readall to the end."""
-
-    bytes_read = 0
-
-    def read(self, size=-1):
-        data = super().read(size)
-        self.bytes_read += len(data or b"")
-        return data
-
-    def readinto(self, buffer):
-        got = super().readinto(buffer)
-        self.bytes_read += got or 0
-        return got
-
-    def readall(self):
-        data = super().readall()
-        self.bytes_read += len(data)
-        return data
-
-
 @pytest.mark.parametrize("tail", [b"", b"torn"])
 def test_collect_reads_at_most_the_raw_tables_last_byte(tmp_path, monkeypatch, tail):
     path = tmp_path / "t1.jsonl"
     path.write_bytes(b'{"id_str":"1"}\n' * 1000 + tail)
-    opened = []
-
-    def counted_open(file, mode, buffering=-1):
-        opened.append(_CountedFile(file, mode))
-        return opened[-1] if buffering == 0 else io.BufferedRandom(opened[-1])
-
-    monkeypatch.setattr(store, "open", counted_open, raising=False)
+    counted = RawOs(path)
+    monkeypatch.setattr(store, "os", counted)
     collect(io.BytesIO(b"new\n"), path)
-    assert [raw.bytes_read for raw in opened] == [1]
+    assert counted.count("open") == 1
+    assert [call for call in counted.calls if call[0] == "read"] == [("read", 1, 1)]
     assert path.read_bytes() == b'{"id_str":"1"}\n' * 1000 + tail + b"\n" * bool(tail) + b"new\n"

@@ -23,7 +23,8 @@ from geosent.ingest import (
 )
 from geosent.store import ParsedTweet
 
-from conftest import fail_on_call, utc
+import oracles
+from conftest import RawOs, fail_on_call, utc
 
 
 # byte streams with embedded LF and CRLF line ends, and lone CRs
@@ -143,6 +144,56 @@ class TestCollect:
         assert stored == stream[:cut]
         assert fragment == stream[cut:]
         assert stats.lines_read == stream.count(b"\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.sampled_from([None, b"", b"old\n", b"old\ntorn", b"old\r"]), stream=STREAMS,
+           data=st.data())
+    def test_matches_the_file_object_appender(self, table, stream, data):
+        # T1 absent, empty, ending in LF or torn; at times a line longer than one 64 KiB read
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(stream)))
+            stream = stream[:at] + b"L" * 70_000 + stream[at:]
+        whole = data.draw(st.booleans())  # read 64 KiB at a time, or in drawn pieces
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, max(len(stream) - 1, 1)), max_size=8))))
+        pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if a < b]
+        got = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for appender in (collect, oracles.collect_through_file):
+                path = Path(tmp) / appender.__name__
+                if table is not None:
+                    path.write_bytes(table)
+                stats, fragment = appender(io.BytesIO(stream) if whole else Trickle(pieces), path)
+                got.append((path.read_bytes(), stats.lines_read, fragment))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["writes", "write-raises"])
+    @pytest.mark.parametrize("table", [None, b"", b"old\n", b"old\ntorn"],
+                             ids=["absent", "empty", "ends-in-lf", "torn"])
+    def test_one_call_keeps_to_its_syscall_budget(self, tmp_path, monkeypatch, table, fails):
+        path = tmp_path / "t1.jsonl"
+        if table is not None:
+            path.write_bytes(table)
+
+        def write(fd, data):
+            if fails:
+                raise OSError("injected write failure")
+            return os.write(fd, data)
+
+        counted = RawOs(path, write)
+        monkeypatch.setattr(store, "os", counted)
+        pieces = [b"a\nb", b"cd", b"e\nf\n", b"g"]  # two of the four chunks hold an LF
+        if fails:
+            with pytest.raises(OSError, match="injected write failure"):
+                collect(Trickle(pieces), path)
+        else:
+            assert collect(Trickle(pieces), path)[0].lines_read == 3
+        torn = bool(table) and not table.endswith(b"\n")
+        assert {call[0] for call in counted.calls} <= {"open", "lseek", "read", "write", "close"}
+        assert (counted.calls[0][0], counted.calls[-1]) == ("open", ("close",))
+        assert (counted.count("open"), counted.count("close")) == (1, 1)
+        assert counted.count("lseek") <= 2
+        assert [call for call in counted.calls if call[0] == "read"] == [("read", 1, 1)] * bool(table)
+        assert counted.count("write") == (1 if fails else 2 + torn)
 
     def test_line_of_many_chunks_is_stored_whole(self, tmp_path):
         line = bytes(range(32, 127)) * (5 * 2**20 // 95)  # over 5 MiB, no LF

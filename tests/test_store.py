@@ -29,7 +29,7 @@ from geosent.store import (
 )
 
 import oracles
-from conftest import fail_on_call, utc, write_parsed
+from conftest import RawOs, fail_on_call, utc, write_parsed
 from oracles import format_instant_strftime
 
 # fixed offsets strictly inside a day, down to the microsecond
@@ -119,21 +119,6 @@ class TestInstants:
         assert format_instant(ts) == want
 
 
-class _RationedFile(io.FileIO):
-    """A raw file whose writes each take at most `most` bytes; with most=0 a
-    write takes none and returns `none` (0, or None as a non-blocking file's)."""
-
-    def __init__(self, file, mode, most, none=0):
-        super().__init__(file, mode)
-        self.most, self.none, self.writes = most, none, 0
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes > 1000:
-            raise AssertionError("the writer keeps retrying a write that takes nothing")
-        return super().write(memoryview(data)[:self.most]) if self.most else self.none
-
-
 class TestOpenRaw:
     def test_bytes_stored_verbatim(self, tmp_path):
         path = tmp_path / "t1.jsonl"
@@ -141,12 +126,16 @@ class TestOpenRaw:
         collect(io.BytesIO(blob), path)
         assert path.read_bytes() == blob
 
-    def test_append_only(self, tmp_path):
+    def test_append_only(self, tmp_path, monkeypatch):
         path = tmp_path / "t1.jsonl"
+
+        def write_at_the_start(fd, data):
+            os.lseek(fd, 0, os.SEEK_SET)  # an append descriptor writes at the end wherever it stands
+            return os.write(fd, data)
+
+        monkeypatch.setattr(store, "os", RawOs(path, write_at_the_start))
         for payload in (b"one\n", b"two\n"):
-            with store.open_raw(path) as fh:
-                fh.seek(0)  # an append handle writes at the end wherever it stands
-                fh.write(payload)
+            collect(io.BytesIO(payload), path)
         assert path.read_bytes() == b"one\ntwo\n"
 
     def test_torn_tail_is_terminated_before_appending(self, tmp_path):
@@ -165,27 +154,30 @@ class TestOpenRaw:
     def test_short_writes_store_every_byte_in_order(self, tmp_path, monkeypatch):
         path = tmp_path / "t1.jsonl"
         path.write_bytes(b'{"a":1}\n{"b":2')
-        opened = []
-
-        def rationed_open(file, mode, buffering=-1):
-            opened.append(_RationedFile(file, mode, most=3))
-            return opened[-1]
-
-        monkeypatch.setattr(store, "open", rationed_open, raising=False)
+        rationed = RawOs(path, lambda fd, data: os.write(fd, data[:3]))  # T1's writes alone
+        monkeypatch.setattr(store, "os", rationed)
         lines = b"".join(b'{"c":%d}\r\n' % n for n in range(40)) + b"\xff\n"
         stats, fragment = collect(io.BytesIO(lines + b"tail"), path)
         assert (stats.lines_read, fragment) == (41, b"tail")
         assert path.read_bytes() == b'{"a":1}\n{"b":2\n' + lines
-        # the torn tail's LF in one write, then the lines 3 bytes at a time
-        assert [file.writes for file in opened] == [1 + -(-len(lines) // 3)]
+        # one T1 opened; the torn tail's LF in one write, then the lines 3 bytes at a time
+        assert (rationed.count("open"), rationed.count("write")) == (1, 1 + -(-len(lines) // 3))
 
-    @pytest.mark.parametrize("none", [0, None])
-    def test_write_that_takes_nothing_raises(self, tmp_path, none):
+    @pytest.mark.parametrize("returned", [0])
+    def test_write_that_takes_nothing_raises(self, tmp_path, monkeypatch, returned):
         path = tmp_path / "t1.jsonl"
-        with _RationedFile(path, "ab", most=0, none=none) as fh:
-            with pytest.raises(OSError, match=f"write returned {none} with 4 bytes left"):
-                store.write_all(fh, b"one\n")
-            assert fh.writes == 1
+
+        def takes_nothing(fd, data):
+            if starved.count("write") > 1000:
+                raise AssertionError("the writer keeps retrying a write that takes nothing")
+            return returned
+
+        starved = RawOs(path, takes_nothing)
+        monkeypatch.setattr(store, "os", starved)
+        with pytest.raises(OSError, match=f"^{re.escape(str(path))}: write returned {returned} "
+                                          "with 4 bytes left$"):
+            collect(io.BytesIO(b"one\n"), path)
+        assert (starved.count("write"), starved.count("close")) == (1, 1)
         assert path.read_bytes() == b""
 
 
