@@ -12,14 +12,15 @@ Three on-disk formats, all line-oriented and append-only:
    read back row compares equal.
 
 T1 is appended in place, whole lines at a time, by collect alone, through
-append_raw(), which works on a bare descriptor opened O_APPEND; _torn() is
-the one torn-tail rule, for T1 and T3.  A generated T1, T2 and T3 are written through
+append_raw(), which works on a bare descriptor opened O_APPEND and probes
+its torn tail with _torn().  A generated T1, T2 and T3 are written through
 staged(), so a failed write leaves the old table as it was.  Writers
 validate before touching the file so a rejected batch leaves the table
 unchanged.  _score_blocks() is the one reader of an existing T3, for
 read_scores and for an append, which writes the old text and then the
-new rows to the staged file.  It checks the torn tail, then UTF-8, then
-the header; read_scores then checks the rows.
+new rows to the staged file.  In one pass it checks each block for a torn
+row, then UTF-8, then in the first the header, naming lines as csv does
+(_line_at()); read_scores then checks the rows.
 
 map_blocks() is the one scan of T1 and T2: it reads a table's lines as bytes,
 each with its LF, in blocks and maps a function over them, in-process or
@@ -247,14 +248,19 @@ def _read_text(path: str | Path, what: str, error: type[Exception]) -> str:
     except OSError as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        line = _line_at(data, exc.start)
         raise error(f"{what} file {path} is not UTF-8 text: line {line}: {exc.reason}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _line_at(data: bytes, offset: int) -> int:
+    """The 1-based line of data[offset] as csv counts it: LF, CR and CRLF each end a line."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
 def _torn(fd: int) -> bool:
-    """Whether the file open at fd has a last line without its LF: a write cut short.
+    """append_raw's probe: whether the T1 at fd has a last line without its LF, cut short.
 
     Only the last byte is read; the offset is left at the end of the file.
     """
@@ -405,25 +411,24 @@ def _parse_score(text: str) -> float | None:
 def _score_blocks(table_path: str | Path) -> Iterator[str]:
     """Yield an existing score table as text blocks that each end at an LF.
 
-    The table is opened once.  A last row without its LF was cut short
-    and is refused first; then each block is refused unless it is UTF-8,
-    and the first block unless it starts with the score header.  An empty
-    table yields nothing.  Every StoreError names the file and the line.
+    The table is opened and read once.  A block without a final LF can
+    only be the last, a row cut short, refused before it is decoded; each
+    block must be UTF-8 and the first must start with the score header.  So
+    a fault in an earlier block comes before a torn row.  An empty table
+    yields nothing.  Every StoreError names the file and the line (_line_at).
     """
     with open(table_path, "rb") as fh:
-        torn = _torn(fh.fileno())
-        fh.seek(0)  # nothing is buffered yet, so this seeks the descriptor too
-        if torn:  # named at the line the csv reader gives the torn row
-            line = sum(1 for _ in io.TextIOWrapper(fh, "latin-1", newline=""))
-            raise StoreError(f"{table_path}: line {line}: last row was cut short, no newline ends it")
         lines = 0
         # map_blocks' rule: each block closes at the first line that takes it
         # past BLOCK_BYTES, so it ends at an LF and no character is cut in two
         while block := fh.read(BLOCK_BYTES) + fh.readline():
+            if not block.endswith(b"\n"):  # the line the csv reader gives the torn row
+                line = lines + _line_at(block, len(block) - 1)
+                raise StoreError(f"{table_path}: line {line}: last row was cut short, no newline ends it")
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = lines + block.count(b"\n", 0, exc.start) + 1
+                line = lines + _line_at(block, exc.start)
                 raise StoreError(f"{table_path}: line {line}: not UTF-8 text: {exc.reason}") from None
             if not lines:
                 try:
@@ -432,7 +437,7 @@ def _score_blocks(table_path: str | Path) -> Iterator[str]:
                     raise StoreError(f"{table_path}: line 1: {exc}") from None
                 if header != list(SCORE_COLUMNS):
                     raise StoreError(f"{table_path}: line 1: unexpected scores header {header!r}")
-            lines += block.count(b"\n")
+            lines += _line_at(block, len(block)) - 1
             yield text
 
 

@@ -95,6 +95,19 @@ def latin1_scores(tmp_path, hourly_scores):
     return path
 
 
+@pytest.fixture
+def lone_cr_scores(tmp_path, hourly_scores):
+    """The hourly score table with row 1 ended by a lone CR, not an LF, and a 0xff
+    byte in its fourth LF-ended line, which csv reads as its fifth line."""
+    lines = hourly_scores.read_bytes().split(b"\n")
+    lines[1:3] = [lines[1] + b"\r" + lines[2]]
+    assert b"mycountry" in lines[3]
+    lines[3] = lines[3].replace(b"mycountry", b"my\xffcountry")
+    path = tmp_path / "lone-cr.tsv"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
 def assert_names_line_2_of(path, code, out, err, prefix=""):
     assert code == 2
     assert err.startswith(f"error: {prefix}{path}: line 2: not UTF-8 text: ")
@@ -594,6 +607,18 @@ class TestScore:
         assert_names_line_2_of(latin1_scores, code, out, err, prefix="cannot append to ")
         assert latin1_scores.read_bytes() == before
         assert [p.name for p in latin1_scores.parent.iterdir()] == [latin1_scores.name]
+
+    def test_append_and_correlate_name_a_bad_byte_on_its_csv_line(self, capsys, parsed_table,
+                                                                     lone_cr_scores):
+        before = lone_cr_scores.read_bytes()
+        for command in (["score", "--parsed", str(parsed_table), "--approach", "dictionary",
+                         *WINDOW, "--append"], ["correlate", "--region", "mycountry"]):
+            code, out, err = run(capsys, *command, "--scores", str(lone_cr_scores), "--level", "country")
+            prefix = "cannot append to " if command[0] == "score" else ""
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {prefix}{lone_cr_scores}: line 5: not UTF-8 text: ")
+        assert lone_cr_scores.read_bytes() == before
+        assert [p.name for p in lone_cr_scores.parent.iterdir()] == [lone_cr_scores.name]
 
     @pytest.mark.parametrize("bucket", TOO_LONG_BUCKETS)
     def test_bucket_no_timedelta_holds_is_a_data_error(self, capsys, parsed_table, tmp_path, bucket):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -640,6 +641,107 @@ class TestScoreReader:
             write_scores(path, [score_row(region="kent")], append=True)
         assert [call.args[0] for call in opened.call_args_list].count(path) == 1
         assert len(read_scores(path)) == 2
+
+
+_ENDS = ["\n", "\r", "\r\n"]
+
+
+class TestScoreLines:
+    """The line a score-table fault names: LF, CR and CRLF each end one, as for csv."""
+
+    BLOCKS = [store.BLOCK_BYTES, *range(1, 65)]
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("lines") / "t3.csv"
+
+    @staticmethod
+    def lines(tmp_path, count) -> list[bytes]:
+        """The header and count rows of a score table, each without its LF."""
+        path = tmp_path / "rows" / "t3.csv"
+        path.parent.mkdir(exist_ok=True)
+        write_scores(path, [score_row(region=f"r{i}") for i in range(count)])
+        return path.read_bytes().split(b"\n")[:-1]
+
+    @staticmethod
+    def refused(path, line, message):
+        """read_scores and an append both name line, at every block size, and keep the table."""
+        table = path.read_bytes()
+        for block in TestScoreLines.BLOCKS:
+            with mock.patch.object(store, "BLOCK_BYTES", block):
+                with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line {line}: {message}"):
+                    read_scores(path)
+                with pytest.raises(StoreError, match=f"^cannot append to {re.escape(str(path))}: "
+                                                     f"line {line}: {message}"):
+                    write_scores(path, [score_row(region="new")], append=True)
+            assert path.read_bytes() == table
+            assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_a_lone_cr_ends_a_line(self, tmp_path):
+        head, row1, row2, row3, row4 = self.lines(tmp_path, 4)
+        path = tmp_path / "t3" / "t3.csv"
+        path.parent.mkdir()
+        # row 1 ends in a lone CR, which csv reads as a row end
+        parts = [head, b"\n", row1, b"\r", row2, b"\n", row3, b"\n", row4, b"\n"]
+        path.write_bytes(b"".join(parts))
+        assert [row.region for row in read_scores(path)] == ["r0", "r1", "r2", "r3"]
+        # the bad byte sits in the fourth LF-ended line, and on csv's fifth
+        parts[-2] = row4.replace(b"r3", b"r\xff3")
+        path.write_bytes(b"".join(parts))
+        self.refused(path, 5, "not UTF-8 text: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.lists(st.tuples(st.text("a,\u00e9", max_size=4), st.sampled_from(_ENDS)), max_size=8),
+           head_end=st.sampled_from(_ENDS), bad=st.sampled_from([b"\x80", b"\xc0", b"\xff"]),
+           where=st.integers(0, 10**6), block=st.integers(1, 64))
+    def test_a_bad_byte_is_on_the_line_read_text_names(self, path, body, head_end, bad, where, block):
+        text = ",".join(store.SCORE_COLUMNS) + head_end + "".join(line + end for line, end in body)
+        data = text.encode("utf-8")
+        data += b"" if data.endswith(b"\n") else b"\n"  # not torn
+        at = where % len(data)  # the bad byte goes before data[at], so the last byte stays an LF
+        data = data[:at] + bad + data[at:]
+        line = 1 + sum(1 for _ in itertools.takewhile(lambda end: end <= at,
+                                                      itertools.accumulate(map(len, data.splitlines(True)))))
+        path.write_bytes(data)
+        with pytest.raises(StoreError) as read_text:
+            store._read_text(path, "scores", StoreError)
+        with mock.patch.object(store, "BLOCK_BYTES", block), pytest.raises(StoreError) as blocks:
+            list(store._score_blocks(path))
+        assert str(read_text.value).startswith(f"scores file {path} is not UTF-8 text: line {line}: ")
+        assert str(blocks.value).startswith(f"{path}: line {line}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("cut", ["mid-field", "after-a-lone-cr", "after-the-cr-of-a-crlf"])
+    def test_a_torn_tail_is_on_the_line_a_text_read_counts(self, tmp_path, cut):
+        head, row1, row2, row3 = self.lines(tmp_path, 3)
+        path = tmp_path / "t3" / "t3.csv"
+        path.parent.mkdir()
+        end = {"mid-field": b"\n", "after-a-lone-cr": b"\r", "after-the-cr-of-a-crlf": b"\r\n"}[cut]
+        table = head + b"\n" + row1 + end + row2 + end
+        tail = row3[:20] if cut == "mid-field" else row3 + b"\r"
+        path.write_bytes(table + tail)
+        # the lines a text-mode read with newline="" gives, as csv counts them
+        assert sum(1 for _ in io.StringIO((table + tail).decode("latin-1"), newline="")) == 4
+        self.refused(path, 4, "last row was cut short, no newline ends it")
+
+    def test_an_earlier_block_is_refused_before_a_torn_last_row(self, tmp_path):
+        # behaviour change: a fault in an earlier block comes first, so the table is read once
+        head, row1, row2, row3 = self.lines(tmp_path, 3)
+        path = tmp_path / "t3.csv"
+        for bad, message in [(row1.replace(b",2.0,", b",9.9,"), "pss 9.9 does not equal"),
+                             (row1.replace(b"r0", b"r\xff0"), "not UTF-8 text: ")]:
+            table = b"\n".join([head, bad, row2, row3[:20]])
+            path.write_bytes(table)
+            for block, line, error in [(store.BLOCK_BYTES, 4, "last row was cut short"), (1, 2, message)]:
+                with mock.patch.object(store, "BLOCK_BYTES", block), \
+                        pytest.raises(StoreError, match=f"^{re.escape(str(path))}: line {line}: {error}"):
+                    read_scores(path)
+            # an append copies the rows it does not read, so only the bad byte stops it early
+            with mock.patch.object(store, "BLOCK_BYTES", 1), pytest.raises(StoreError) as err:
+                write_scores(path, [score_row(region="new")], append=True)
+            line = 2 if b"\xff" in bad else 4
+            assert str(err.value).startswith(f"cannot append to {path}: line {line}: ")
+            assert path.read_bytes() == table
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["rows", "t3.csv"]
 
 
 def test_collector_stats_merge_adds_every_field():
