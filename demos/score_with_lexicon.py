@@ -44,7 +44,7 @@ def main(out: Path = OUT) -> None:
         parse_corpus(bundled.corpus_path(), index, parsed)
 
     analyser = DictionaryAnalyser(load_lexicon(bundled.lexicon_path()))
-    print(f"analyser: {analyser.approach}, counting {analyser.unit}")
+    print(f"analyser: {analyser.approach}, counting words")
 
     day_seconds = 24 * 3600
     print()

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import emoticons
-from .lexicon import TWEETS
 from .store import GeosentError, _read_text, staged
 from .tokenizer import Features, _scan_features
 
@@ -227,7 +226,6 @@ class ModelAnalyser:
     """Per-tweet positive/negative classifier for the aggregation step."""
 
     approach = "MachineLearning"
-    unit = TWEETS
 
     def __init__(self, model: NBModel):
         self.model = model

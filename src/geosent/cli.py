@@ -64,7 +64,7 @@ from .store import (
     staged,
     write_scores,
 )
-from .visualize import VisualizeError, emit_kml, emit_linegraph, emit_tilemap, linegraph_paths
+from .visualize import _alike, emit_kml, emit_linegraph, emit_tilemap, linegraph_paths
 
 log = logging.getLogger(__name__)
 
@@ -265,8 +265,7 @@ def _pick(kind: str, rows, out: str, *, index=None, approach=None, level=None,
         if bucket_start is None and chosen:
             bucket_start = min(row.bucket_start for row in chosen)
         chosen = [row for row in chosen if row.bucket_start == bucket_start]
-    if not chosen:
-        raise VisualizeError(f"{kind}: no rows to render")
+    _alike(chosen, kind)
 
     def draw() -> None:
         if kind == "kml":

@@ -9,8 +9,8 @@ precision here; rounding happens at render time.
 
 One scan runner serves both tables.  _scan() checks the jobs, maps
 _scan_block() over a table's blocks with store.map_blocks, merges the
-results in file order, writes T2 through store.staged() when given its
-path, logs progress every PROGRESS_LINES lines, and scores.  A pass
+results in file order, writes T2 to the file it is handed, if any, logs
+progress every PROGRESS_LINES lines, and scores.  A pass
 supplies only its rows: aggregate_many() decodes T2 with _t2_rows(),
 which counts a line that is not valid UTF-8 or not a valid row as
 malformed, and ingest.parse_and_aggregate() parses and resolves T1.
@@ -30,17 +30,16 @@ in file order, so the output is identical whatever the thread count.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TextIO
 
 from .store import (LEVELS, MIN_YEAR, CollectorStats, GeosentError, ParsedTweet, ScoreRow,
-                    _parse_parsed_line, format_instant, format_parsed_line, map_blocks, staged)
+                    _parse_parsed_line, format_instant, format_parsed_line, map_blocks)
 from .tokenizer import Features, _scan_features
 
 log = logging.getLogger(__name__)
@@ -280,31 +279,26 @@ def _plan(jobs: Sequence[tuple[AggregationSpec, Analyser]], threads: int) -> tup
 
 def _scan(jobs: Sequence[tuple[AggregationSpec, Analyser]], table_path: str | Path, threads: int,
           rows: Callable[..., Iterator[ParsedTweet]], what: str,
-          t2_path: str | Path | None = None) -> tuple[CollectorStats, list[list[ScoreRow]]]:
+          t2: TextIO | None = None) -> tuple[CollectorStats, list[list[ScoreRow]]]:
     """Fold the rows that rows() yields from one scan of a table; the counts and each job's rows.
 
     Every spec and the thread count are checked before the table is
-    opened.  Given t2_path, the rows are written to it through a staged
-    sibling that replaces it once the whole table is read.  Progress is
-    logged as what each time another PROGRESS_LINES lines have been read.
+    opened.  Given t2, the rows are written as T2 to the file it is
+    handed, in table order.  Progress is logged as what each time
+    another PROGRESS_LINES lines have been read.
     """
     analysers, plan = _plan(jobs, threads)
     stats = CollectorStats()
     cells: list[dict] = [{} for _ in plan]
-    block = functools.partial(_scan_block, rows, analysers, plan, t2_path is not None)
-    with contextlib.ExitStack() as stack:
-        sink = None
-        if t2_path is not None:
-            staging = stack.enter_context(staged(t2_path))
-            sink = stack.enter_context(staging.open("w", encoding="utf-8", newline=""))
-        for pieces, counts, part in map_blocks(block, table_path, threads):
-            before = stats.lines_read
-            stats.merge(counts)
-            _merge_cells(cells, part)
-            if sink is not None:
-                sink.writelines(pieces)
-            if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
-                log.info("%s: %d lines in", what, stats.lines_read)
+    block = functools.partial(_scan_block, rows, analysers, plan, t2 is not None)
+    for pieces, counts, part in map_blocks(block, table_path, threads):
+        before = stats.lines_read
+        stats.merge(counts)
+        _merge_cells(cells, part)
+        if t2 is not None:
+            t2.writelines(pieces)
+        if stats.lines_read // PROGRESS_LINES > before // PROGRESS_LINES:
+            log.info("%s: %d lines in", what, stats.lines_read)
     return stats, [_score_rows(spec, analyser.approach, part)
                    for (spec, analyser), part in zip(jobs, cells)]
 

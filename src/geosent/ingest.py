@@ -12,8 +12,9 @@ silently.  collect() is the one writer that appends to T1, through store.append_
 parse_and_aggregate() is the one pass over the raw table (T1), run by
 estimator's scan runner, for which this module supplies only the rows:
 _parsed_rows() parses and resolves each block's lines and counts every
-line's fate.  The runner writes the rows to T2 and folds them into the
-cells of every job.  parse_corpus() is that pass with no jobs.
+line's fate, and stages T2: the runner writes the rows to the file it
+is handed and folds them into the cells of every job.  parse_corpus()
+is that pass with no jobs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import BinaryIO, Iterator, Sequence
 from .estimator import AggregationSpec, Analyser, _scan
 from .georesolve import RegionIndex, resolve
 from .store import (MIN_YEAR, CollectorStats, ParsedTweet, ScoreRow, _field_text, _finite,
-                    _utf8_text, append_raw, parse_instant)
+                    _utf8_text, append_raw, parse_instant, staged)
 
 log = logging.getLogger(__name__)
 
@@ -100,13 +101,8 @@ def _coordinates_of(record: dict) -> tuple[float, float] | None:
 
 
 def sanitize_text(text: str) -> str:
-    """Flatten tabs and line breaks so the text fits in one table field."""
-    return (
-        text.replace("\r\n", "\\n")
-        .replace("\r", "\\n")
-        .replace("\n", "\\n")
-        .replace("\t", "\\t")
-    )
+    """Make each TAB, CR and LF one space: the text fits one field and splits into the same words."""
+    return text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
 
 def parse_record(payload: bytes | str) -> ParsedTweet | str:
@@ -198,8 +194,9 @@ def parse_and_aggregate(
     Progress is logged each time another estimator.PROGRESS_LINES raw
     lines have been read, whatever the block size.
     """
-    stats, results = _scan(jobs, raw_path, threads, functools.partial(_parsed_rows, index), "parse",
-                           parsed_path)
+    rows = functools.partial(_parsed_rows, index)
+    with staged(parsed_path) as staging, staging.open("w", encoding="utf-8", newline="") as t2:
+        stats, results = _scan(jobs, raw_path, threads, rows, "parse", t2)
     if stats.rejected_malformed:
         log.warning("parse: %d malformed records dropped", stats.rejected_malformed)
     return stats, results

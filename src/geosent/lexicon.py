@@ -29,9 +29,6 @@ from .tokenizer import HASHTAG, WORD, Features, Token
 
 log = logging.getLogger(__name__)
 
-WORDS = "Words"
-TWEETS = "Tweets"
-
 
 class LexiconError(GeosentError):
     """Raised for unreadable lexicon files; messages carry line numbers."""
@@ -121,7 +118,6 @@ class DictionaryAnalyser:
     """Per-tweet positive/negative word counter for the aggregation step."""
 
     approach = "Dictionary"
-    unit = WORDS
 
     def __init__(self, lexicon: Lexicon, hashtag_match: bool = True):
         self.lexicon = lexicon

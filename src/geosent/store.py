@@ -5,7 +5,8 @@ Three on-disk formats, all line-oriented and append-only:
  - T1 raw:    one collector payload per line, bytes preserved verbatim.
  - T2 parsed: TSV with columns tweet_id, timestamp (ISO-8601 UTC, seconds
    precision), lat, lon, country, county, text.  Tabs and newlines never
-   appear inside a field; tweet text is escaped upstream.
+   appear inside a field: upstream, each TAB, CR and LF of a tweet's text
+   becomes one space.
  - T3 scores: CSV with header approach,level,region,parent,bucket_start,
    bucket_end,pos_count,neg_count,tweet_count,pss,npss.  Undefined pss or
    npss is serialised as NA.  Floats are written at full precision so a
@@ -55,11 +56,6 @@ LEVELS = ("Country", "County")
 
 #: county value used when a point falls inside a country but no county polygon
 UNASSIGNED = "unassigned"
-
-SCORE_COLUMNS = (
-    "approach", "level", "region", "parent", "bucket_start", "bucket_end",
-    "pos_count", "neg_count", "tweet_count", "pss", "npss",
-)
 
 # a block of any table is whole lines, closed at the first line that takes it
 # past this many bytes: mapped in turn in-process, or handed to a pool worker
@@ -206,6 +202,10 @@ class ScoreRow:
         if self.npss is not None and not 0.0 <= self.npss <= 1.0:
             return f"npss {self.npss!r} outside [0, 1]"
         return None
+
+
+#: T3's header: ScoreRow's fields, in order
+SCORE_COLUMNS = tuple(field.name for field in fields(ScoreRow))
 
 
 def _utf8_text(text: str) -> bool:

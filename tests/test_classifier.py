@@ -303,7 +303,6 @@ class TestAnalyser:
     def test_metadata(self):
         analyser = ModelAnalyser(train(TWO_DOCS))
         assert analyser.approach == "MachineLearning"
-        assert analyser.unit == "Tweets"
 
     def test_tweet_counts_one_hot(self):
         analyser = ModelAnalyser(train(TWO_DOCS))
@@ -322,4 +321,4 @@ class TestAnalyser:
         ]
         analyser = ModelAnalyser(model)
         pos, neg = map(sum, zip(*(analyser.counts(_scan_features(t.text)) for t in tweets)))
-        assert (pos, neg, analyser.unit) == (2, 1, "Tweets")
+        assert (pos, neg) == (2, 1)

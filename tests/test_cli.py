@@ -1133,6 +1133,31 @@ class TestPipeline:
         for suffix in ("tsv", "csv"):
             assert (tmp_path / f"bad.{suffix}").read_bytes() == (tmp_path / f"good.{suffix}").read_bytes()
 
+    def test_tab_and_line_breaks_separate_words(self, capsys, corpus_file, regions_file, tmp_path):
+        # a TAB, LF or CR is stored as a space, so no two words are read as one
+        first = json.loads(corpus_file.read_bytes().splitlines()[0])
+        raw = tmp_path / "t1.jsonl"
+        raw.write_text("".join(json.dumps({**first, "text": text}) + "\n" for text in [
+            "so happy today", "so happy\ntoday", "so sad\nhappy today", "sad\thappy"]))
+        scopes = ["--approaches", "dictionary", "--levels", "country"]
+        tables = []
+        for threads in ("1", "2"):
+            scores = tmp_path / f"pipeline{threads}.csv"
+            code, _, err = run(capsys, "pipeline", "--raw", str(raw), "--regions", str(regions_file),
+                               "--parsed", str(tmp_path / f"t2-{threads}.tsv"), "--scores",
+                               str(scores), "--threads", threads, *scopes, *WINDOW)
+            assert code == 0, err
+            tables.append(scores)
+        parsed, scores = tmp_path / "t2.tsv", tmp_path / "score.csv"
+        assert run(capsys, "parse", "--raw", str(raw), "--regions", str(regions_file),
+                   "--parsed", str(parsed))[0] == 0
+        assert run(capsys, "score", "--parsed", str(parsed), "--scores", str(scores),
+                   "--approach", "dictionary", "--level", "country", *WINDOW)[0] == 0
+        tables.append(scores)
+        [row] = read_scores(scores)
+        assert (row.approach, row.pos_count, row.neg_count, row.tweet_count) == ("Dictionary", 4, 2, 4)
+        assert {table.read_bytes() for table in tables} == {scores.read_bytes()}
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_line_past_a_json_limit_costs_only_itself(self, capsys, caplog, corpus_file,
                                                       regions_file, tmp_path, threads):

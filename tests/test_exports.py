@@ -89,6 +89,17 @@ def test_only_estimator_runs_a_scan():
     assert {name for name in taken["ingest.py"] if name.startswith("_")} == {"_scan"}
 
 
+def test_the_scan_runner_stages_nothing():
+    # the scan writes only to the file it is handed; the writer that owns an output
+    # decides that it appears whole or not at all
+    tree = ast.parse((Path(geosent.__file__).parent / "estimator.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "staged" not in imported | named
+
+
 def test_only_the_picked_draw_emits_in_the_cli():
     # cli picks a render's rows in one place, and only the draw that pick returns emits them
     cli = Path(geosent.__file__).parent / "cli.py"

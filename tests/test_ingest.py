@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import string
 import tempfile
 import time
 from pathlib import Path
@@ -22,6 +23,7 @@ from geosent.ingest import (
     sanitize_text,
 )
 from geosent.store import ParsedTweet
+from geosent.tokenizer import _scan_features
 
 import oracles
 from conftest import RawOs, fail_on_call, utc
@@ -327,7 +329,7 @@ class TestParseRecord:
 
     def test_text_sanitised(self):
         got = parse_record(record(text="line one\nline\ttwo\r\nthree"))
-        assert got.text == "line one\\nline\\ttwo\\nthree"
+        assert got.text == "line one line two  three"
 
     def test_lon_lat_order(self):
         # the raw field is (lon, lat); make sure nothing flips it
@@ -337,8 +339,17 @@ class TestParseRecord:
 
 
 def test_sanitize_text_literals():
-    assert sanitize_text("a\tb") == "a\\tb"
-    assert sanitize_text("a\r\nb\rc\nd") == "a\\nb\\nc\\nd"
+    assert sanitize_text("a\tb") == "a b"
+    assert sanitize_text("a\r\nb\rc\nd") == "a  b c d"
+    assert sanitize_text("a\\nb\\tc") == "a\\nb\\tc"  # a backslash stays as it came
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    [*string.ascii_letters, *string.punctuation, " ", "\t", "\r", "\n", "\x85", "\u2028"])))
+def test_sanitize_text_keeps_the_features(text):
+    # the scorers read stored text: a TAB or line break must split words as it did when collected
+    assert _scan_features(sanitize_text(text)) == _scan_features(text)
 
 
 class TestParseCorpus:

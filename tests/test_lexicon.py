@@ -207,9 +207,7 @@ class TestCounting:
         pos, neg = map(sum, zip(*(analyser.counts(_scan_features(row.text)) for row in rows)))
         assert pos == 2
         assert neg == 2
-        assert analyser.unit == "Words"
 
     def test_analyser_metadata(self, lex):
         analyser = DictionaryAnalyser(lex)
         assert analyser.approach == "Dictionary"
-        assert analyser.unit == "Words"
